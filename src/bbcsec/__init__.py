@@ -4,7 +4,6 @@ simulator that measures error rates and equivocation directly."""
 
 __version__ = "0.1.0"
 
-from ._core import backend_name as kernel_backend  # noqa: F401
 from .channel import (  # noqa: F401
     BroadcastChannel,
     MarginalChannel,
@@ -60,3 +59,5 @@ from .simulate import (  # noqa: F401
     equivocation_mc,
     run,
 )
+
+kernel_backend = "numpy"  # the one chain_info implementation, in bbcsec._core

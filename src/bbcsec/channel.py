@@ -7,7 +7,6 @@ Validation is strict at load; nothing is renormalized.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,9 +14,7 @@ import numpy as np
 
 from . import jsonio
 from .exceptions import ValidationError
-from .probability import MASS_TOL
-
-ROW_TOL = MASS_TOL
+from .probability import CondDist, Dist, _as_prob_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,23 +24,7 @@ class BroadcastChannel:
     tensor: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.tensor, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValidationError(f"BroadcastChannel: tensor must be 3-dimensional, got {arr.shape}")
-        if np.any(arr < 0.0):
-            x, y1, y2 = (int(i) for i in np.argwhere(arr < 0.0)[0])
-            raise ValidationError(
-                f"BroadcastChannel: negative probability at x={x}, y1={y1}, y2={y2}"
-            )
-        for x in range(arr.shape[0]):
-            s = math.fsum(arr[x].reshape(-1).tolist())
-            if abs(s - 1.0) > ROW_TOL:
-                raise ValidationError(
-                    f"BroadcastChannel: outputs for x={x} sum to {s!r}, not 1"
-                )
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "tensor", arr)
+        object.__setattr__(self, "tensor", _as_prob_array(self.tensor, 3, "BroadcastChannel", row_axis="x"))
 
     @property
     def x_size(self) -> int:
@@ -68,19 +49,7 @@ class MarginalChannel:
     def __post_init__(self):
         if self.node not in (1, 2):
             raise ValidationError(f"MarginalChannel: node must be 1 or 2, got {self.node}")
-        arr = np.asarray(self.matrix, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValidationError(f"MarginalChannel: matrix must be 2-dimensional, got {arr.shape}")
-        if np.any(arr < 0.0):
-            x, y = (int(i) for i in np.argwhere(arr < 0.0)[0])
-            raise ValidationError(f"MarginalChannel: negative probability at x={x}, y={y}")
-        for x in range(arr.shape[0]):
-            s = math.fsum(arr[x].tolist())
-            if abs(s - 1.0) > ROW_TOL:
-                raise ValidationError(f"MarginalChannel: row x={x} sums to {s!r}, not 1")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "matrix", _as_prob_array(self.matrix, 2, "MarginalChannel", row_axis="x"))
 
     @property
     def x_size(self) -> int:
@@ -106,8 +75,8 @@ def from_marginals(w1, w2) -> BroadcastChannel:
     The rate regions depend on the marginals only, so this coupling is
     without loss of generality for region computations.
     """
-    m1 = w1.matrix if isinstance(w1, MarginalChannel) else np.asarray(w1, dtype=np.float64)
-    m2 = w2.matrix if isinstance(w2, MarginalChannel) else np.asarray(w2, dtype=np.float64)
+    m1 = (w1 if isinstance(w1, MarginalChannel) else MarginalChannel(w1, node=1)).matrix
+    m2 = (w2 if isinstance(w2, MarginalChannel) else MarginalChannel(w2, node=2)).matrix
     if m1.shape[0] != m2.shape[0]:
         raise ValidationError(
             f"from_marginals: input alphabets differ ({m1.shape[0]} vs {m2.shape[0]})"
@@ -122,35 +91,44 @@ def binary_symmetric(p: float) -> np.ndarray:
     return np.array([[1.0 - p, p], [p, 1.0 - p]])
 
 
-def load_channel(path) -> BroadcastChannel:
+def _read_json(path, what: str, fields: tuple) -> dict:
+    """Parse a JSON object file that must contain the given fields."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ValidationError(f"cannot read channel file {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-
-    for key in ("x_size", "y1_size", "y2_size"):
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    for key in fields:
         if key not in raw:
             raise ValidationError(f"{path}: missing field {key!r}")
-    shape = (int(raw["x_size"]), int(raw["y1_size"]), int(raw["y2_size"]))
+    return raw
+
+
+def load_channel(path) -> BroadcastChannel:
+    raw = _read_json(path, "channel", ("x_size", "y1_size", "y2_size"))
+    try:
+        shape = (int(raw["x_size"]), int(raw["y1_size"]), int(raw["y2_size"]))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: alphabet sizes must be integers ({exc})") from exc
 
     if "joint" in raw:
-        tensor = np.asarray(raw["joint"], dtype=np.float64)
-        if tensor.shape != shape:
-            raise ValidationError(f"{path}: joint has shape {tensor.shape}, expected {shape}")
-        ch = BroadcastChannel(tensor)
+        ch = BroadcastChannel(raw["joint"])
+        if ch.tensor.shape != shape:
+            raise ValidationError(f"{path}: joint has shape {ch.tensor.shape}, expected {shape}")
     elif "marginals" in raw:
         m = raw["marginals"]
-        if "w1" not in m or "w2" not in m:
+        if not isinstance(m, dict) or "w1" not in m or "w2" not in m:
             raise ValidationError(f"{path}: marginals must contain 'w1' and 'w2'")
-        w1 = np.asarray(m["w1"], dtype=np.float64)
-        w2 = np.asarray(m["w2"], dtype=np.float64)
-        if w1.shape != (shape[0], shape[1]):
-            raise ValidationError(f"{path}: w1 has shape {w1.shape}, expected {(shape[0], shape[1])}")
-        if w2.shape != (shape[0], shape[2]):
-            raise ValidationError(f"{path}: w2 has shape {w2.shape}, expected {(shape[0], shape[2])}")
+        w1 = MarginalChannel(m["w1"], node=1)
+        w2 = MarginalChannel(m["w2"], node=2)
+        if w1.matrix.shape != (shape[0], shape[1]):
+            raise ValidationError(f"{path}: w1 has shape {w1.matrix.shape}, expected {(shape[0], shape[1])}")
+        if w2.matrix.shape != (shape[0], shape[2]):
+            raise ValidationError(f"{path}: w2 has shape {w2.matrix.shape}, expected {(shape[0], shape[2])}")
         ch = from_marginals(w1, w2)
     else:
         raise ValidationError(f"{path}: need either 'joint' or 'marginals'")
@@ -169,18 +147,7 @@ def save_channel(ch: BroadcastChannel, path) -> None:
 
 def load_chain_file(path):
     """Read an auxiliary-chain file: fields p_u, p_v_given_u, p_x_given_v."""
-    from .probability import CondDist, Dist  # local import avoids a cycle at module load
-
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read chain file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    for key in ("p_u", "p_v_given_u", "p_x_given_v"):
-        if key not in raw:
-            raise ValidationError(f"{path}: missing field {key!r}")
+    raw = _read_json(path, "chain", ("p_u", "p_v_given_u", "p_x_given_v"))
     return Dist(raw["p_u"]), CondDist(raw["p_v_given_u"]), CondDist(raw["p_x_given_v"])
 
 

@@ -41,7 +41,6 @@ _search_options = [
     click.option("--tol", default=1e-7, show_default=True, help="Convergence tolerance."),
     click.option("--u-size", default=None, type=int, help="First-layer alphabet size."),
     click.option("--v-size", default=None, type=int, help="Second-layer alphabet size."),
-    click.option("--workers", default=1, show_default=True, help="Parallel workers."),
 ]
 
 
@@ -49,13 +48,6 @@ def search_flags(fn):
     for opt in reversed(_search_options):
         fn = opt(fn)
     return fn
-
-
-def _params_from_flags(restarts, iterations, grid, tol, u_size, v_size, workers, seed):
-    return SearchParams(
-        restarts=restarts, iterations=iterations, grid=grid, seed=seed,
-        tol=tol, u_size=u_size, v_size=v_size, workers=workers,
-    )
 
 
 def _uniform_x_chain(x_size: int) -> AuxChain:
@@ -122,8 +114,7 @@ def cmd_region(channel_file, mode, n_weights, out, seed, **flags):
     """Frontier of the selected region as a support-point CSV."""
     ch = load_channel(channel_file)
     flags = dict(flags, grid=n_weights)  # the sweep density is the weight count
-    p = _params_from_flags(seed=seed, **{k: flags[k] for k in
-                                         ("restarts", "iterations", "grid", "tol", "u_size", "v_size", "workers")})
+    p = SearchParams(seed=seed, **flags)
     if mode == "bbc":
         entries = bbc_frontier(ch, p)
     elif mode == "secrecy":
@@ -159,8 +150,7 @@ def cmd_member(channel_file, tuple_str, out, seed, **flags):
     except (ValueError, ValidationError) as exc:
         raise click.BadParameter(str(exc), param_hint="--tuple")
     ch = load_channel(channel_file)
-    p = _params_from_flags(seed=seed, **{k: flags[k] for k in
-                                         ("restarts", "iterations", "grid", "tol", "u_size", "v_size", "workers")})
+    p = SearchParams(seed=seed, **flags)
     result = membership(t, ch, p)
     text = jsonio.dumps(result.to_dict())
     if out is None:
@@ -195,10 +185,9 @@ def _parse_sizes(sizes: str) -> tuple:
 @click.option("--k-size", default=None, type=int,
               help="Partition-class count; selects the stochastic construction.")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--workers", default=1, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Report path (stdout if omitted).")
 def cmd_simulate(channel_file, chain_file, blocklength, sizes, trials, equiv, mc_samples,
-                 epsilon, k_size, seed, workers, out):
+                 epsilon, k_size, seed, out):
     """Monte Carlo run of the full code: errors, equivocation, leakage.
 
     Infeasible rates are not an error; the report shows them.
@@ -211,7 +200,7 @@ def cmd_simulate(channel_file, chain_file, blocklength, sizes, trials, equiv, mc
                             j_size=j, l_size=l, epsilon=epsilon, seed=seed)
     cfg = SimConfig(trials=trials, params=params, chain=chain, channel=ch,
                     equiv_mode=equiv, mc_samples=mc_samples, seed=seed,
-                    k_size=k_size, workers=workers)
+                    k_size=k_size)
     report = run_simulation(cfg)
     text = jsonio.dumps(report.to_dict())
     if out is None:
@@ -222,8 +211,7 @@ def cmd_simulate(channel_file, chain_file, blocklength, sizes, trials, equiv, mc
         jsonio.dump(
             _manifest("simulate",
                       {"n": blocklength, "sizes": sizes, "trials": trials, "equiv": equiv,
-                       "mc_samples": mc_samples, "epsilon": epsilon, "k_size": k_size,
-                       "workers": workers},
+                       "mc_samples": mc_samples, "epsilon": epsilon, "k_size": k_size},
                       seed, [channel_file, chain_file]),
             str(out) + ".manifest.json",
         )
@@ -248,14 +236,13 @@ def cmd_codebook(channel_file, chain_file, blocklength, sizes, epsilon, delta, s
     m0, m1, m2, j, l = _parse_sizes(sizes)
     params = CodebookParams(n=blocklength, m0_size=m0, m1_size=m1, m2_size=m2,
                             j_size=j, l_size=l, epsilon=epsilon, seed=seed)
+    conditions = rate_check(params, evaluate_chain(chain, ch), delta)
     cb = generate(params, chain, ch)
     jsonio.dump(cb.to_dict(), out)
     jsonio.dump(_manifest("codebook",
                           {"n": blocklength, "sizes": sizes, "epsilon": epsilon, "delta": delta},
                           seed, [channel_file, chain_file]),
                 str(out) + ".manifest.json")
-    iq = evaluate_chain(chain, ch)
-    conditions = rate_check(params, iq, delta)
     click.echo(jsonio.dumps({"rate_conditions": [c.to_dict() for c in conditions]}), nl=False)
 
 

@@ -42,8 +42,8 @@ class CodebookParams:
         for name in ("m0_size", "m1_size", "m2_size", "j_size", "l_size"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"CodebookParams: {name} must be >= 1")
-        if self.epsilon <= 0:
-            raise ValidationError("CodebookParams: epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValidationError("CodebookParams: epsilon must be positive and finite")
 
     @property
     def mprime_shape(self) -> tuple:
@@ -173,6 +173,8 @@ def rate_check(params: CodebookParams, iq, delta: float) -> list:
     index and node 1's message; the sub-codebook's column and row rates are
     checked against the second-layer terms.
     """
+    if not math.isfinite(delta):
+        raise ValidationError(f"rate_check: delta={delta} is not finite")
     r = params.rates()
     return [
         RateCondition("first_layer_node1", r["m0"] + r["m2"], iq.iu1, delta),

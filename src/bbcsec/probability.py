@@ -1,13 +1,13 @@
 """Exact finite-alphabet probability and information measures.
 
 Everything is base-2: entropies and mutual informations are in bits. The
-types are immutable after construction and validated there (mass within
-1e-9 of one, no negative entries); nothing renormalizes silently.
+types are immutable after construction and validated there (finite, no
+negative entries, mass within 1e-9 of one); nothing renormalizes silently.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -19,16 +19,32 @@ MASS_TOL = 1e-9
 CHAIN_AXES = ("U", "V", "X", "Y1", "Y2")
 
 
-def _as_prob_array(values, ndim: int, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+def _as_prob_array(values, ndim: int, what: str, row_axis: Optional[str] = None) -> np.ndarray:
+    """Validated read-only float64 copy of probability data.
+
+    The data must be numeric, rectangular, `ndim`-dimensional, non-empty,
+    finite and nonnegative. With `row_axis`, each slice along the first
+    axis (named `row_axis` in messages) must have mass one; otherwise the
+    whole array must.
+    """
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what}: not a rectangular numeric array ({exc})") from exc
     if arr.ndim != ndim:
         raise ValidationError(f"{what}: expected {ndim}-dimensional data, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{what}: empty")
-    if np.any(arr < 0.0):
-        idx = tuple(int(i) for i in np.argwhere(arr < 0.0)[0])
-        raise ValidationError(f"{what}: negative entry {arr[idx]!r} at index {idx}")
-    arr = arr.copy()
+    for bad, label in ((~np.isfinite(arr), "non-finite"), (arr < 0.0, "negative")):
+        if np.any(bad):
+            idx = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise ValidationError(f"{what}: {label} entry {arr[idx]!r} at index {idx}")
+    rows = arr.reshape(arr.shape[0], -1) if row_axis else arr.reshape(1, -1)
+    for i, row in enumerate(rows):
+        total = math.fsum(row.tolist())
+        if abs(total - 1.0) > MASS_TOL:
+            where = f" at {row_axis}={i}" if row_axis else ""
+            raise ValidationError(f"{what}: mass {total!r}{where} differs from 1 by more than {MASS_TOL}")
     arr.flags.writeable = False
     return arr
 
@@ -40,11 +56,7 @@ class Dist:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = _as_prob_array(self.probs, 1, "Dist")
-        total = math.fsum(arr.tolist())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValidationError(f"Dist: mass {total!r} differs from 1 by more than {MASS_TOL}")
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", _as_prob_array(self.probs, 1, "Dist"))
 
     @classmethod
     def normalized(cls, values) -> "Dist":
@@ -77,14 +89,7 @@ class CondDist:
     rows: np.ndarray
 
     def __post_init__(self):
-        arr = _as_prob_array(self.rows, 2, "CondDist")
-        sums = [math.fsum(row.tolist()) for row in arr]
-        for i, s in enumerate(sums):
-            if abs(s - 1.0) > MASS_TOL:
-                raise ValidationError(
-                    f"CondDist: row {i} has mass {s!r}, differs from 1 by more than {MASS_TOL}"
-                )
-        object.__setattr__(self, "rows", arr)
+        object.__setattr__(self, "rows", _as_prob_array(self.rows, 2, "CondDist", row_axis="row"))
 
     @classmethod
     def identity(cls, size: int) -> "CondDist":
@@ -106,12 +111,8 @@ class JointDist:
         axes = tuple(self.axes)
         if len(set(axes)) != len(axes):
             raise ValidationError(f"JointDist: duplicate axis names in {axes}")
-        arr = _as_prob_array(self.tensor, len(axes), "JointDist")
-        total = math.fsum(arr.reshape(-1).tolist())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValidationError(f"JointDist: mass {total!r} differs from 1 by more than {MASS_TOL}")
         object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "tensor", arr)
+        object.__setattr__(self, "tensor", _as_prob_array(self.tensor, len(axes), "JointDist"))
 
     def axis_size(self, name: str) -> int:
         return self.tensor.shape[self.axes.index(name)]

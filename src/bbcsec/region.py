@@ -11,7 +11,6 @@ verdicts are phrased accordingly: "outside" is evidence, not a certificate.
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -23,6 +22,7 @@ from .exceptions import ValidationError
 from .probability import CondDist, Dist
 
 SLACK = 1e-9
+STEP0 = 0.35  # first-phase perturbation scale of the hill climb
 
 
 def max_u_size(x_size: int) -> int:
@@ -85,8 +85,8 @@ class InfoQuantities:
     def __post_init__(self):
         for name in ("iu1", "iu2", "iv1", "iv2"):
             v = getattr(self, name)
-            if v < -1e-9:
-                raise ValidationError(f"InfoQuantities: {name}={v} is negative")
+            if not -1e-9 <= v < math.inf:
+                raise ValidationError(f"InfoQuantities: {name}={v} is negative or not finite")
             object.__setattr__(self, name, max(0.0, v))
 
     @property
@@ -106,6 +106,8 @@ class RateTuple:
 
     def __post_init__(self):
         for name in ("rc", "re", "r1", "r2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"RateTuple: {name} must be finite")
             if getattr(self, name) < -SLACK:
                 raise ValidationError(f"RateTuple: {name} must be nonnegative")
         if self.re > self.rc + SLACK:
@@ -126,15 +128,13 @@ class SearchParams:
     tol: float = 1e-7
     u_size: Optional[int] = None
     v_size: Optional[int] = None
-    workers: int = 1
-    step0: float = 0.35
 
     def __post_init__(self):
-        for name in ("restarts", "iterations", "grid", "workers"):
+        for name in ("restarts", "iterations", "grid"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"SearchParams: {name} must be positive")
-        if self.tol <= 0 or self.step0 <= 0:
-            raise ValidationError("SearchParams: tol and step0 must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValidationError("SearchParams: tol must be positive and finite")
 
     def sizes_for(self, x_size: int) -> tuple:
         nu = self.u_size if self.u_size is not None else min(x_size + 3, 6)
@@ -281,7 +281,7 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return out / s if s > 0 else np.full(n, 1.0 / n)
 
 
-def _hill_climb(score, blocks, rng, iterations, tol, step0, stop_at=None):
+def _hill_climb(score, blocks, rng, iterations, tol, stop_at=None):
     """In-place ascent: perturb one simplex row at a time, keep improvements.
 
     The step size halves after each sweep with no improvement (geometric
@@ -290,7 +290,7 @@ def _hill_climb(score, blocks, rng, iterations, tol, step0, stop_at=None):
     """
     rows = [(bi, ri) for bi, blk in enumerate(blocks) for ri in range(blk.shape[0])]
     best = score(blocks)
-    for phase_step, phase_iters in ((step0, iterations), (1e-3, max(1, iterations // 5))):
+    for phase_step, phase_iters in ((STEP0, iterations), (1e-3, max(1, iterations // 5))):
         step = phase_step
         for _ in range(phase_iters):
             if stop_at is not None and best >= stop_at:
@@ -354,9 +354,10 @@ def _search_chain(
 ) -> tuple:
     """Maximize score_fn(iu1, iu2, iv1, iv2) over auxiliary chains.
 
-    Restart i draws its random stream from (seed, i), so the result is
-    identical for any worker count; ties across restarts resolve to the
-    lowest restart index.
+    Restarts run in index order and restart i draws its random stream from
+    (seed, i), so the result depends only on the seed. Ties across restarts
+    resolve to the lowest restart index; with stop_at, the search ends at
+    the first restart that reaches it.
     """
     nx = ch.x_size
     nu, nv = p.sizes_for(nx)
@@ -369,35 +370,22 @@ def _search_chain(
 
     inits = _structured_inits(nu, nv, nx)
 
-    def one_restart(i):
+    best_val, best_blocks = -np.inf, None
+    for i in range(p.restarts):
         rng = np.random.default_rng((p.seed, i))
         blocks = [b.copy() for b in inits[i]] if i < len(inits) else _random_init(nu, nv, nx, rng)
-        val = _hill_climb(score, blocks, rng, p.iterations, p.tol, p.step0, stop_at)
-        return val, blocks
-
-    if p.workers > 1 and stop_at is None:
-        with ThreadPoolExecutor(max_workers=p.workers) as pool:
-            results = list(pool.map(one_restart, range(p.restarts)))
-    else:
-        results = []
-        for i in range(p.restarts):
-            results.append(one_restart(i))
-            if stop_at is not None and results[-1][0] >= stop_at:
-                break
-
-    best_i = max(range(len(results)), key=lambda i: (results[i][0], -i))
-    if stop_at is not None:
-        for i, (val, _) in enumerate(results):
-            if val >= stop_at:
-                best_i = i
-                break
-    val, blocks = results[best_i]
+        val = _hill_climb(score, blocks, rng, p.iterations, p.tol, stop_at)
+        if val > best_val:
+            best_val, best_blocks = val, blocks
+        if stop_at is not None and val >= stop_at:
+            break
+    blocks = best_blocks
     chain = AuxChain(
         Dist.normalized(blocks[0][0]),
         CondDist(blocks[1] / blocks[1].sum(axis=1, keepdims=True)),
         CondDist(blocks[2] / blocks[2].sum(axis=1, keepdims=True)),
     )
-    return val, chain
+    return best_val, chain
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +489,7 @@ def bbc_frontier(ch: BroadcastChannel, p: SearchParams = SearchParams()) -> list
                 blocks = [np.full((1, nx), 1.0 / nx)]
             else:
                 blocks = [rng.dirichlet(np.ones(nx)).reshape(1, -1)]
-            val = _hill_climb(score, blocks, rng, p.iterations, p.tol, p.step0)
+            val = _hill_climb(score, blocks, rng, p.iterations, p.tol)
             if val > best_val:
                 best_val, best_blocks = val, blocks
         i1, i2 = mi_pair(best_blocks)

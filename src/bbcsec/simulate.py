@@ -9,7 +9,6 @@ independently per symbol given the second-layer word.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -274,7 +273,6 @@ class SimConfig:
     mc_samples: int = 2000
     seed: int = 0
     k_size: Optional[int] = None  # None selects the triple construction (case A)
-    workers: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
@@ -342,24 +340,18 @@ def _run_trials(cfg: SimConfig, cb: Codebook, ms: MessageSets) -> tuple:
     dec1 = Node1Decoder(cb, ms)
     dec2 = Node2Decoder(cb, ms)
 
-    def trial(t: int) -> tuple:
+    n1 = n2 = 0
+    for t in range(cfg.trials):
         rng = np.random.default_rng((cfg.seed, 0, t))
         mc = int(rng.integers(ms.mc_size))
         m1 = int(rng.integers(ms.m1_size))
         m2 = int(rng.integers(ms.m2_size))
         block = encode(mc, m1, m2, cb, ms, rng)
         y1, y2 = transmit(block, cfg.channel, rng)
-        e1 = dec1(y1, m1) != (mc, m2)
-        e2 = dec2(y2, m2) != m1
-        return e1, e2
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(trial, range(cfg.trials)))
-    else:
-        outcomes = [trial(t) for t in range(cfg.trials)]
-    n1 = sum(1 for a, _ in outcomes if a)
-    n2 = sum(1 for _, b in outcomes if b)
+        if dec1(y1, m1) != (mc, m2):
+            n1 += 1
+        if dec2(y2, m2) != m1:
+            n2 += 1
     return n1, n2
 
 

@@ -1,3 +1,6 @@
+import copy
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,8 @@ from bbcsec import (
     save_channel,
 )
 from bbcsec.channel import load_chain_file, save_chain_file
-from bbcsec.probability import CondDist, Dist
+from bbcsec.cli import main
+from bbcsec.probability import CondDist, Dist, JointDist
 
 
 class TestMarginal:
@@ -85,6 +89,69 @@ class TestValidation:
         tensor[0, 1, 1] = 0.75
         with pytest.raises(ValidationError, match="negative"):
             BroadcastChannel(tensor)
+
+
+W = [[0.9, 0.1], [0.2, 0.8]]
+CHAIN = {"p_u": [1.0], "p_v_given_u": [[0.5, 0.5]], "p_x_given_v": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))  # NaN and inf become the NaN/Infinity literals json.loads reads
+    return str(path)
+
+
+def _marginals_file(tmp_path, w1):
+    return _write(tmp_path, "ch.json", {"x_size": 2, "y1_size": 2, "y2_size": 2,
+                                        "marginals": {"w1": w1, "w2": W}})
+
+
+# name -> (valid data, call that validates it; CLI calls return the exit code)
+INPUTS = {
+    "Dist": ([0.25, 0.75], lambda d, tmp: Dist(d)),
+    "CondDist": (W, lambda d, tmp: CondDist(d)),
+    "JointDist": ([[0.25, 0.25], [0.25, 0.25]], lambda d, tmp: JointDist(("X", "Y1"), d)),
+    "BroadcastChannel": ([[[0.5, 0.5]], [[0.25, 0.75]]], lambda d, tmp: BroadcastChannel(d)),
+    "MarginalChannel": (W, lambda d, tmp: MarginalChannel(d)),
+    "load_channel_joint": ([[[0.5, 0.5]], [[0.25, 0.75]]], lambda d, tmp: load_channel(
+        _write(tmp, "ch.json", {"x_size": 2, "y1_size": 1, "y2_size": 2, "joint": d}))),
+    "load_channel_marginals": (W, lambda d, tmp: load_channel(_marginals_file(tmp, d))),
+    "load_chain_file": (CHAIN["p_x_given_v"], lambda d, tmp: load_chain_file(
+        _write(tmp, "chain.json", dict(CHAIN, p_x_given_v=d)))),
+    "info_uniform_x": (W, lambda d, tmp: main(["info", _marginals_file(tmp, d), "--uniform-x"])),
+    "info_chain": (CHAIN["p_x_given_v"], lambda d, tmp: main(
+        ["info", _marginals_file(tmp, W), "--chain", _write(tmp, "chain.json", dict(CHAIN, p_x_given_v=d))])),
+}
+
+
+def _corrupt(data, kind):
+    """Copy of nested-list data with its first entry set to NaN or inf, or
+    with its first innermost list one entry longer than the others."""
+    data = copy.deepcopy(data)
+    row = data
+    while isinstance(row[0], list):
+        row = row[0]
+    if kind == "ragged":
+        if row is data:
+            data[0] = [data[0]]
+        else:
+            row.append(0.0)
+    else:
+        row[0] = float(kind)
+    return data
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "ragged"])
+@pytest.mark.parametrize("target", sorted(INPUTS))
+def test_non_finite_or_ragged_input_rejected(target, kind, tmp_path):
+    valid, call = INPUTS[target]
+    if target.startswith("info"):
+        assert call(valid, tmp_path) == 0
+        assert call(_corrupt(valid, kind), tmp_path) == 2
+    else:
+        call(valid, tmp_path)
+        with pytest.raises(ValidationError):
+            call(_corrupt(valid, kind), tmp_path)
 
 
 class TestFileFormat:

@@ -174,6 +174,9 @@ class TestMember:
         assert code == 1
         code, _, err = run_cli(capsys, "member", bsc_file, "--tuple", "0.1,0.2,0,0")
         assert code == 1  # re > rc
+        for bad in ("nan,0,0,0", "0.1,0.05,inf,0"):
+            code, _, err = run_cli(capsys, "member", bsc_file, "--tuple", bad)
+            assert code == 1
 
 
 class TestSimulate:
@@ -212,6 +215,19 @@ class TestSimulate:
         assert code == 0
         doc = json.loads(out)
         assert doc["e1"]["rate"] >= 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("cmd,opt", [("region", "--tol"), ("simulate", "--epsilon"), ("codebook", "--delta")])
+def test_non_finite_option_exits_2(capsys, bsc_file, chain_file, tmp_path, cmd, opt, value):
+    files = {
+        "region": [bsc_file],
+        "simulate": [bsc_file, chain_file],
+        "codebook": [bsc_file, chain_file, "--out", str(tmp_path / "cb.json")],
+    }
+    code, out, _ = run_cli(capsys, cmd, *files[cmd], opt, value)
+    assert code == 2
+    assert out == ""
 
 
 class TestCodebook:

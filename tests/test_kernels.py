@@ -1,20 +1,13 @@
-"""Backend parity: the compiled kernel and the numpy fallback must agree,
-and both must agree with the reference path through the full chain joint."""
+"""The chain_info kernel must agree with the reference path through the
+full chain joint."""
 
 import numpy as np
-import pytest
 
 from bbcsec import _core
+from bbcsec.channel import marginal
 from bbcsec.probability import CondDist, Dist, chain_joint, conditional_mutual_information
 
 from .conftest import random_chain, random_channel
-
-
-@pytest.fixture(autouse=True)
-def restore_backend():
-    name = _core.backend_name
-    yield
-    _core.set_backend(name)
 
 
 def _reference_iq(chain, ch):
@@ -27,37 +20,15 @@ def _reference_iq(chain, ch):
     )
 
 
-def _kernel_iq(backend, chain, ch):
-    from bbcsec.channel import marginal
-
-    mod = _core.set_backend(backend)
-    return mod.chain_info(
-        chain.pu.probs, chain.pvu.rows, chain.pxv.rows,
-        marginal(ch, 1).matrix, marginal(ch, 2).matrix,
-    )
-
-
-def test_backends_match_each_other():
-    if "compiled" not in _core.available_backends():
-        pytest.skip("extension not built")
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        chain = random_chain(rng, int(rng.integers(1, 6)), int(rng.integers(1, 8)), 3)
-        ch = random_channel(rng, 3, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-        a = np.array(_kernel_iq("python", chain, ch))
-        b = np.array(_kernel_iq("compiled", chain, ch))
-        assert np.max(np.abs(a - b)) < 1e-12
-
-
-@pytest.mark.parametrize("backend", ["python", "compiled"])
-def test_kernel_matches_joint_reference(backend):
-    if backend not in _core.available_backends():
-        pytest.skip("extension not built")
+def test_kernel_matches_joint_reference():
     rng = np.random.default_rng(1)
     for _ in range(50):
         chain = random_chain(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6)), 2)
         ch = random_channel(rng, 2, 2, 3)
-        fast = np.array(_kernel_iq(backend, chain, ch))
+        fast = np.array(_core.chain_info(
+            chain.pu.probs, chain.pvu.rows, chain.pxv.rows,
+            marginal(ch, 1).matrix, marginal(ch, 2).matrix,
+        ))
         ref = np.array(_reference_iq(chain, ch))
         assert np.max(np.abs(fast - ref)) < 1e-10
 
@@ -68,13 +39,6 @@ def test_kernel_handles_zero_support():
     chain_pvu = CondDist([[1.0, 0.0], [0.0, 1.0]])
     chain_pxv = CondDist([[1.0, 0.0], [1.0, 0.0]])
     w = np.array([[1.0, 0.0], [0.0, 1.0]])
-    for name in _core.available_backends():
-        mod = _core.set_backend(name)
-        out = mod.chain_info(chain_pu.probs, chain_pvu.rows, chain_pxv.rows, w, w)
-        assert all(np.isfinite(out))
-        assert all(abs(v) < 1e-12 for v in out)
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        _core.set_backend("fortran")
+    out = _core.chain_info(chain_pu.probs, chain_pvu.rows, chain_pxv.rows, w, w)
+    assert all(np.isfinite(out))
+    assert all(abs(v) < 1e-12 for v in out)

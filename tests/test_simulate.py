@@ -177,14 +177,6 @@ class TestRun:
         rep = run(cfg)
         assert rep.leakage_rate == pytest.approx(0.0, abs=1e-12)
 
-    def test_worker_invariance(self, bsc12, degraded_chain):
-        params = CodebookParams(n=8, j_size=2, l_size=2, epsilon=0.3, seed=6)
-        base = SimConfig(trials=64, params=params, chain=degraded_chain, channel=bsc12,
-                         seed=3, workers=1)
-        parallel = SimConfig(trials=64, params=params, chain=degraded_chain, channel=bsc12,
-                             seed=3, workers=8)
-        assert run(base).to_dict() == run(parallel).to_dict()
-
     def test_equiv_rate_within_range(self, bsc12, degraded_chain):
         params = CodebookParams(n=8, j_size=4, l_size=2, epsilon=0.3, seed=7)
         cfg = SimConfig(trials=30, params=params, chain=degraded_chain, channel=bsc12, seed=2)
