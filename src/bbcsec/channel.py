@@ -55,10 +55,6 @@ class MarginalChannel:
     def x_size(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def y_size(self) -> int:
-        return self.matrix.shape[1]
-
 
 def marginal(ch: BroadcastChannel, node: int) -> MarginalChannel:
     """Per-node transition matrix, the other node's outputs summed out."""
@@ -109,11 +105,13 @@ def _read_json(path, what: str, fields: tuple) -> dict:
 
 
 def load_channel(path) -> BroadcastChannel:
-    raw = _read_json(path, "channel", ("x_size", "y1_size", "y2_size"))
-    try:
-        shape = (int(raw["x_size"]), int(raw["y1_size"]), int(raw["y2_size"]))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: alphabet sizes must be integers ({exc})") from exc
+    names = ("x_size", "y1_size", "y2_size")
+    raw = _read_json(path, "channel", names)
+    for name in names:
+        # bool is an int subclass; 2.0 and "2" are not JSON integers
+        if type(raw[name]) is not int:
+            raise ValidationError(f"{path}: {name} must be a JSON integer, got {raw[name]!r}")
+    shape = tuple(raw[name] for name in names)
 
     if "joint" in raw:
         ch = BroadcastChannel(raw["joint"])

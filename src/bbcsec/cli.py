@@ -37,7 +37,6 @@ from .simulate import SimConfig, run as run_simulation
 _search_options = [
     click.option("--restarts", default=64, show_default=True, help="Random restarts per search."),
     click.option("--iterations", default=500, show_default=True, help="Ascent sweeps per restart."),
-    click.option("--grid", default=17, show_default=True, help="Weight-direction count."),
     click.option("--tol", default=1e-7, show_default=True, help="Convergence tolerance."),
     click.option("--u-size", default=None, type=int, help="First-layer alphabet size."),
     click.option("--v-size", default=None, type=int, help="Second-layer alphabet size."),
@@ -48,6 +47,12 @@ def search_flags(fn):
     for opt in reversed(_search_options):
         fn = opt(fn)
     return fn
+
+
+def _search_manifest(p: SearchParams) -> dict:
+    """Search settings for a manifest, in a fixed order whatever the order
+    of the flags on the command line."""
+    return {k: getattr(p, k) for k in ("restarts", "iterations", "grid", "tol", "u_size", "v_size")}
 
 
 def _uniform_x_chain(x_size: int) -> AuxChain:
@@ -113,8 +118,7 @@ def cmd_info(channel_file, chain_file, uniform_x):
 def cmd_region(channel_file, mode, n_weights, out, seed, **flags):
     """Frontier of the selected region as a support-point CSV."""
     ch = load_channel(channel_file)
-    flags = dict(flags, grid=n_weights)  # the sweep density is the weight count
-    p = SearchParams(seed=seed, **flags)
+    p = SearchParams(seed=seed, grid=n_weights, **flags)  # the sweep density is the weight count
     if mode == "bbc":
         entries = bbc_frontier(ch, p)
     elif mode == "secrecy":
@@ -128,7 +132,8 @@ def cmd_region(channel_file, mode, n_weights, out, seed, **flags):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
         jsonio.dump(
-            _manifest("region", {"mode": mode, "weights": n_weights, **flags}, seed, [channel_file]),
+            _manifest("region", {"mode": mode, "weights": n_weights, **_search_manifest(p)},
+                      seed, [channel_file]),
             str(out) + ".manifest.json",
         )
 
@@ -138,6 +143,7 @@ def cmd_region(channel_file, mode, n_weights, out, seed, **flags):
 @click.option("--tuple", "tuple_str", required=True, help="rc,re,r1,r2 in bits per channel use.")
 @click.option("--out", type=click.Path(), default=None, help="Report path (stdout if omitted).")
 @click.option("--seed", default=0, show_default=True)
+@click.option("--grid", default=17, show_default=True, help="Weight-direction count.")
 @search_flags
 def cmd_member(channel_file, tuple_str, out, seed, **flags):
     """Membership verdict for one rate-equivocation tuple."""
@@ -158,7 +164,7 @@ def cmd_member(channel_file, tuple_str, out, seed, **flags):
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        jsonio.dump(_manifest("member", {"tuple": tuple_str, **flags}, seed, [channel_file]),
+        jsonio.dump(_manifest("member", {"tuple": tuple_str, **_search_manifest(p)}, seed, [channel_file]),
                     str(out) + ".manifest.json")
 
 

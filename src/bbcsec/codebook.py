@@ -99,8 +99,8 @@ class Codebook:
 
 
 def _sample_rows(cdf_rows: np.ndarray, cond_idx: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sampling: one draw per entry of cond_idx from the row it
-    selects."""
+    """Inverse-CDF sampling: one draw per uniform, from the row of cdf_rows
+    that cond_idx (broadcast against uniforms) selects."""
     cdf = cdf_rows[cond_idx]
     out = (uniforms[..., None] > cdf).sum(axis=-1)
     return np.minimum(out, cdf_rows.shape[1] - 1)
@@ -117,9 +117,9 @@ def generate(params: CodebookParams, chain: AuxChain, ch: BroadcastChannel) -> C
         )
     rng = np.random.default_rng(params.seed)
 
-    cdf_u = np.cumsum(chain.pu.probs)
+    cdf_u = np.cumsum(chain.pu.probs)[None, :]
     u_draws = rng.random(params.mprime_shape + (params.n,))
-    u_words = np.minimum((u_draws[..., None] > cdf_u).sum(axis=-1), chain.u_size - 1)
+    u_words = _sample_rows(cdf_u, 0, u_draws)
 
     cdf_vu = np.cumsum(chain.pvu.rows, axis=1)
     v_shape = (params.j_size, params.l_size) + params.mprime_shape + (params.n,)

@@ -15,7 +15,7 @@ message-level hit, or the in-band erasure (None) on zero or multiple hits.
 import numpy as np
 
 from .channel import BroadcastChannel
-from .codebook import Codebook, TypicalityScorer, decoding_joint
+from .codebook import Codebook, TypicalityScorer, _sample_rows, decoding_joint
 from .exceptions import GuardError, ValidationError
 
 MAX_CANDIDATES = 1 << 20
@@ -42,14 +42,6 @@ class Partition:
         self.mapping = mapping
         self.k_size = int(k_size)
         self.preimage_sizes = counts
-        self._preimages = None
-
-    @property
-    def preimages(self) -> tuple:
-        if self._preimages is None:
-            order = np.argsort(self.mapping, kind="stable")
-            self._preimages = tuple(np.split(order, np.cumsum(self.preimage_sizes)[:-1]))
-        return self._preimages
 
     @property
     def j_size(self) -> int:
@@ -64,11 +56,14 @@ def make_partition(j_size: int, k_size: int) -> Partition:
 
 
 class MessageSets:
-    """Message index sets for one of the two constructions.
+    """Message index sets for one of the two constructions, and the map from
+    codeword cells (column, row, common) to confidential messages.
 
     Case A: the confidential set is (column, row, common), encoder
-    deterministic. Case B: the confidential set is (class, row) with a
-    partition of the columns; the common set is the single sentinel 0.
+    deterministic: each message owns one cell. Case B: the confidential set
+    is (class, row) with a partition of the columns; the common set is the
+    single sentinel 0, and each message owns the cells of its class's
+    columns, among which the encoder picks uniformly.
     """
 
     def __init__(self, case: str, params, partition: Partition = None):
@@ -93,6 +88,16 @@ class MessageSets:
         self.m1_size = params.m1_size
         self.m2_size = params.m2_size
 
+        if case == "A":
+            self.cell_mc = np.arange(self.mc_size).reshape(self.mc_shape)
+        else:
+            rows = np.ix_(partition.mapping, np.arange(params.l_size))
+            self.cell_mc = np.ravel_multi_index(rows, self.mc_shape)[:, :, None]
+        self.cells_per_mc = np.bincount(self.cell_mc.reshape(-1), minlength=self.mc_size)
+        self._cells = [[] for _ in range(self.mc_size)]  # each in ascending cell order
+        for cell, mc in zip(np.ndindex(self.cell_mc.shape), self.cell_mc.reshape(-1).tolist()):
+            self._cells[mc].append(cell)
+
     @classmethod
     def case_a(cls, params) -> "MessageSets":
         return cls("A", params)
@@ -106,11 +111,13 @@ class MessageSets:
             raise ValidationError(f"MessageSets: confidential index {mc} outside [0, {self.mc_size})")
         return tuple(int(i) for i in np.unravel_index(mc, self.mc_shape))
 
-    def pack_from_indices(self, j, l, m0) -> int:
-        """Confidential message implied by codeword indices (decoder side)."""
-        if self.case == "A":
-            return int(np.ravel_multi_index((j, l, m0), self.mc_shape))
-        return int(np.ravel_multi_index((self.partition.mapping[j], l), self.mc_shape))
+    def cell(self, mc: int, rng) -> tuple:
+        """Codeword cell (column, row, common) carrying message mc, uniform
+        among its cells; a single-cell message draws no random state."""
+        if not 0 <= mc < self.mc_size:
+            raise ValidationError(f"MessageSets: confidential index {mc} outside [0, {self.mc_size})")
+        cells = self._cells[mc]
+        return cells[rng.integers(len(cells))]
 
     def matches_case_split(self, iv1: float, n: int) -> bool:
         """Whether the case agrees with the rate threshold: the triple
@@ -131,12 +138,6 @@ class EncodedBlock:
         self.mprime = tuple(int(m) for m in mprime)
 
 
-def _sample_categorical(cdf_rows: np.ndarray, cond: np.ndarray, rng) -> np.ndarray:
-    u = rng.random(cond.shape[0])
-    out = (u[:, None] > cdf_rows[cond]).sum(axis=1)
-    return np.minimum(out, cdf_rows.shape[1] - 1)
-
-
 def encode(mc: int, m1: int, m2: int, cb: Codebook, ms: MessageSets, rng) -> EncodedBlock:
     """Map a message triple to a transmit block; stochastic in case B and in
     the per-symbol input sampling."""
@@ -145,16 +146,10 @@ def encode(mc: int, m1: int, m2: int, cb: Codebook, ms: MessageSets, rng) -> Enc
         raise ValidationError(f"encode: m1={m1} outside [0, {p.m1_size})")
     if not 0 <= m2 < p.m2_size:
         raise ValidationError(f"encode: m2={m2} outside [0, {p.m2_size})")
-    if ms.case == "A":
-        j, l, m0 = ms.unpack(mc)
-    else:
-        k, l = ms.unpack(mc)
-        pre = ms.partition.preimages[k]
-        j = int(pre[rng.integers(pre.size)])
-        m0 = 0
+    j, l, m0 = ms.cell(mc, rng)
     v_seq = cb.v_words[j, l, m0, m1, m2].astype(np.int64)
     cdf_xv = np.cumsum(cb.chain.pxv.rows, axis=1)
-    x_seq = _sample_categorical(cdf_xv, v_seq, rng)
+    x_seq = _sample_rows(cdf_xv, v_seq, rng.random(v_seq.shape[0]))
     return EncodedBlock(v_seq, x_seq, j, l, (m0, m1, m2))
 
 
@@ -163,7 +158,7 @@ def transmit(block: EncodedBlock, ch: BroadcastChannel, rng) -> tuple:
     time."""
     flat = ch.tensor.reshape(ch.x_size, -1)
     cdf = np.cumsum(flat, axis=1)
-    pairs = _sample_categorical(cdf, block.x_seq, rng)
+    pairs = _sample_rows(cdf, block.x_seq, rng.random(block.x_seq.shape[0]))
     y1, y2 = np.unravel_index(pairs, (ch.y1_size, ch.y2_size))
     return y1.astype(np.int64), y2.astype(np.int64)
 
@@ -192,9 +187,7 @@ class Node1Decoder:
             indexing="ij",
         )
         self._m0, self._m2, self._j, self._l = (g.reshape(-1) for g in grids)
-        self._mc = np.array(
-            [ms.pack_from_indices(j, l, m0) for j, l, m0 in zip(self._j, self._l, self._m0)]
-        )
+        self._mc = ms.cell_mc[self._j, self._l, self._m0]
         self._cache = {}
 
     def _seqs_for(self, m1: int):

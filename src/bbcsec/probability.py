@@ -71,12 +71,6 @@ class Dist:
     def uniform(cls, size: int) -> "Dist":
         return cls(np.full(size, 1.0 / size))
 
-    @classmethod
-    def point_mass(cls, size: int, at: int) -> "Dist":
-        probs = np.zeros(size)
-        probs[at] = 1.0
-        return cls(probs)
-
     @property
     def size(self) -> int:
         return self.probs.shape[0]
@@ -113,9 +107,6 @@ class JointDist:
             raise ValidationError(f"JointDist: duplicate axis names in {axes}")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "tensor", _as_prob_array(self.tensor, len(axes), "JointDist"))
-
-    def axis_size(self, name: str) -> int:
-        return self.tensor.shape[self.axes.index(name)]
 
     def marginal(self, keep: Iterable[str]) -> "JointDist":
         return marginalize(self, keep)

@@ -346,19 +346,33 @@ def _random_init(nu, nv, nx, rng):
     ]
 
 
+def _climb_restarts(score, start, p: SearchParams, restarts: int, key: tuple = (), stop_at=None) -> tuple:
+    """Best of `restarts` hill climbs; returns (value, blocks).
+
+    Restart i draws its random stream from (seed, *key, i) and climbs from
+    start(i, rng), so the result depends only on the seed and the key. Ties
+    across restarts resolve to the lowest restart index; with stop_at, the
+    search ends at the first restart that reaches it.
+    """
+    best_val, best_blocks = -np.inf, None
+    for i in range(restarts):
+        rng = np.random.default_rng((p.seed, *key, i))
+        blocks = start(i, rng)
+        val = _hill_climb(score, blocks, rng, p.iterations, p.tol, stop_at)
+        if val > best_val:
+            best_val, best_blocks = val, blocks
+        if stop_at is not None and val >= stop_at:
+            break
+    return best_val, best_blocks
+
+
 def _search_chain(
     ch: BroadcastChannel,
     score_fn: Callable,
     p: SearchParams,
     stop_at: Optional[float] = None,
 ) -> tuple:
-    """Maximize score_fn(iu1, iu2, iv1, iv2) over auxiliary chains.
-
-    Restarts run in index order and restart i draws its random stream from
-    (seed, i), so the result depends only on the seed. Ties across restarts
-    resolve to the lowest restart index; with stop_at, the search ends at
-    the first restart that reaches it.
-    """
+    """Maximize score_fn(iu1, iu2, iv1, iv2) over auxiliary chains."""
     nx = ch.x_size
     nu, nv = p.sizes_for(nx)
     w1 = marginal(ch, 1).matrix
@@ -370,16 +384,10 @@ def _search_chain(
 
     inits = _structured_inits(nu, nv, nx)
 
-    best_val, best_blocks = -np.inf, None
-    for i in range(p.restarts):
-        rng = np.random.default_rng((p.seed, i))
-        blocks = [b.copy() for b in inits[i]] if i < len(inits) else _random_init(nu, nv, nx, rng)
-        val = _hill_climb(score, blocks, rng, p.iterations, p.tol, stop_at)
-        if val > best_val:
-            best_val, best_blocks = val, blocks
-        if stop_at is not None and val >= stop_at:
-            break
-    blocks = best_blocks
+    def start(i, rng):
+        return [b.copy() for b in inits[i]] if i < len(inits) else _random_init(nu, nv, nx, rng)
+
+    best_val, blocks = _climb_restarts(score, start, p, p.restarts, stop_at=stop_at)
     chain = AuxChain(
         Dist.normalized(blocks[0][0]),
         CondDist(blocks[1] / blocks[1].sum(axis=1, keepdims=True)),
@@ -398,6 +406,7 @@ def support_function(ch: BroadcastChannel, w, p: SearchParams = SearchParams()) 
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (4,) or np.any(w < 0.0) or not np.any(w > 0.0):
         raise ValidationError("support_function: weights must be 4 nonnegative values, not all zero")
+    w = w.tolist()  # the corner is scored once per kernel call; floats keep that cheap
 
     def score(iu1, iu2, iv1, iv2):
         return _best_corner(iu1, iu2, iv1, iv2, w)[0]
@@ -428,26 +437,20 @@ def secrecy_frontier(
 ) -> list:
     """Frontier of the perfect-secrecy region as (Rc, R1, R2) support points.
 
-    For each weight direction the per-chain optimum is the box corner
-    (secrecy bound, I(U;Y1), I(U;Y2)), so the search only has to optimize
-    the weighted corner over chains.
+    The region is the re = rc slice of the full region, so the direction
+    (wc, w1, w2) is the full-region direction (0, wc, w1, w2): with
+    nonnegative weights each chain's best corner there is the box corner
+    (secrecy bound, I(U;Y1), I(U;Y2)), which is the reported point.
     """
     if weights is None:
         weights = _octant_directions(p.grid, 3)
     entries = []
     for wdir in weights:
-        wc, w1, w2 = (float(x) for x in wdir)
-        if wc < 0 or w1 < 0 or w2 < 0 or (wc == w1 == w2 == 0.0):
-            raise ValidationError(f"secrecy_frontier: bad weight direction {wdir}")
-
-        def score(iu1, iu2, iv1, iv2, wc=wc, w1=w1, w2=w2):
-            return wc * max(0.0, iv1 - iv2) + w1 * iu1 + w2 * iu2
-
-        _, chain = _search_chain(ch, score, p)
-        iq = evaluate_chain(chain, ch)
+        res = support_function(ch, (0.0, *wdir), p)
+        iq = evaluate_chain(res.chain, ch)
         point = RateTuple(iq.secrecy_bound, iq.secrecy_bound, iq.iu1, iq.iu2)
-        value = wc * point.rc + w1 * point.r1 + w2 * point.r2
-        entries.append(FrontierEntry((wc, 0.0, w1, w2), point, value, chain))
+        wc, w1, w2 = (float(x) for x in wdir)
+        entries.append(FrontierEntry((wc, 0.0, w1, w2), point, res.value, res.chain))
     return _dedupe(entries)
 
 
@@ -470,10 +473,10 @@ def bbc_frontier(ch: BroadcastChannel, p: SearchParams = SearchParams()) -> list
         )
         return iq4[2], iq4[3]
 
+    def start(i, rng):
+        return [np.full((1, nx), 1.0 / nx) if i == 0 else rng.dirichlet(np.ones(nx)).reshape(1, -1)]
+
     entries = []
-    # the weighted objective is concave in the input law, so a few restarts
-    # are plenty
-    restarts = min(p.restarts, 6)
     for k in range(p.grid):
         theta = (math.pi / 2) * k / max(1, p.grid - 1)
         wr1, wr2 = math.cos(theta), math.sin(theta)
@@ -482,16 +485,9 @@ def bbc_frontier(ch: BroadcastChannel, p: SearchParams = SearchParams()) -> list
             i1, i2 = mi_pair(blocks)
             return wr1 * i1 + wr2 * i2
 
-        best_val, best_blocks = -np.inf, None
-        for i in range(restarts):
-            rng = np.random.default_rng((p.seed, k, i))
-            if i == 0:
-                blocks = [np.full((1, nx), 1.0 / nx)]
-            else:
-                blocks = [rng.dirichlet(np.ones(nx)).reshape(1, -1)]
-            val = _hill_climb(score, blocks, rng, p.iterations, p.tol)
-            if val > best_val:
-                best_val, best_blocks = val, blocks
+        # the weighted objective is concave in the input law, so a few
+        # restarts are plenty
+        best_val, best_blocks = _climb_restarts(score, start, p, min(p.restarts, 6), key=(k,))
         i1, i2 = mi_pair(best_blocks)
         input_chain = AuxChain(
             Dist([1.0]),

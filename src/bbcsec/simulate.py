@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import BroadcastChannel, marginal
-from .codebook import Codebook, CodebookParams, generate
+from .codebook import Codebook, CodebookParams, _sample_rows, generate
 from .coding import MessageSets, Node1Decoder, Node2Decoder, encode, transmit
 from .exceptions import GuardError, ValidationError
 from .probability import chain_joint, conditional_mutual_information, marginalize, _entropy_of_tensor
@@ -134,14 +134,8 @@ def _word_table(cb: Codebook, ms: MessageSets, m2: int) -> tuple:
     j, l, m0, m1 = (g.reshape(-1) for g in grids)
     v = cb.v_words[j, l, m0, m1, m2].astype(np.int64)
 
-    if ms.case == "A":
-        mc = np.ravel_multi_index((j, l, m0), ms.mc_shape)
-        w = np.full(j.size, 1.0 / p.m1_size)
-    else:
-        k = ms.partition.mapping[j]
-        mc = np.ravel_multi_index((k, l), ms.mc_shape)
-        pre_sizes = np.array([pre.size for pre in ms.partition.preimages], dtype=np.float64)
-        w = 1.0 / (p.m1_size * pre_sizes[k])
+    mc = ms.cell_mc[j, l, m0]
+    w = 1.0 / (p.m1_size * ms.cells_per_mc[mc])
     wmat = np.zeros((j.size, ms.mc_size))
     wmat[np.arange(j.size), mc] = w
     return v, wmat
@@ -231,16 +225,9 @@ def equivocation_mc(cb: Codebook, ms: MessageSets, samples: int, rng) -> tuple:
     vals = np.empty(samples)
     for e in range(samples):
         mc, m1, m2 = int(mc_draw[e]), int(m1_draw[e]), int(m2_draw[e])
-        if ms.case == "A":
-            j, l, m0 = ms.unpack(mc)
-        else:
-            k, l = ms.unpack(mc)
-            pre = ms.partition.preimages[k]
-            j = int(pre[rng.integers(pre.size)])
-            m0 = 0
+        j, l, m0 = ms.cell(mc, rng)
         v = cb.v_words[j, l, m0, m1, m2].astype(np.int64)
-        u = rng.random(p.n)
-        y2 = np.minimum((u[:, None] > cdf_wv2[v]).sum(axis=1), wv2.shape[1] - 1)
+        y2 = _sample_rows(cdf_wv2, v, rng.random(p.n))
 
         v_seqs, wmat, steps = tables[m2]
         lik = np.ones(v_seqs.shape[0])

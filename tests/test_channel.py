@@ -154,6 +154,15 @@ def test_non_finite_or_ragged_input_rejected(target, kind, tmp_path):
             call(_corrupt(valid, kind), tmp_path)
 
 
+@pytest.mark.parametrize("size", [2.5, 2.0, "2", True])
+def test_non_integer_alphabet_size_rejected(size, tmp_path):
+    path = _write(tmp_path, "ch.json", {"x_size": size, "y1_size": 2, "y2_size": 2,
+                                        "marginals": {"w1": W, "w2": W}})
+    with pytest.raises(ValidationError, match="x_size"):
+        load_channel(path)
+    assert main(["info", path, "--uniform-x"]) == 2
+
+
 class TestFileFormat:
     def test_round_trip_bit_exact(self, tmp_path):
         ch = from_marginals(binary_symmetric(0.1), binary_symmetric(0.2))

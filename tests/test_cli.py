@@ -123,6 +123,16 @@ class TestRegion:
         manifest = json.loads((tmp_path / "frontier.csv.manifest.json").read_text())
         assert manifest["command"] == "region"
         assert bsc_file in manifest["inputs"]
+        assert manifest["parameters"]["grid"] == 4  # the weight count
+
+    def test_grid_flag_rejected(self, capsys, bsc_file):
+        # the weight count is --weights; region has no separate --grid
+        code, out, err = run_cli(
+            capsys, "region", bsc_file, "--mode", "bbc", "--grid", "3", "--weights", "2", *FAST
+        )
+        assert code == 1
+        assert "--grid" in err
+        assert out == ""
 
     def test_full_mode_rows_are_region_corners(self, capsys, bsc_file):
         code, out, _ = run_cli(

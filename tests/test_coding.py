@@ -40,26 +40,62 @@ def noiseless4():
 class TestPartition:
     def test_bijection(self):
         part = make_partition(4, 4)
-        assert all(pre.size == 1 for pre in part.preimages)
+        assert sorted(part.mapping.tolist()) == [0, 1, 2, 3]
+        assert part.preimage_sizes.tolist() == [1, 1, 1, 1]
 
     def test_near_equal_sizes(self):
         part = make_partition(7, 3)
-        sizes = sorted(pre.size for pre in part.preimages)
-        assert sizes == [2, 2, 3]
+        assert part.preimage_sizes.tolist() == np.bincount(part.mapping).tolist()
+        assert sorted(part.preimage_sizes.tolist()) == [2, 2, 3]
 
     def test_single_class(self):
         part = make_partition(4, 1)
-        assert part.preimages[0].size == 4
+        assert part.mapping.tolist() == [0, 0, 0, 0]
+        assert part.preimage_sizes.tolist() == [4]
 
     def test_size_constraint_spot(self):
         for j, k in [(5, 2), (9, 4), (16, 5), (31, 7)]:
             part = make_partition(j, k)
-            sizes = [pre.size for pre in part.preimages]
+            sizes = part.preimage_sizes
             assert max(sizes) <= 2 * min(sizes)
 
     def test_invalid(self):
         with pytest.raises(ValidationError):
             make_partition(2, 3)
+
+
+class TestMessageCells:
+    def test_case_a_cell_is_unpack_and_draws_nothing(self):
+        params = CodebookParams(n=2, m0_size=2, j_size=3, l_size=2)
+        ms = MessageSets.case_a(params)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        for mc in range(ms.mc_size):
+            assert ms.cell(mc, rng) == ms.unpack(mc)
+        assert rng.bit_generator.state == state
+        assert ms.cells_per_mc.tolist() == [1] * ms.mc_size
+
+    def test_case_b_cells_lie_in_the_class(self):
+        params = CodebookParams(n=2, j_size=7, l_size=2)
+        ms = MessageSets.case_b(params, 3)
+        part = ms.partition
+        assert np.array_equal(
+            ms.cells_per_mc.reshape(ms.mc_shape), np.repeat(part.preimage_sizes[:, None], 2, axis=1)
+        )
+        rng = np.random.default_rng(4)
+        for mc in range(ms.mc_size):
+            k, l = ms.unpack(mc)
+            seen = {ms.cell(mc, rng) for _ in range(60)}
+            assert {c[1:] for c in seen} == {(l, 0)}
+            assert all(part.mapping[j] == k for j, _, _ in seen)
+            assert all(ms.cell_mc[c] == mc for c in seen)
+            assert len(seen) == part.preimage_sizes[k]
+
+    def test_out_of_range(self):
+        ms = MessageSets.case_b(CodebookParams(n=2, j_size=4, l_size=2), 2)
+        for mc in (-1, ms.mc_size):
+            with pytest.raises(ValidationError):
+                ms.cell(mc, np.random.default_rng(0))
 
 
 class TestEncode:
@@ -126,7 +162,7 @@ class TestEncode:
         params = CodebookParams(n=3, j_size=2, l_size=1, seed=8)
         cb = generate(params, chain, bsc12)
         ms = MessageSets.case_b(params, 1)
-        pre = ms.partition.preimages[0]
+        pre = np.nonzero(ms.partition.mapping == 0)[0]
         total = 0.0
         for xw in np.ndindex(2, 2, 2):
             p = 0.0

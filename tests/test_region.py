@@ -204,6 +204,18 @@ class TestSecrecyFrontier:
             )
 
 
+    def test_values_are_support_values(self, bsc12):
+        p = SearchParams(restarts=4, iterations=60, seed=2)
+        for e in secrecy_frontier(bsc12, p, weights=[(1, 0, 0), (0.5, 0.5, 0), (0.2, 0.3, 0.5)]):
+            wc, _, w1, w2 = e.weights
+            assert e.value == support_function(bsc12, (0.0, wc, w1, w2), p).value
+
+    @pytest.mark.parametrize("wdir", [(1, -1, 0), (0, 0, 0), (1, 0), (1, 0, 0, 0)])
+    def test_bad_direction_rejected(self, bsc12, wdir):
+        with pytest.raises(ValidationError):
+            secrecy_frontier(bsc12, FAST, weights=[wdir])
+
+
 class TestBbcFrontier:
     def test_noiseless_corner(self, noiseless2):
         pts = bbc_frontier(noiseless2, SearchParams(restarts=4, iterations=80, grid=5, seed=0))
