@@ -73,6 +73,19 @@ class AuxChain:
         }
 
 
+_INFO_NAMES = ("iu1", "iu2", "iv1", "iv2")
+
+
+def _checked_info(iq: np.ndarray) -> np.ndarray:
+    """The information terms of a batch of chains (one (iu1, iu2, iv1, iv2)
+    row each), clamped at zero; a term below -1e-9 or not finite raises."""
+    ok = (iq >= -1e-9) & (iq < math.inf)
+    if not ok.all():
+        b, k = np.argwhere(~ok)[0]
+        raise ValidationError(f"InfoQuantities: {_INFO_NAMES[k]}={iq[b, k]} is negative or not finite")
+    return np.maximum(0.0, iq)
+
+
 @dataclass(frozen=True)
 class InfoQuantities:
     """The four information terms the region constraints are built from."""
@@ -83,11 +96,9 @@ class InfoQuantities:
     iv2: float
 
     def __post_init__(self):
-        for name in ("iu1", "iu2", "iv1", "iv2"):
-            v = getattr(self, name)
-            if not -1e-9 <= v < math.inf:
-                raise ValidationError(f"InfoQuantities: {name}={v} is negative or not finite")
-            object.__setattr__(self, name, max(0.0, v))
+        values = _checked_info(np.array([[self.iu1, self.iu2, self.iv1, self.iv2]]))
+        for name, v in zip(_INFO_NAMES, values[0].tolist()):
+            object.__setattr__(self, name, v)
 
     @property
     def secrecy_bound(self) -> float:
@@ -200,10 +211,13 @@ def evaluate_chain(chain: AuxChain, ch: BroadcastChannel) -> InfoQuantities:
         raise ValidationError(
             f"evaluate_chain: chain emits {chain.x_size} input symbols, channel expects {ch.x_size}"
         )
-    w1 = marginal(ch, 1).matrix
-    w2 = marginal(ch, 2).matrix
-    iu1, iu2, iv1, iv2 = _core.chain_info(chain.pu.probs, chain.pvu.rows, chain.pxv.rows, w1, w2)
-    return InfoQuantities(iu1, iu2, iv1, iv2)
+    return _chain_terms(chain, marginal(ch, 1).matrix, marginal(ch, 2).matrix)
+
+
+def _chain_terms(chain: AuxChain, w1: np.ndarray, w2: np.ndarray) -> InfoQuantities:
+    """A chain's information terms against the two marginal channel matrices."""
+    iq = _core.chain_info(chain.pu.probs[None], chain.pvu.rows[None], chain.pxv.rows[None], w1, w2)
+    return InfoQuantities(*iq[0].tolist())
 
 
 def tuple_satisfied(iq: InfoQuantities, t: RateTuple) -> bool:
@@ -214,17 +228,19 @@ def tuple_satisfied(iq: InfoQuantities, t: RateTuple) -> bool:
     by the clamp since a chain with the second layer folded into the first
     dominates the clamped tuples.
     """
-    return _margin(iq, t) >= -SLACK
+    return bool(_margin(iq.iu1, iq.iu2, iq.iv1, iq.iv2, t) >= -SLACK)
 
 
-def _margin(iq: InfoQuantities, t: RateTuple) -> float:
-    return min(
-        iq.secrecy_bound - t.re,
-        iq.iv1 + iq.iu1 - t.rc - t.r1,
-        iq.iv1 + iq.iu2 - t.rc - t.r2,
-        iq.iu1 - t.r1,
-        iq.iu2 - t.r2,
-    )
+def _margin(iu1, iu2, iv1, iv2, t: RateTuple):
+    """Smallest slack of the constraints at t, per chain. The arguments are
+    clamped information terms, arrays of one shape (one entry per chain)."""
+    return np.minimum.reduce([
+        np.maximum(0.0, iv1 - iv2) - t.re,
+        iv1 + iu1 - t.rc - t.r1,
+        iv1 + iu2 - t.rc - t.r2,
+        iu1 - t.r1,
+        iu2 - t.r2,
+    ])
 
 
 def rc_re_star(iq: InfoQuantities, r1: float, r2: float) -> tuple:
@@ -237,31 +253,33 @@ def rc_re_star(iq: InfoQuantities, r1: float, r2: float) -> tuple:
     return rc, iq.secrecy_bound
 
 
-def _best_corner(iu1, iu2, iv1, iv2, w) -> tuple:
-    """Maximize w . (rc,re,r1,r2) over the constraint polytope of one chain.
+def _corner_keys(iu1, iu2, iv1, iv2, w) -> np.ndarray:
+    """The five candidate corners of each chain's constraint polytope, as a
+    (5, 5, ...) array: r2, r1, rc, re and w . (rc,re,r1,r2), each over the
+    candidates. The information terms are arrays of one shape (one entry per
+    chain). The feasible set is linear in the tuple for fixed quantities, so
+    the maximum of w . (rc,re,r1,r2) sits on one of these vertices."""
+    zero = np.zeros(np.shape(iu1))
+    e = np.maximum(0.0, iv1 - iv2)
+    m = np.minimum(iu1, iu2)
+    r1 = np.array([zero, iu1, zero, iu1, iu1 - m])
+    r2 = np.array([zero, zero, iu2, iu2, iu2 - m])
+    rc = iv1 + np.minimum(iu1 - r1, iu2 - r2)
+    re = np.minimum(rc, e)
+    val = w[0] * rc + w[1] * re + w[2] * r1 + w[3] * r2
+    return np.array([r2, r1, rc, re, val])
 
-    The feasible set is linear in the tuple for fixed quantities, so the
-    maximum sits on one of five candidate vertices; ties prefer larger re,
-    then rc, then r1, then r2, making the output deterministic.
+
+def _best_corner(iu1, iu2, iv1, iv2, w) -> tuple:
+    """Maximize w . (rc,re,r1,r2) over the constraint polytope of each chain.
+
+    Ties prefer larger re, then rc, then r1, then r2, making the output
+    deterministic. Returns the values and the corners (rc, re, r1, r2), each
+    of the information terms' shape.
     """
-    e = max(0.0, iv1 - iv2)
-    m = min(iu1, iu2)
-    candidates = (
-        (0.0, 0.0),
-        (iu1, 0.0),
-        (0.0, iu2),
-        (iu1, iu2),
-        (iu1 - m, iu2 - m),
-    )
-    best = None
-    for r1, r2 in candidates:
-        rc = iv1 + min(iu1 - r1, iu2 - r2)
-        re = min(rc, e)
-        val = w[0] * rc + w[1] * re + w[2] * r1 + w[3] * r2
-        key = (val, re, rc, r1, r2)
-        if best is None or key > best:
-            best = key
-    val, re, rc, r1, r2 = best
+    keys = _corner_keys(iu1, iu2, iv1, iv2, w)
+    pick = np.lexsort(keys, axis=0)[-1:]  # lexsort's primary key is the last
+    r2, r1, rc, re, val = np.take_along_axis(keys, pick[None], axis=1)[:, 0]
     return val, (rc, re, r1, r2)
 
 
@@ -271,71 +289,121 @@ def _best_corner(iu1, iu2, iv1, iv2, w) -> tuple:
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    n = v.shape[0]
-    a = -np.sort(-v)
-    cums = (np.cumsum(a) - 1.0) / np.arange(1, n + 1)
-    k = np.nonzero(a > cums)[0][-1]
-    out = np.maximum(v - cums[k], 0.0)
-    s = out.sum()
-    return out / s if s > 0 else np.full(n, 1.0 / n)
+    """Euclidean projection of each row of v onto the probability simplex."""
+    n = v.shape[1]
+    a = -np.sort(-v, axis=1)
+    cums = (np.cumsum(a, axis=1) - 1.0) / np.arange(1, n + 1)
+    k = n - 1 - np.argmax((a > cums)[:, ::-1], axis=1)  # the last index with a > cums
+    out = np.maximum(v - cums[np.arange(len(v)), k][:, None], 0.0)
+    return out / out.sum(axis=1, keepdims=True)  # the largest entry stays positive
 
 
-def _hill_climb(score, blocks, rng, iterations, tol, stop_at=None):
-    """In-place ascent: perturb one simplex row at a time, keep improvements.
+def _climb(score, start, p: SearchParams, restarts: int, key: tuple = (), stop_at=None) -> tuple:
+    """Best of `restarts` hill climbs, run in lockstep; returns (value, blocks).
 
-    The step size halves after each sweep with no improvement (geometric
-    decay) and the search stops when it falls below tol. A short
-    fine-perturbation phase afterwards polishes the incumbent.
+    Restart i draws its random stream from (seed, *key, i) and climbs from
+    start(i, rng), a list of blocks: 2-D arrays whose rows are
+    distributions. A climb perturbs one row at a time and keeps
+    improvements. Its step size halves after each sweep with no improvement
+    (geometric decay) and the phase ends when the step falls below tol; a
+    short fine-perturbation phase afterwards polishes the incumbent. A
+    restart retires when that phase ends or, checked before each sweep, when
+    its best reaches stop_at.
+
+    The live restarts take each row step together: each block is held as a
+    (restarts, rows, cols) array, and score maps such a batch to one value
+    per restart. Restart i's trajectory depends only on the seed, the key and
+    i. Ties across restarts resolve to the lowest restart index; with
+    stop_at, the lowest restart that reaches it wins and the restarts above
+    it are dropped as soon as it does. Restart 0 is scored alone first, so a
+    search its start already ends builds no other restart.
     """
-    rows = [(bi, ri) for bi, blk in enumerate(blocks) for ri in range(blk.shape[0])]
+    stop = math.inf if stop_at is None else stop_at
+    rngs = [np.random.default_rng((p.seed, *key, 0))]
+    blocks = [np.array([b]) for b in start(0, rngs[0])]
     best = score(blocks)
-    for phase_step, phase_iters in ((STEP0, iterations), (1e-3, max(1, iterations // 5))):
-        step = phase_step
-        for _ in range(phase_iters):
-            if stop_at is not None and best >= stop_at:
-                return best
-            improved = False
-            for bi, ri in rows:
-                row = blocks[bi][ri].copy()
-                blocks[bi][ri] = _project_simplex(row + step * rng.standard_normal(row.shape[0]))
-                cand = score(blocks)
-                if cand > best + 1e-15:
-                    best = cand
-                    improved = True
-                else:
-                    blocks[bi][ri] = row
-            if not improved:
-                step *= 0.5
-                if step < tol:
-                    break
-    return best
+    if best[0] >= stop:
+        return float(best[0]), [blk[0] for blk in blocks]
+    if restarts > 1:
+        rngs += [np.random.default_rng((p.seed, *key, i)) for i in range(1, restarts)]
+        more = [np.stack(b) for b in zip(*(start(i, rngs[i]) for i in range(1, restarts)))]
+        best = np.concatenate([best, score(more)])
+        blocks = [np.concatenate(b) for b in zip(blocks, more)]
+
+    rows, width = [], 0  # (block, row, noise columns) of each row step in a sweep
+    for bi, blk in enumerate(blocks):
+        for ri in range(blk.shape[1]):
+            rows.append((bi, ri, slice(width, width + blk.shape[2])))
+            width += blk.shape[2]
+    phase_iters = np.array([p.iterations, max(1, p.iterations // 5)])
+    ids = np.arange(len(rngs))
+    step = np.full(len(ids), STEP0)
+    phase = np.zeros(len(ids), dtype=int)
+    sweeps = np.zeros(len(ids), dtype=int)
+    final = {}  # restart -> (best value, blocks)
+    first_reached = len(rngs)  # the lowest restart whose best reached stop_at
+    while True:
+        reached = best >= stop
+        retired = reached | (phase == 2)
+        for j in np.flatnonzero(retired):
+            final[int(ids[j])] = (float(best[j]), [blk[j].copy() for blk in blocks])
+        if reached.any():
+            first_reached = min(first_reached, int(ids[reached][0]))
+        live = ~retired & (ids < first_reached)
+        if not live.any():
+            break
+        if not live.all():
+            ids, best, step, phase, sweeps = ids[live], best[live], step[live], phase[live], sweeps[live]
+            blocks = [blk[live] for blk in blocks]
+
+        # one draw per sweep yields the same normals as one draw per row step
+        noise = np.stack([rngs[i].standard_normal(width) for i in ids])
+        improved = np.zeros(len(ids), dtype=bool)
+        for bi, ri, cols in rows:
+            blk = blocks[bi]
+            row = blk[:, ri].copy()
+            blk[:, ri] = _project_simplex(row + step[:, None] * noise[:, cols])
+            cand = score(blocks)
+            better = cand > best + 1e-15
+            blk[:, ri] = np.where(better[:, None], blk[:, ri], row)
+            best = np.where(better, cand, best)
+            improved |= better
+        sweeps += 1
+        step = np.where(improved, step, step * 0.5)
+        ended = (sweeps == phase_iters[phase]) | (~improved & (step < p.tol))
+        phase += ended
+        sweeps[ended] = 0
+        step[ended] = 1e-3
+
+    if first_reached < len(rngs):
+        return final[first_reached]
+    return final[max(final, key=lambda i: (final[i][0], -i))]  # the lowest-index strict best
 
 
-def _structured_inits(nu, nv, nx):
-    """Deterministic starting chains: a full-alphabet carrier, a secrecy
-    layout (constant first layer, uniform second layer on the inputs), and
-    a uniform carrier over all first-layer symbols."""
+STRUCTURED_STARTS = 3
+
+
+def _structured_init(i, nu, nv, nx):
+    """Deterministic starting chain i: a full-alphabet carrier (0), a
+    secrecy layout (1: constant first layer, uniform second layer on the
+    inputs), and a uniform carrier over all first-layer symbols (2)."""
 
     def ident_rows(n_in, n_out):
         rows = np.zeros((n_in, n_out))
         rows[np.arange(n_in), np.arange(n_in) % n_out] = 1.0
         return rows
 
-    inits = []
-    pu = np.zeros(nu)
-    pu[: min(nu, nx)] = 1.0 / min(nu, nx)
-    inits.append([pu.reshape(1, -1), ident_rows(nu, nv), ident_rows(nv, nx)])
-
-    pu = np.zeros(nu)
-    pu[0] = 1.0
+    pu = np.zeros((1, nu))
     pvu = ident_rows(nu, nv)
-    pvu[0] = 0.0
-    pvu[0, : min(nv, nx)] = 1.0 / min(nv, nx)
-    inits.append([pu.reshape(1, -1), pvu, ident_rows(nv, nx)])
-
-    inits.append([np.full((1, nu), 1.0 / nu), ident_rows(nu, nv), ident_rows(nv, nx)])
-    return inits
+    if i == 0:
+        pu[0, : min(nu, nx)] = 1.0 / min(nu, nx)
+    elif i == 1:
+        pu[0, 0] = 1.0
+        pvu[0] = 0.0
+        pvu[0, : min(nv, nx)] = 1.0 / min(nv, nx)
+    else:
+        pu[:] = 1.0 / nu
+    return [pu, pvu, ident_rows(nv, nx)]
 
 
 def _random_init(nu, nv, nx, rng):
@@ -346,54 +414,33 @@ def _random_init(nu, nv, nx, rng):
     ]
 
 
-def _climb_restarts(score, start, p: SearchParams, restarts: int, key: tuple = (), stop_at=None) -> tuple:
-    """Best of `restarts` hill climbs; returns (value, blocks).
-
-    Restart i draws its random stream from (seed, *key, i) and climbs from
-    start(i, rng), so the result depends only on the seed and the key. Ties
-    across restarts resolve to the lowest restart index; with stop_at, the
-    search ends at the first restart that reaches it.
-    """
-    best_val, best_blocks = -np.inf, None
-    for i in range(restarts):
-        rng = np.random.default_rng((p.seed, *key, i))
-        blocks = start(i, rng)
-        val = _hill_climb(score, blocks, rng, p.iterations, p.tol, stop_at)
-        if val > best_val:
-            best_val, best_blocks = val, blocks
-        if stop_at is not None and val >= stop_at:
-            break
-    return best_val, best_blocks
-
-
 def _search_chain(
     ch: BroadcastChannel,
     score_fn: Callable,
     p: SearchParams,
     stop_at: Optional[float] = None,
 ) -> tuple:
-    """Maximize score_fn(iu1, iu2, iv1, iv2) over auxiliary chains."""
+    """Maximize score_fn over auxiliary chains; score_fn maps a (B, 4) array
+    of information terms (iu1, iu2, iv1, iv2 of each chain) to B values.
+    Returns the best chain, normalized, and its information terms."""
     nx = ch.x_size
     nu, nv = p.sizes_for(nx)
     w1 = marginal(ch, 1).matrix
     w2 = marginal(ch, 2).matrix
 
     def score(blocks):
-        iq4 = _core.chain_info(np.ascontiguousarray(blocks[0][0]), blocks[1], blocks[2], w1, w2)
-        return score_fn(*iq4)
-
-    inits = _structured_inits(nu, nv, nx)
+        return score_fn(_core.chain_info(blocks[0][:, 0], blocks[1], blocks[2], w1, w2))
 
     def start(i, rng):
-        return [b.copy() for b in inits[i]] if i < len(inits) else _random_init(nu, nv, nx, rng)
+        return _structured_init(i, nu, nv, nx) if i < STRUCTURED_STARTS else _random_init(nu, nv, nx, rng)
 
-    best_val, blocks = _climb_restarts(score, start, p, p.restarts, stop_at=stop_at)
+    _, blocks = _climb(score, start, p, p.restarts, stop_at=stop_at)
     chain = AuxChain(
         Dist.normalized(blocks[0][0]),
         CondDist(blocks[1] / blocks[1].sum(axis=1, keepdims=True)),
         CondDist(blocks[2] / blocks[2].sum(axis=1, keepdims=True)),
     )
-    return best_val, chain
+    return chain, _chain_terms(chain, w1, w2)
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +451,16 @@ def _search_chain(
 def support_function(ch: BroadcastChannel, w, p: SearchParams = SearchParams()) -> SupportResult:
     """Maximum of w . (rc,re,r1,r2) over the full rate-equivocation region."""
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (4,) or np.any(w < 0.0) or not np.any(w > 0.0):
-        raise ValidationError("support_function: weights must be 4 nonnegative values, not all zero")
-    w = w.tolist()  # the corner is scored once per kernel call; floats keep that cheap
+    if w.shape != (4,) or not np.all(np.isfinite(w)) or np.any(w < 0.0) or not np.any(w > 0.0):
+        raise ValidationError("support_function: weights must be 4 finite nonnegative values, not all zero")
+    w = w.tolist()
 
-    def score(iu1, iu2, iv1, iv2):
-        return _best_corner(iu1, iu2, iv1, iv2, w)[0]
+    def score(iq):
+        return _corner_keys(*iq.T, w)[4].max(axis=0)
 
-    _, chain = _search_chain(ch, score, p)
-    iq = evaluate_chain(chain, ch)
+    chain, iq = _search_chain(ch, score, p)
     val, corner = _best_corner(iq.iu1, iq.iu2, iq.iv1, iq.iv2, w)
-    return SupportResult(val, chain, RateTuple(*corner))
+    return SupportResult(float(val), chain, RateTuple(*(float(c) for c in corner)))
 
 
 def _octant_directions(count: int, dims: int) -> list:
@@ -467,11 +513,10 @@ def bbc_frontier(ch: BroadcastChannel, p: SearchParams = SearchParams()) -> list
     w2 = marginal(ch, 2).matrix
     pxv = np.eye(nx)
 
-    def mi_pair(px_blocks):
-        iq4 = _core.chain_info(
-            np.array([1.0]), np.ascontiguousarray(px_blocks[0]), pxv, w1, w2
-        )
-        return iq4[2], iq4[3]
+    def mi_pair(px):
+        """(I(X;Y1), I(X;Y2)) of each input law in a (B, 1, nx) batch, as (B, 2)."""
+        b = px.shape[0]
+        return _core.chain_info(np.ones((b, 1)), px, np.broadcast_to(pxv, (b, nx, nx)), w1, w2)[:, 2:]
 
     def start(i, rng):
         return [np.full((1, nx), 1.0 / nx) if i == 0 else rng.dirichlet(np.ones(nx)).reshape(1, -1)]
@@ -482,13 +527,13 @@ def bbc_frontier(ch: BroadcastChannel, p: SearchParams = SearchParams()) -> list
         wr1, wr2 = math.cos(theta), math.sin(theta)
 
         def score(blocks, wr1=wr1, wr2=wr2):
-            i1, i2 = mi_pair(blocks)
-            return wr1 * i1 + wr2 * i2
+            mi = mi_pair(blocks[0])
+            return wr1 * mi[:, 0] + wr2 * mi[:, 1]
 
         # the weighted objective is concave in the input law, so a few
         # restarts are plenty
-        best_val, best_blocks = _climb_restarts(score, start, p, min(p.restarts, 6), key=(k,))
-        i1, i2 = mi_pair(best_blocks)
+        best_val, best_blocks = _climb(score, start, p, min(p.restarts, 6), key=(k,))
+        i1, i2 = mi_pair(best_blocks[0][None])[0].tolist()
         input_chain = AuxChain(
             Dist([1.0]),
             CondDist(best_blocks[0] / best_blocks[0].sum()),
@@ -572,11 +617,11 @@ def membership(t: RateTuple, ch: BroadcastChannel, p: SearchParams = SearchParam
             evidence={"kind": "entropy_cap", "caps": [cap1, cap2]},
         )
 
-    def score(iu1, iu2, iv1, iv2):
-        return _margin(InfoQuantities(iu1, iu2, iv1, iv2), t)
+    def score(iq):
+        return _margin(*_checked_info(iq).T, t)
 
-    best_margin, chain = _search_chain(ch, score, p, stop_at=0.0)
-    best_margin = _margin(evaluate_chain(chain, ch), t)
+    chain, iq = _search_chain(ch, score, p, stop_at=0.0)
+    best_margin = float(_margin(iq.iu1, iq.iu2, iq.iv1, iq.iv2, t))
     if best_margin >= -SLACK:
         return MembershipResult("inside", t, chain, best_margin, p)
 

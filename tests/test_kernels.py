@@ -1,9 +1,10 @@
 """The chain_info kernel must agree with the reference path through the
-full chain joint."""
+full chain joint, on batches, and a chain's row must not depend on the rest
+of its batch."""
 
 import numpy as np
 
-from bbcsec import _core
+from bbcsec import AuxChain, _core
 from bbcsec.channel import marginal
 from bbcsec.probability import CondDist, Dist, chain_joint, conditional_mutual_information
 
@@ -20,25 +21,80 @@ def _reference_iq(chain, ch):
     )
 
 
+def _batch(chains):
+    return (
+        np.stack([c.pu.probs for c in chains]),
+        np.stack([c.pvu.rows for c in chains]),
+        np.stack([c.pxv.rows for c in chains]),
+    )
+
+
+def _with_zeros(rng, chain):
+    """The chain with about a third of its probabilities set to zero."""
+
+    def sparse(rows):
+        rows = np.where(rng.random(rows.shape) < 0.35, 0.0, rows)
+        rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+        return rows / rows.sum(axis=1, keepdims=True)
+
+    return AuxChain(
+        Dist(sparse(chain.pu.probs[None])[0]), CondDist(sparse(chain.pvu.rows)), CondDist(sparse(chain.pxv.rows))
+    )
+
+
+def _mixed_batch(rng, size, nu, nv, nx):
+    chains = [random_chain(rng, nu, nv, nx) for _ in range(size)]
+    return [_with_zeros(rng, c) if i % 2 else c for i, c in enumerate(chains)]
+
+
 def test_kernel_matches_joint_reference():
     rng = np.random.default_rng(1)
     for _ in range(50):
         chain = random_chain(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6)), 2)
         ch = random_channel(rng, 2, 2, 3)
-        fast = np.array(_core.chain_info(
-            chain.pu.probs, chain.pvu.rows, chain.pxv.rows,
-            marginal(ch, 1).matrix, marginal(ch, 2).matrix,
-        ))
+        fast = _core.chain_info(*_batch([chain]), marginal(ch, 1).matrix, marginal(ch, 2).matrix)
+        assert fast.shape == (1, 4)
         ref = np.array(_reference_iq(chain, ch))
-        assert np.max(np.abs(fast - ref)) < 1e-10
+        assert np.max(np.abs(fast[0] - ref)) < 1e-10
+
+
+def test_batch_matches_joint_reference():
+    rng = np.random.default_rng(2)
+    for nu, nv, nx, ny1, ny2 in ((3, 4, 2, 2, 3), (1, 5, 3, 3, 2), (4, 2, 3, 4, 4)):
+        ch = random_channel(rng, nx, ny1, ny2)
+        chains = _mixed_batch(rng, 12, nu, nv, nx)
+        fast = _core.chain_info(*_batch(chains), marginal(ch, 1).matrix, marginal(ch, 2).matrix)
+        assert fast.shape == (len(chains), 4)
+        for row, chain in zip(fast, chains):
+            assert np.max(np.abs(row - np.array(_reference_iq(chain, ch)))) < 1e-10
+
+
+def test_batch_size_invariance():
+    # each row of a batch is the batch-1 call on that chain, bit for bit
+    rng = np.random.default_rng(3)
+    for nu, nv, nx in ((5, 8, 2), (6, 8, 3), (2, 3, 2)):
+        ch = random_channel(rng, nx, nx + 1, 2)
+        w1, w2 = marginal(ch, 1).matrix, marginal(ch, 2).matrix
+        chains = _mixed_batch(rng, 16, nu, nv, nx)
+        full = _core.chain_info(*_batch(chains), w1, w2)
+        for row, chain in zip(full, chains):
+            assert np.array_equal(row, _core.chain_info(*_batch([chain]), w1, w2)[0])
+        half = _core.chain_info(*_batch(chains[5:13]), w1, w2)
+        assert np.array_equal(half, full[5:13])
 
 
 def test_kernel_handles_zero_support():
-    # hard zeros in every block must not produce NaNs
-    chain_pu = Dist([1.0, 0.0])
-    chain_pvu = CondDist([[1.0, 0.0], [0.0, 1.0]])
-    chain_pxv = CondDist([[1.0, 0.0], [1.0, 0.0]])
+    # hard zeros in every block must not produce NaNs, alone or in a batch
+    zero_chain = AuxChain(
+        Dist([1.0, 0.0]), CondDist([[1.0, 0.0], [0.0, 1.0]]), CondDist([[1.0, 0.0], [1.0, 0.0]])
+    )
     w = np.array([[1.0, 0.0], [0.0, 1.0]])
-    out = _core.chain_info(chain_pu.probs, chain_pvu.rows, chain_pxv.rows, w, w)
-    assert all(np.isfinite(out))
-    assert all(abs(v) < 1e-12 for v in out)
+    out = _core.chain_info(*_batch([zero_chain]), w, w)
+    assert np.all(np.isfinite(out))
+    assert np.all(np.abs(out) < 1e-12)
+
+    other = random_chain(np.random.default_rng(4), 2, 2, 2)
+    batch = _core.chain_info(*_batch([other, zero_chain, other]), w, w)
+    assert np.all(np.isfinite(batch))
+    assert np.array_equal(batch[1], out[0])
+    assert np.array_equal(batch[0], batch[2])

@@ -12,6 +12,7 @@ from bbcsec import (
     binary_symmetric,
     evaluate_chain,
     from_marginals,
+    full_frontier,
     membership,
     rc_re_star,
     secrecy_frontier,
@@ -165,6 +166,13 @@ class TestSupportFunction:
         with pytest.raises(ValidationError):
             support_function(bsc12, (-1, 0, 0, 1), FAST)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weights_rejected(self, bsc12, bad):
+        with pytest.raises(ValidationError):
+            support_function(bsc12, (bad, 1, 0, 0), FAST)
+        with pytest.raises(ValidationError):
+            full_frontier(bsc12, FAST, weights=[(0, 0, 1, 0), (1, 0, bad, 0)])
+
     def test_same_seed_identical(self, bsc12):
         w = (0.2, 0.1, 0.4, 0.3)
         p = SearchParams(restarts=6, iterations=60, seed=5)
@@ -210,7 +218,9 @@ class TestSecrecyFrontier:
             wc, _, w1, w2 = e.weights
             assert e.value == support_function(bsc12, (0.0, wc, w1, w2), p).value
 
-    @pytest.mark.parametrize("wdir", [(1, -1, 0), (0, 0, 0), (1, 0), (1, 0, 0, 0)])
+    @pytest.mark.parametrize(
+        "wdir", [(1, -1, 0), (0, 0, 0), (1, 0), (1, 0, 0, 0), (float("nan"), 1, 0), (1, 0, float("inf"))]
+    )
     def test_bad_direction_rejected(self, bsc12, wdir):
         with pytest.raises(ValidationError):
             secrecy_frontier(bsc12, FAST, weights=[wdir])
@@ -265,6 +275,32 @@ class TestMembership:
         assert base.verdict == "inside"
         reduced = membership(RateTuple(0.2, 0.05, 0.0, 0.0), bsc12, FAST)
         assert reduced.verdict == "inside"
+
+
+class TestRestartInvariance:
+    # each restart's trajectory depends only on the seed and its index, not
+    # on how many restarts run beside it
+
+    def test_support_value_monotone_in_restarts(self, bsc12):
+        w = (0.3, 0.2, 0.1, 0.4)
+        values = [
+            support_function(bsc12, w, SearchParams(restarts=r, iterations=30, seed=4)).value
+            for r in range(1, 8)
+        ]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_membership_unchanged_by_restarts_above_the_winner(self, bsc12):
+        # restarts 0 and 1 end below margin 0 here and restart 2 climbs
+        # above it, so the restarts beside it must not change its result
+        t = RateTuple(0.25, 0.186, 0.053, 0.078)
+        base = membership(t, bsc12, SearchParams(restarts=3, iterations=40, seed=0))
+        assert base.verdict == "inside"
+        for more in (4, 7):
+            res = membership(t, bsc12, SearchParams(restarts=more, iterations=40, seed=0))
+            assert res.verdict == "inside"
+            assert res.best_margin == base.best_margin
+            for key, rows in base.witness.to_dict().items():
+                assert np.array_equal(res.witness.to_dict()[key], rows)
 
 
 class TestDegradedCollapse:
