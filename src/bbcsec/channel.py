@@ -22,9 +22,14 @@ class BroadcastChannel:
     """Conditional law W(y1,y2|x) on finite alphabets, tensor shape (x, y1, y2)."""
 
     tensor: np.ndarray = field(repr=False)
+    marginals: tuple = field(init=False, repr=False)  # (W1, W2), see marginal()
 
     def __post_init__(self):
         object.__setattr__(self, "tensor", _as_prob_array(self.tensor, 3, "BroadcastChannel", row_axis="x"))
+        object.__setattr__(self, "marginals", (
+            MarginalChannel(self.tensor.sum(axis=2), node=1),
+            MarginalChannel(self.tensor.sum(axis=1), node=2),
+        ))
 
     @property
     def x_size(self) -> int:
@@ -57,12 +62,11 @@ class MarginalChannel:
 
 
 def marginal(ch: BroadcastChannel, node: int) -> MarginalChannel:
-    """Per-node transition matrix, the other node's outputs summed out."""
-    if node == 1:
-        return MarginalChannel(ch.tensor.sum(axis=2), node=1)
-    if node == 2:
-        return MarginalChannel(ch.tensor.sum(axis=1), node=2)
-    raise ValidationError(f"marginal: node must be 1 or 2, got {node}")
+    """Per-node transition matrix, the other node's outputs summed out; built
+    and validated once, with the channel."""
+    if node not in (1, 2):
+        raise ValidationError(f"marginal: node must be 1 or 2, got {node}")
+    return ch.marginals[node - 1]
 
 
 def from_marginals(w1, w2) -> BroadcastChannel:

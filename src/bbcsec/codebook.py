@@ -44,6 +44,8 @@ class CodebookParams:
                 raise ValidationError(f"CodebookParams: {name} must be >= 1")
         if not 0 < self.epsilon < math.inf:
             raise ValidationError("CodebookParams: epsilon must be positive and finite")
+        if self.seed < 0:
+            raise ValidationError("CodebookParams: seed must be nonnegative")
 
     @property
     def mprime_shape(self) -> tuple:

@@ -146,6 +146,11 @@ class SearchParams:
                 raise ValidationError(f"SearchParams: {name} must be positive")
         if not 0 < self.tol < math.inf:
             raise ValidationError("SearchParams: tol must be positive and finite")
+        if self.seed < 0:
+            raise ValidationError("SearchParams: seed must be nonnegative")
+        for name in ("u_size", "v_size"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValidationError(f"SearchParams: {name} must be positive")
 
     def sizes_for(self, x_size: int) -> tuple:
         nu = self.u_size if self.u_size is not None else min(x_size + 3, 6)
@@ -162,6 +167,7 @@ class SupportResult:
     value: float
     chain: AuxChain
     corner: RateTuple
+    info: InfoQuantities  # the chain's terms, as the search scored them
 
 
 @dataclass(frozen=True)
@@ -211,12 +217,10 @@ def evaluate_chain(chain: AuxChain, ch: BroadcastChannel) -> InfoQuantities:
         raise ValidationError(
             f"evaluate_chain: chain emits {chain.x_size} input symbols, channel expects {ch.x_size}"
         )
-    return _chain_terms(chain, marginal(ch, 1).matrix, marginal(ch, 2).matrix)
-
-
-def _chain_terms(chain: AuxChain, w1: np.ndarray, w2: np.ndarray) -> InfoQuantities:
-    """A chain's information terms against the two marginal channel matrices."""
-    iq = _core.chain_info(chain.pu.probs[None], chain.pvu.rows[None], chain.pxv.rows[None], w1, w2)
+    iq = _core.chain_info(
+        chain.pu.probs[None], chain.pvu.rows[None], chain.pxv.rows[None],
+        marginal(ch, 1).matrix, marginal(ch, 2).matrix,
+    )
     return InfoQuantities(*iq[0].tolist())
 
 
@@ -299,7 +303,8 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _climb(score, start, p: SearchParams, restarts: int, key: tuple = (), stop_at=None) -> tuple:
-    """Best of `restarts` hill climbs, run in lockstep; returns (value, blocks).
+    """Best of `restarts` hill climbs, run in lockstep; returns the winner's
+    (value, blocks, terms).
 
     Restart i draws its random stream from (seed, *key, i) and climbs from
     start(i, rng), a list of blocks: 2-D arrays whose rows are
@@ -311,23 +316,27 @@ def _climb(score, start, p: SearchParams, restarts: int, key: tuple = (), stop_a
     its best reaches stop_at.
 
     The live restarts take each row step together: each block is held as a
-    (restarts, rows, cols) array, and score maps such a batch to one value
-    per restart. Restart i's trajectory depends only on the seed, the key and
-    i. Ties across restarts resolve to the lowest restart index; with
-    stop_at, the lowest restart that reaches it wins and the restarts above
-    it are dropped as soon as it does. Restart 0 is scored alone first, so a
-    search its start already ends builds no other restart.
+    (restarts, rows, cols) array, and score maps such a batch to a pair: one
+    value per restart and the (restarts, k) kernel terms the values were
+    computed from. Each restart keeps the terms of its best next to its
+    value, so the winner is never scored again. Restart i's trajectory
+    depends only on the seed, the key and i. Ties across restarts resolve to
+    the lowest restart index; with stop_at, the lowest restart that reaches
+    it wins and the restarts above it are dropped as soon as it does.
+    Restart 0 is scored alone first, so a search its start already ends
+    builds no other restart.
     """
     stop = math.inf if stop_at is None else stop_at
     rngs = [np.random.default_rng((p.seed, *key, 0))]
     blocks = [np.array([b]) for b in start(0, rngs[0])]
-    best = score(blocks)
+    best, terms = score(blocks)
     if best[0] >= stop:
-        return float(best[0]), [blk[0] for blk in blocks]
+        return float(best[0]), [blk[0] for blk in blocks], terms[0]
     if restarts > 1:
         rngs += [np.random.default_rng((p.seed, *key, i)) for i in range(1, restarts)]
         more = [np.stack(b) for b in zip(*(start(i, rngs[i]) for i in range(1, restarts)))]
-        best = np.concatenate([best, score(more)])
+        more_best, more_terms = score(more)
+        best, terms = np.concatenate([best, more_best]), np.concatenate([terms, more_terms])
         blocks = [np.concatenate(b) for b in zip(blocks, more)]
 
     rows, width = [], 0  # (block, row, noise columns) of each row step in a sweep
@@ -340,20 +349,21 @@ def _climb(score, start, p: SearchParams, restarts: int, key: tuple = (), stop_a
     step = np.full(len(ids), STEP0)
     phase = np.zeros(len(ids), dtype=int)
     sweeps = np.zeros(len(ids), dtype=int)
-    final = {}  # restart -> (best value, blocks)
+    final = {}  # restart -> (best value, blocks, terms)
     first_reached = len(rngs)  # the lowest restart whose best reached stop_at
     while True:
         reached = best >= stop
         retired = reached | (phase == 2)
         for j in np.flatnonzero(retired):
-            final[int(ids[j])] = (float(best[j]), [blk[j].copy() for blk in blocks])
+            final[int(ids[j])] = (float(best[j]), [blk[j].copy() for blk in blocks], terms[j])
         if reached.any():
             first_reached = min(first_reached, int(ids[reached][0]))
         live = ~retired & (ids < first_reached)
         if not live.any():
             break
         if not live.all():
-            ids, best, step, phase, sweeps = ids[live], best[live], step[live], phase[live], sweeps[live]
+            ids, best, terms = ids[live], best[live], terms[live]
+            step, phase, sweeps = step[live], phase[live], sweeps[live]
             blocks = [blk[live] for blk in blocks]
 
         # one draw per sweep yields the same normals as one draw per row step
@@ -363,10 +373,11 @@ def _climb(score, start, p: SearchParams, restarts: int, key: tuple = (), stop_a
             blk = blocks[bi]
             row = blk[:, ri].copy()
             blk[:, ri] = _project_simplex(row + step[:, None] * noise[:, cols])
-            cand = score(blocks)
+            cand, cand_terms = score(blocks)
             better = cand > best + 1e-15
             blk[:, ri] = np.where(better[:, None], blk[:, ri], row)
             best = np.where(better, cand, best)
+            terms = np.where(better[:, None], cand_terms, terms)
             improved |= better
         sweeps += 1
         step = np.where(improved, step, step * 0.5)
@@ -422,25 +433,25 @@ def _search_chain(
 ) -> tuple:
     """Maximize score_fn over auxiliary chains; score_fn maps a (B, 4) array
     of information terms (iu1, iu2, iv1, iv2 of each chain) to B values.
-    Returns the best chain, normalized, and its information terms."""
+    Returns the best value, the best chain and the information terms it was
+    scored with."""
     nx = ch.x_size
     nu, nv = p.sizes_for(nx)
     w1 = marginal(ch, 1).matrix
     w2 = marginal(ch, 2).matrix
 
     def score(blocks):
-        return score_fn(_core.chain_info(blocks[0][:, 0], blocks[1], blocks[2], w1, w2))
+        iq = _core.chain_info(blocks[0][:, 0], blocks[1], blocks[2], w1, w2)
+        return score_fn(iq), iq
 
     def start(i, rng):
         return _structured_init(i, nu, nv, nx) if i < STRUCTURED_STARTS else _random_init(nu, nv, nx, rng)
 
-    _, blocks = _climb(score, start, p, p.restarts, stop_at=stop_at)
-    chain = AuxChain(
-        Dist.normalized(blocks[0][0]),
-        CondDist(blocks[1] / blocks[1].sum(axis=1, keepdims=True)),
-        CondDist(blocks[2] / blocks[2].sum(axis=1, keepdims=True)),
-    )
-    return chain, _chain_terms(chain, w1, w2)
+    # every climbed row is a distribution already: starts are, and so is
+    # each projection onto the simplex
+    value, blocks, iq = _climb(score, start, p, p.restarts, stop_at=stop_at)
+    chain = AuxChain(Dist(blocks[0][0]), CondDist(blocks[1]), CondDist(blocks[2]))
+    return value, chain, InfoQuantities(*iq.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +469,9 @@ def support_function(ch: BroadcastChannel, w, p: SearchParams = SearchParams()) 
     def score(iq):
         return _corner_keys(*iq.T, w)[4].max(axis=0)
 
-    chain, iq = _search_chain(ch, score, p)
+    _, chain, iq = _search_chain(ch, score, p)
     val, corner = _best_corner(iq.iu1, iq.iu2, iq.iv1, iq.iv2, w)
-    return SupportResult(float(val), chain, RateTuple(*(float(c) for c in corner)))
+    return SupportResult(float(val), chain, RateTuple(*(float(c) for c in corner)), iq)
 
 
 def _octant_directions(count: int, dims: int) -> list:
@@ -493,7 +504,7 @@ def secrecy_frontier(
     entries = []
     for wdir in weights:
         res = support_function(ch, (0.0, *wdir), p)
-        iq = evaluate_chain(res.chain, ch)
+        iq = res.info
         point = RateTuple(iq.secrecy_bound, iq.secrecy_bound, iq.iu1, iq.iu2)
         wc, w1, w2 = (float(x) for x in wdir)
         entries.append(FrontierEntry((wc, 0.0, w1, w2), point, res.value, res.chain))
@@ -513,11 +524,6 @@ def bbc_frontier(ch: BroadcastChannel, p: SearchParams = SearchParams()) -> list
     w2 = marginal(ch, 2).matrix
     pxv = np.eye(nx)
 
-    def mi_pair(px):
-        """(I(X;Y1), I(X;Y2)) of each input law in a (B, 1, nx) batch, as (B, 2)."""
-        b = px.shape[0]
-        return _core.chain_info(np.ones((b, 1)), px, np.broadcast_to(pxv, (b, nx, nx)), w1, w2)[:, 2:]
-
     def start(i, rng):
         return [np.full((1, nx), 1.0 / nx) if i == 0 else rng.dirichlet(np.ones(nx)).reshape(1, -1)]
 
@@ -527,20 +533,19 @@ def bbc_frontier(ch: BroadcastChannel, p: SearchParams = SearchParams()) -> list
         wr1, wr2 = math.cos(theta), math.sin(theta)
 
         def score(blocks, wr1=wr1, wr2=wr2):
-            mi = mi_pair(blocks[0])
-            return wr1 * mi[:, 0] + wr2 * mi[:, 1]
+            # each input law as a chain with a constant first layer, so the
+            # terms iv1 and iv2 are I(X;Y1) and I(X;Y2)
+            b = blocks[0].shape[0]
+            iq = _core.chain_info(np.ones((b, 1)), blocks[0], np.broadcast_to(pxv, (b, nx, nx)), w1, w2)
+            return wr1 * iq[:, 2] + wr2 * iq[:, 3], iq
 
         # the weighted objective is concave in the input law, so a few
         # restarts are plenty
-        best_val, best_blocks = _climb(score, start, p, min(p.restarts, 6), key=(k,))
-        i1, i2 = mi_pair(best_blocks[0][None])[0].tolist()
-        input_chain = AuxChain(
-            Dist([1.0]),
-            CondDist(best_blocks[0] / best_blocks[0].sum()),
-            CondDist(pxv),
-        )
+        best_val, best_blocks, terms = _climb(score, start, p, min(p.restarts, 6), key=(k,))
+        iq = InfoQuantities(*terms.tolist())
+        input_chain = AuxChain(Dist([1.0]), CondDist(best_blocks[0]), CondDist(pxv))
         entries.append(
-            FrontierEntry((0.0, 0.0, wr1, wr2), RateTuple(0.0, 0.0, i1, i2), best_val, input_chain)
+            FrontierEntry((0.0, 0.0, wr1, wr2), RateTuple(0.0, 0.0, iq.iv1, iq.iv2), best_val, input_chain)
         )
     return _pareto(_dedupe(entries))
 
@@ -620,8 +625,7 @@ def membership(t: RateTuple, ch: BroadcastChannel, p: SearchParams = SearchParam
     def score(iq):
         return _margin(*_checked_info(iq).T, t)
 
-    chain, iq = _search_chain(ch, score, p, stop_at=0.0)
-    best_margin = float(_margin(iq.iu1, iq.iu2, iq.iv1, iq.iv2, t))
+    best_margin, chain, _ = _search_chain(ch, score, p, stop_at=0.0)
     if best_margin >= -SLACK:
         return MembershipResult("inside", t, chain, best_margin, p)
 

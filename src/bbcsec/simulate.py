@@ -146,9 +146,9 @@ def _step_tables(v_seqs: np.ndarray, wv2: np.ndarray) -> list:
     return [wv2[v_seqs[:, k], :].T.copy() for k in range(v_seqs.shape[1])]
 
 
-def _suffix_products(steps: list) -> np.ndarray:
-    """Likelihood of every suffix sequence (lexicographic rows) per word."""
-    n_words = steps[0].shape[1]
+def _suffix_products(steps: list, n_words: int) -> np.ndarray:
+    """Likelihood of every output sequence over the positions of `steps`
+    (lexicographic rows) per word; one row of ones for no positions."""
     out = np.ones((1, n_words))
     for step in steps:
         out = (out[:, None, :] * step[None, :, :]).reshape(-1, n_words)
@@ -179,16 +179,11 @@ def equivocation_exact(cb: Codebook, ms: MessageSets) -> float:
     for m2 in range(p.m2_size):
         v_seqs, wmat = _word_table(cb, ms, m2)
         steps = _step_tables(v_seqs, wv2)
-        suffix = _suffix_products(steps[prefix_len:])
+        n_words = v_seqs.shape[0]
+        suffix = _suffix_products(steps[prefix_len:], n_words)
 
         h_m2 = 0.0
-        for pidx in range(ny2 ** prefix_len):
-            lp = np.ones(v_seqs.shape[0])
-            rem = pidx
-            for k in range(prefix_len):
-                digit = rem // ny2 ** (prefix_len - 1 - k)
-                rem -= digit * ny2 ** (prefix_len - 1 - k)
-                lp *= steps[k][digit]
+        for lp in _suffix_products(steps[:prefix_len], n_words):
             chunk = suffix * lp[None, :]
             joint = (chunk @ wmat) / ms.mc_size      # P(y word, mc | m2)
             py = joint.sum(axis=1)
@@ -266,6 +261,8 @@ class SimConfig:
             raise ValidationError("SimConfig: trials must be >= 1")
         if self.equiv_mode not in ("exact", "mc", "none"):
             raise ValidationError(f"SimConfig: unknown equivocation mode {self.equiv_mode!r}")
+        if self.seed < 0:
+            raise ValidationError("SimConfig: seed must be nonnegative")
 
     def message_sets(self) -> MessageSets:
         if self.k_size is None:

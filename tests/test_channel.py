@@ -44,6 +44,13 @@ class TestMarginal:
         with pytest.raises(ValidationError):
             marginal(ch, 3)
 
+    def test_built_once_and_read_only(self):
+        ch = from_marginals(binary_symmetric(0.1), binary_symmetric(0.2))
+        for node in (1, 2):
+            assert marginal(ch, node) is marginal(ch, node)
+            assert marginal(ch, node).node == node
+            assert not marginal(ch, node).matrix.flags.writeable
+
     def test_marginals_are_valid(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

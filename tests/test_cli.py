@@ -240,6 +240,24 @@ def test_non_finite_option_exits_2(capsys, bsc_file, chain_file, tmp_path, cmd, 
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["region", "{bsc}", "--mode", "secrecy", "--seed", "-1"],
+    ["region", "{bsc}", "--mode", "bbc", "--seed", "-1"],
+    ["region", "{bsc}", "--mode", "bbc", "--u-size", "0"],
+    ["region", "{bsc}", "--mode", "bbc", "--v-size", "0"],
+    ["member", "{bsc}", "--tuple", "0,0,0,0", "--seed", "-1"],
+    ["simulate", "{bsc}", "{chain}", "--seed", "-1"],
+    ["codebook", "{bsc}", "{chain}", "--out", "{tmp}/cb.json", "--seed", "-1"],
+])
+def test_negative_seed_or_empty_alphabet_exits_2(capsys, bsc_file, chain_file, tmp_path, argv):
+    argv = [a.format(bsc=bsc_file, chain=chain_file, tmp=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "validation error" in err
+    assert not (tmp_path / "cb.json").exists()
+
+
 class TestCodebook:
     def test_dump_and_rate_report(self, capsys, bsc_file, chain_file, tmp_path):
         out_path = tmp_path / "cb.json"

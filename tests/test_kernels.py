@@ -72,10 +72,15 @@ def test_batch_matches_joint_reference():
 def test_batch_size_invariance():
     # each row of a batch is the batch-1 call on that chain, bit for bit
     rng = np.random.default_rng(3)
+    batches = []
     for nu, nv, nx in ((5, 8, 2), (6, 8, 3), (2, 3, 2)):
         ch = random_channel(rng, nx, nx + 1, 2)
+        batches.append((ch, _mixed_batch(rng, 16, nu, nv, nx)))
+    # a batch the size of the default restart count, hard zeros in every chain
+    ch = random_channel(rng, 3, 4, 2)
+    batches.append((ch, [_with_zeros(rng, random_chain(rng, 6, 8, 3)) for _ in range(64)]))
+    for ch, chains in batches:
         w1, w2 = marginal(ch, 1).matrix, marginal(ch, 2).matrix
-        chains = _mixed_batch(rng, 16, nu, nv, nx)
         full = _core.chain_info(*_batch(chains), w1, w2)
         for row, chain in zip(full, chains):
             assert np.array_equal(row, _core.chain_info(*_batch([chain]), w1, w2)[0])

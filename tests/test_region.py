@@ -19,9 +19,11 @@ from bbcsec import (
     support_function,
     tuple_satisfied,
 )
-from bbcsec.region import SearchParams, _best_corner, frontier_csv
+from bbcsec import _core
+from bbcsec.region import SearchParams, _best_corner, _margin, frontier_csv
 
 from . import oracles
+from .conftest import random_channel
 
 FAST = SearchParams(restarts=8, iterations=150, seed=0)
 
@@ -301,6 +303,46 @@ class TestRestartInvariance:
             assert res.best_margin == base.best_margin
             for key, rows in base.witness.to_dict().items():
                 assert np.array_equal(res.witness.to_dict()[key], rows)
+
+
+class TestSearchReturnsScoredTerms:
+    # a search hands back the terms its winner was scored with: they are the
+    # returned chain's terms, bit for bit, and are never computed again
+
+    def test_membership_met_by_first_start_makes_one_kernel_call(self, bsc12, monkeypatch):
+        calls = []
+        kernel = _core.chain_info
+
+        def counted(*args):
+            calls.append(args[0].shape[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(_core, "chain_info", counted)
+        # the first structured start (U = X uniform, V = U) meets this tuple
+        res = membership(RateTuple(0.1, 0.0, 0.2, 0.1), bsc12, FAST)
+        assert res.verdict == "inside"
+        assert calls == [1]
+
+    def test_support_info_is_the_chain_terms(self, bsc12):
+        rng = np.random.default_rng(5)
+        ternary = random_channel(rng, 3, 3, 2)
+        for ch, w in ((bsc12, (0.3, 0.2, 0.1, 0.4)), (ternary, (0.1, 0.5, 0.2, 0.2))):
+            res = support_function(ch, w, SearchParams(restarts=6, iterations=40, seed=1))
+            assert res.info == evaluate_chain(res.chain, ch)
+
+    def test_membership_margin_is_the_witness_margin(self, bsc12):
+        # the winner is restart 2 after climbing, not a start
+        t = RateTuple(0.25, 0.186, 0.053, 0.078)
+        res = membership(t, bsc12, SearchParams(restarts=3, iterations=40, seed=0))
+        assert res.verdict == "inside"
+        iq = evaluate_chain(res.witness, bsc12)
+        assert res.best_margin == float(_margin(iq.iu1, iq.iu2, iq.iv1, iq.iv2, t))
+
+    def test_bbc_points_are_the_input_chain_terms(self, bsc12):
+        pts = bbc_frontier(bsc12, SearchParams(restarts=4, iterations=60, grid=5, seed=0))
+        for e in pts:
+            iq = evaluate_chain(e.chain, bsc12)
+            assert (e.point.r1, e.point.r2) == (iq.iv1, iq.iv2)
 
 
 class TestDegradedCollapse:
