@@ -175,8 +175,8 @@ def rate_check(params: CodebookParams, iq, delta: float) -> list:
     index and node 1's message; the sub-codebook's column and row rates are
     checked against the second-layer terms.
     """
-    if not math.isfinite(delta):
-        raise ValidationError(f"rate_check: delta={delta} is not finite")
+    if not 0.0 <= delta < math.inf:
+        raise ValidationError(f"rate_check: delta={delta} must be nonnegative and finite")
     r = params.rates()
     return [
         RateCondition("first_layer_node1", r["m0"] + r["m2"], iq.iu1, delta),
@@ -201,6 +201,9 @@ class TypicalityScorer:
         if unknown:
             raise ValidationError(f"TypicalityScorer: unknown axes {sorted(unknown)}")
         self.epsilon = float(epsilon)
+        if not self.epsilon >= 0.0:
+            raise ValidationError(f"TypicalityScorer: epsilon={epsilon} must be nonnegative")
+        self._sizes = dict(zip(joint.axes, joint.tensor.shape))
         self._subsets = []
         for r in range(1, len(self.axes) + 1):
             for sub in combinations(self.axes, r):
@@ -212,36 +215,55 @@ class TypicalityScorer:
                 self._subsets.append((ordered, marg.tensor.shape, logp.reshape(-1), h))
 
     def mask(self, seqs: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Typicality of a batch of tuples.
+
+        Each sequence is an integer array (..., n). The leading axes of all
+        sequences broadcast against each other, and the result is a bool
+        array of that broadcast shape (0-d for one tuple of 1-D sequences).
+        Each subset's terms are computed over the leading axes of its own
+        sequences only, so a term that does not depend on an axis is
+        evaluated once for all of that axis; each entry is exactly the
+        one-tuple test of its tuple.
+        """
         missing = set(self.axes) - set(seqs)
         if missing:
             raise ValidationError(f"TypicalityScorer: missing sequences for {sorted(missing)}")
-        arrays = {a: np.atleast_2d(np.asarray(seqs[a], dtype=np.int64)) for a in self.axes}
-        n = max(arr.shape[1] for arr in arrays.values())
-        rows = max(arr.shape[0] for arr in arrays.values())
+        arrays = {a: np.asarray(seqs[a], dtype=np.int64) for a in self.axes}
+        if any(arr.ndim < 1 for arr in arrays.values()):
+            raise ValidationError("TypicalityScorer: sequences must have a symbol axis")
+        n = max(arr.shape[-1] for arr in arrays.values())
         for a, arr in arrays.items():
-            if arr.shape[1] != n:
-                raise ValidationError(f"TypicalityScorer: sequence for {a} has length {arr.shape[1]}, expected {n}")
+            if arr.shape[-1] != n:
+                raise ValidationError(f"TypicalityScorer: sequence for {a} has length {arr.shape[-1]}, expected {n}")
+            if arr.size and (arr.min() < 0 or arr.max() >= self._sizes[a]):
+                raise ValidationError(f"TypicalityScorer: a symbol of {a} is outside [0, {self._sizes[a]})")
+        try:
+            batch = np.broadcast_shapes(*(arr.shape[:-1] for arr in arrays.values()))
+        except ValueError as exc:
+            raise ValidationError(f"TypicalityScorer: batch shapes do not broadcast: {exc}") from None
 
-        ok = np.ones(rows, dtype=bool)
+        ok = np.ones(batch, dtype=bool)
         for ordered, shape, logp_flat, h in self._subsets:
-            idx = np.ravel_multi_index(
-                tuple(np.broadcast_to(arrays[a], (rows, n)) for a in ordered), shape
-            )
-            logp = logp_flat[idx]
-            finite = np.isfinite(logp).all(axis=1)
-            sample = -logp.sum(axis=1) / n
-            within = np.abs(sample - h) <= self.epsilon if np.isfinite(self.epsilon) else np.ones(rows, bool)
-            ok &= finite & within
+            idx = arrays[ordered[0]]
+            for a, size in zip(ordered[1:], shape[1:]):
+                idx = idx * size + arrays[a]
+            sample = -logp_flat[idx].sum(axis=-1) / n
+            # log-probabilities are finite except -inf at zero-probability
+            # symbols, so `sample` is finite exactly when none occurs
+            ok &= np.isfinite(sample) & (np.abs(sample - h) <= self.epsilon)
         return ok
 
 
 def is_typical(seqs: Mapping[str, np.ndarray], joint: JointDist, epsilon: float) -> bool:
-    """Single-tuple weak typicality test (see TypicalityScorer)."""
+    """Single-tuple weak typicality test (see TypicalityScorer): a batch of
+    one, the tuple of 1-D sequences."""
     axes = tuple(a for a in joint.axes if a in seqs)
     if set(seqs) - set(axes):
         raise ValidationError(f"is_typical: sequences for unknown axes {sorted(set(seqs) - set(axes))}")
+    if any(np.ndim(s) != 1 for s in seqs.values()):
+        raise ValidationError("is_typical: each sequence must be 1-D")
     scorer = TypicalityScorer(joint, axes, epsilon)
-    return bool(scorer.mask(seqs)[0])
+    return bool(scorer.mask(seqs))
 
 
 def decoding_joint(cb: Codebook, output_axis: str) -> JointDist:

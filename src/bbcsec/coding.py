@@ -9,7 +9,11 @@ each confidential message over all columns, forcing the non-legitimated
 node to spend its full rate on the column index.
 
 Decoders are exhaustive weak-typicality searches returning the unique
-message-level hit, or the in-band erasure (None) on zero or multiple hits.
+message-level hit, or an in-band erasure on zero or multiple hits: -1 in
+the batched decoders' arrays, None from the one-shot `decode_node1` and
+`decode_node2`. The encoder, the channel sampler and the decoders work on
+arrays of blocks; the randomness (codeword cells, uniforms) is drawn by the
+caller, so each block's draws can come from its own stream.
 """
 
 import numpy as np
@@ -128,39 +132,74 @@ class MessageSets:
 
 
 class EncodedBlock:
-    """One encoder output: second-layer word, sampled input word, indices."""
+    """Encoder output for a batch of blocks over leading axes (...):
+    second-layer words `v_seq` and sampled input words `x_seq` (..., n), and
+    the indices that chose them, `j`, `l` and `mprime` = (m0, m1, m2), each
+    an integer array (...)."""
 
     def __init__(self, v_seq, x_seq, j, l, mprime):
         self.v_seq = v_seq
         self.x_seq = x_seq
-        self.j = int(j)
-        self.l = int(l)
-        self.mprime = tuple(int(m) for m in mprime)
+        self.j = j
+        self.l = l
+        self.mprime = tuple(mprime)
 
 
-def encode(mc: int, m1: int, m2: int, cb: Codebook, ms: MessageSets, rng) -> EncodedBlock:
-    """Map a message triple to a transmit block; stochastic in case B and in
-    the per-symbol input sampling."""
+def encode(cells, m1, m2, cb: Codebook, uniforms) -> EncodedBlock:
+    """Map a batch of codeword cells and messages to transmit blocks.
+
+    `cells` (..., 3) holds each block's (column, row, common) cell, as
+    `MessageSets.cell` draws it for the confidential message (the
+    stochastic part of the case-B encoder); `m1`, `m2` (...) are the two
+    bidirectional messages and `uniforms` (..., n) the uniforms in [0, 1)
+    that sample the input word symbol by symbol from P(x|v).
+    """
     p = cb.params
-    if not 0 <= m1 < p.m1_size:
-        raise ValidationError(f"encode: m1={m1} outside [0, {p.m1_size})")
-    if not 0 <= m2 < p.m2_size:
-        raise ValidationError(f"encode: m2={m2} outside [0, {p.m2_size})")
-    j, l, m0 = ms.cell(mc, rng)
+    j, l, m0 = np.moveaxis(np.asarray(cells, dtype=np.int64), -1, 0)
+    m1, m2 = np.asarray(m1, dtype=np.int64), np.asarray(m2, dtype=np.int64)
+    for name, idx, size in (("j", j, p.j_size), ("l", l, p.l_size), ("m0", m0, p.m0_size),
+                            ("m1", m1, p.m1_size), ("m2", m2, p.m2_size)):
+        if np.any((idx < 0) | (idx >= size)):
+            raise ValidationError(f"encode: {name} index outside [0, {size})")
+    uniforms = np.asarray(uniforms, dtype=np.float64)
+    if uniforms.shape[-1:] != (p.n,):
+        raise ValidationError(f"encode: uniforms of shape {uniforms.shape} do not end in the blocklength {p.n}")
     v_seq = cb.v_words[j, l, m0, m1, m2].astype(np.int64)
     cdf_xv = np.cumsum(cb.chain.pxv.rows, axis=1)
-    x_seq = _sample_rows(cdf_xv, v_seq, rng.random(v_seq.shape[0]))
+    x_seq = _sample_rows(cdf_xv, v_seq, uniforms)
     return EncodedBlock(v_seq, x_seq, j, l, (m0, m1, m2))
 
 
-def transmit(block: EncodedBlock, ch: BroadcastChannel, rng) -> tuple:
-    """Pass the input word through the memoryless channel, one symbol at a
-    time."""
+def transmit(block: EncodedBlock, ch: BroadcastChannel, uniforms) -> tuple:
+    """Pass a batch of input words (..., n) through the memoryless channel,
+    one symbol per uniform of `uniforms` (..., n); returns (y1, y2)."""
+    uniforms = np.asarray(uniforms, dtype=np.float64)
+    if uniforms.shape != block.x_seq.shape:
+        raise ValidationError(f"transmit: uniforms of shape {uniforms.shape}, input words {block.x_seq.shape}")
     flat = ch.tensor.reshape(ch.x_size, -1)
     cdf = np.cumsum(flat, axis=1)
-    pairs = _sample_rows(cdf, block.x_seq, rng.random(block.x_seq.shape[0]))
+    pairs = _sample_rows(cdf, block.x_seq, uniforms)
     y1, y2 = np.unravel_index(pairs, (ch.y1_size, ch.y2_size))
     return y1.astype(np.int64), y2.astype(np.int64)
+
+
+def _check_batch(who: str, y, known, size: int) -> tuple:
+    """Validate a decoder's batch, received words (T, n) and the decoding
+    node's own messages (T,); returns both as arrays."""
+    y, known = np.asarray(y), np.asarray(known, dtype=np.int64)
+    if y.ndim != 2 or known.shape != y.shape[:1]:
+        raise ValidationError(f"{who}: need words (T, n) and messages (T,), got {y.shape} and {known.shape}")
+    if np.any((known < 0) | (known >= size)):
+        raise ValidationError(f"{who}: own message outside [0, {size})")
+    return y, known
+
+
+def _unique_hit(hits: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Per row of hits (T, C): the key all hit candidates share, or -1 when
+    no candidate hits or the hits carry more than one key."""
+    first = keys[hits.argmax(axis=1)]
+    agree = ~(hits & (keys != first[:, None])).any(axis=1)
+    return np.where(hits.any(axis=1) & agree, first, -1)
 
 
 class Node1Decoder:
@@ -173,10 +212,10 @@ class Node1Decoder:
 
     def __init__(self, cb: Codebook, ms: MessageSets, epsilon: float = None):
         p = cb.params
-        candidates = p.m0_size * p.m2_size * p.j_size * p.l_size
-        if candidates > MAX_CANDIDATES:
+        self.candidates = p.m0_size * p.m2_size * p.j_size * p.l_size
+        if self.candidates > MAX_CANDIDATES:
             raise GuardError(
-                f"Node1Decoder: {candidates} candidate tuples exceeds the limit {MAX_CANDIDATES}"
+                f"Node1Decoder: {self.candidates} candidate tuples exceeds the limit {MAX_CANDIDATES}"
             )
         self.cb = cb
         self.ms = ms
@@ -187,7 +226,7 @@ class Node1Decoder:
             indexing="ij",
         )
         self._m0, self._m2, self._j, self._l = (g.reshape(-1) for g in grids)
-        self._mc = ms.cell_mc[self._j, self._l, self._m0]
+        self._key = ms.cell_mc[self._j, self._l, self._m0] * p.m2_size + self._m2
         self._cache = {}
 
     def _seqs_for(self, m1: int):
@@ -197,15 +236,23 @@ class Node1Decoder:
             self._cache[m1] = (u, v)
         return self._cache[m1]
 
-    def __call__(self, y1: np.ndarray, m1: int):
-        u, v = self._seqs_for(m1)
-        hits = self.scorer.mask({"U": u, "V": v, "Y1": np.asarray(y1)[None, :]})
-        if not hits.any():
-            return None
-        messages = set(zip(self._mc[hits].tolist(), self._m2[hits].tolist()))
-        if len(messages) != 1:
-            return None
-        return messages.pop()
+    def __call__(self, y1, m1) -> tuple:
+        """Decode a batch: received words y1 (T, n), own messages m1 (T,).
+
+        Returns (mc, m2), two integer arrays (T,), with -1 in both where the
+        decoder erases (no hit, or hits on more than one message). Trials
+        that share m1 share one typicality call, in which the terms of the
+        codewords alone are computed once.
+        """
+        y1, m1 = _check_batch("Node1Decoder", y1, m1, self.cb.params.m1_size)
+        key = np.empty(m1.shape, dtype=np.int64)
+        for m in sorted(set(m1.tolist())):
+            rows = np.flatnonzero(m1 == m)
+            u, v = self._seqs_for(m)
+            key[rows] = _unique_hit(self.scorer.mask({"U": u, "V": v, "Y1": y1[rows, None, :]}), self._key)
+        mc, m2 = np.divmod(key, self.cb.params.m2_size)
+        erased = key < 0
+        return np.where(erased, -1, mc), np.where(erased, -1, m2)
 
 
 class Node2Decoder:
@@ -214,43 +261,47 @@ class Node2Decoder:
 
     def __init__(self, cb: Codebook, ms: MessageSets, epsilon: float = None):
         p = cb.params
+        self.candidates = p.m0_size * p.m1_size
         self.cb = cb
         eps = cb.params.epsilon if epsilon is None else epsilon
         self.scorer = TypicalityScorer(decoding_joint(cb, "Y2").marginal({"U", "Y2"}), ("U", "Y2"), eps)
         grids = np.meshgrid(np.arange(p.m0_size), np.arange(p.m1_size), indexing="ij")
         self._m0, self._m1 = (g.reshape(-1) for g in grids)
 
-    def __call__(self, y2: np.ndarray, m2: int):
-        u = self.cb.u_words[self._m0, self._m1, m2].astype(np.int64)
-        hits = self.scorer.mask({"U": u, "Y2": np.asarray(y2)[None, :]})
-        if not hits.any():
-            return None
-        found = set(self._m1[hits].tolist())
-        if len(found) != 1:
-            return None
-        return found.pop()
+    def __call__(self, y2, m2) -> np.ndarray:
+        """Decode a batch: received words y2 (T, n), own messages m2 (T,).
+
+        Returns the decoded node-1 messages (T,), -1 where the decoder
+        erases. Trials that share m2 share one typicality call.
+        """
+        y2, m2 = _check_batch("Node2Decoder", y2, m2, self.cb.params.m2_size)
+        m1 = np.empty(m2.shape, dtype=np.int64)
+        for m in sorted(set(m2.tolist())):
+            rows = np.flatnonzero(m2 == m)
+            u = self.cb.u_words[self._m0, self._m1, m].astype(np.int64)
+            m1[rows] = _unique_hit(self.scorer.mask({"U": u, "Y2": y2[rows, None, :]}), self._m1)
+        return m1
 
 
 def decode_node1(y1, m1: int, cb: Codebook, ms: MessageSets, epsilon: float = None):
-    """One-shot wrapper around Node1Decoder; returns (mc, m2) or None."""
-    return Node1Decoder(cb, ms, epsilon)(y1, m1)
+    """Node1Decoder on a batch of one; returns (mc, m2) or None."""
+    mc, m2 = Node1Decoder(cb, ms, epsilon)(np.asarray(y1)[None, :], [m1])
+    return None if mc[0] < 0 else (int(mc[0]), int(m2[0]))
 
 
 def decode_node2(y2, m2: int, cb: Codebook, ms: MessageSets, epsilon: float = None):
-    """One-shot wrapper around Node2Decoder; returns m1 or None."""
-    return Node2Decoder(cb, ms, epsilon)(y2, m2)
+    """Node2Decoder on a batch of one; returns m1 or None."""
+    m1 = Node2Decoder(cb, ms, epsilon)(np.asarray(y2)[None, :], [m2])
+    return None if m1[0] < 0 else int(m1[0])
 
 
 def decode_node2_inner(y2, l: int, mprime, cb: Codebook, epsilon: float = None):
     """Analysis decoder: the column index the non-legitimated node recovers
     when given the row and first-layer indices; None on ambiguity."""
-    p = cb.params
     m0, m1, m2 = mprime
     eps = cb.params.epsilon if epsilon is None else epsilon
     scorer = TypicalityScorer(decoding_joint(cb, "Y2"), ("U", "V", "Y2"), eps)
-    u = np.broadcast_to(cb.u_words[m0, m1, m2].astype(np.int64), (p.j_size, p.n))
-    v = cb.v_words[:, l, m0, m1, m2].astype(np.int64)
-    hits = scorer.mask({"U": u, "V": v, "Y2": np.asarray(y2)[None, :]})
+    hits = scorer.mask({"U": cb.u_words[m0, m1, m2], "V": cb.v_words[:, l, m0, m1, m2], "Y2": y2})
     idx = np.nonzero(hits)[0]
     if idx.size != 1:
         return None

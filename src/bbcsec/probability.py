@@ -59,15 +59,6 @@ class Dist:
         object.__setattr__(self, "probs", _as_prob_array(self.probs, 1, "Dist"))
 
     @classmethod
-    def normalized(cls, values) -> "Dist":
-        """Explicitly renormalize raw nonnegative weights into a Dist."""
-        arr = np.asarray(values, dtype=np.float64)
-        total = arr.sum()
-        if total <= 0.0:
-            raise ValidationError("Dist.normalized: total weight must be positive")
-        return cls(arr / total)
-
-    @classmethod
     def uniform(cls, size: int) -> "Dist":
         return cls(np.full(size, 1.0 / size))
 

@@ -201,6 +201,13 @@ def equivocation_mc(cb: Codebook, ms: MessageSets, samples: int, rng) -> tuple:
     of the confidential message for the received word; the estimator is the
     average of -log2(posterior at the true message). Returns (estimate,
     standard error) in bits.
+
+    `rng` draws the messages of all episodes, then each episode's codeword
+    cell and channel uniforms in turn. Episodes run in blocks whose rows
+    (episodes x sub-words) stay within _CHUNK_ROWS; within a block the
+    likelihoods multiply position by position and each posterior is one
+    vector-matrix product, as for a single episode, so no value depends on
+    the block size.
     """
     if samples < 2:
         raise ValidationError("equivocation_mc: need at least 2 samples")
@@ -211,26 +218,37 @@ def equivocation_mc(cb: Codebook, ms: MessageSets, samples: int, rng) -> tuple:
     tables = {}
     for m2 in range(p.m2_size):
         v_seqs, wmat = _word_table(cb, ms, m2)
-        tables[m2] = (v_seqs, wmat, _step_tables(v_seqs, wv2))
+        tables[m2] = (wmat, _step_tables(v_seqs, wv2))
+    n_words = p.j_size * p.l_size * p.m0_size * p.m1_size
 
     mc_draw = rng.integers(ms.mc_size, size=samples)
     m1_draw = rng.integers(p.m1_size, size=samples)
     m2_draw = rng.integers(p.m2_size, size=samples)
 
     vals = np.empty(samples)
-    for e in range(samples):
-        mc, m1, m2 = int(mc_draw[e]), int(m1_draw[e]), int(m2_draw[e])
-        j, l, m0 = ms.cell(mc, rng)
-        v = cb.v_words[j, l, m0, m1, m2].astype(np.int64)
-        y2 = _sample_rows(cdf_wv2, v, rng.random(p.n))
+    block = max(1, _CHUNK_ROWS // n_words)
+    for start in range(0, samples, block):
+        mc, m1, m2 = (d[start:start + block] for d in (mc_draw, m1_draw, m2_draw))
+        cells = np.empty((mc.size, 3), dtype=np.int64)
+        uniforms = np.empty((mc.size, p.n))
+        for e, m in enumerate(mc.tolist()):
+            cells[e] = ms.cell(m, rng)
+            uniforms[e] = rng.random(p.n)
+        j, l, m0 = cells.T
+        y2 = _sample_rows(cdf_wv2, cb.v_words[j, l, m0, m1, m2].astype(np.int64), uniforms)
 
-        v_seqs, wmat, steps = tables[m2]
-        lik = np.ones(v_seqs.shape[0])
-        for k_pos in range(p.n):
-            lik *= steps[k_pos][y2[k_pos]]
-        post = lik @ wmat
-        post /= post.sum()
-        vals[e] = -math.log2(post[mc])
+        for m in sorted(set(m2.tolist())):
+            rows = np.flatnonzero(m2 == m)
+            wmat, steps = tables[m]
+            lik = np.ones((rows.size, n_words))
+            for k_pos in range(p.n):
+                lik *= steps[k_pos][y2[rows, k_pos]]
+            # one vector-matrix product per episode, as for a single episode: a
+            # matrix-matrix product may sum in another order and round differently
+            post = (lik[:, None, :] @ wmat)[:, 0, :]
+            true_post = post[np.arange(rows.size), mc[rows]] / post.sum(axis=1)
+            # math.log2, not np.log2, whose SIMD variants can differ in the last bit
+            vals[start + rows] = [-math.log2(x) for x in true_post.tolist()]
 
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(samples))
@@ -321,21 +339,38 @@ class SimReport:
 
 
 def _run_trials(cfg: SimConfig, cb: Codebook, ms: MessageSets) -> tuple:
+    """Error counts (node 1, node 2) over `cfg.trials` trials.
+
+    Trial t draws from its own generator default_rng((seed, 0, t)), in this
+    order: mc, m1, m2, its codeword cell, the n encoder uniforms, the n
+    channel uniforms. Encoding, transmission and both decoders then run on
+    arrays of trials, in blocks whose candidate rows (trials x the larger
+    decoder's candidates) stay within _CHUNK_ROWS, so the counts do not
+    depend on the block size. An erasure counts as an error.
+    """
     dec1 = Node1Decoder(cb, ms)
     dec2 = Node2Decoder(cb, ms)
+    n = cfg.params.n
+    block = max(1, _CHUNK_ROWS // max(dec1.candidates, dec2.candidates))
 
     n1 = n2 = 0
-    for t in range(cfg.trials):
-        rng = np.random.default_rng((cfg.seed, 0, t))
-        mc = int(rng.integers(ms.mc_size))
-        m1 = int(rng.integers(ms.m1_size))
-        m2 = int(rng.integers(ms.m2_size))
-        block = encode(mc, m1, m2, cb, ms, rng)
-        y1, y2 = transmit(block, cfg.channel, rng)
-        if dec1(y1, m1) != (mc, m2):
-            n1 += 1
-        if dec2(y2, m2) != m1:
-            n2 += 1
+    for start in range(0, cfg.trials, block):
+        trials = range(start, min(start + block, cfg.trials))
+        msgs = np.empty((len(trials), 3), dtype=np.int64)
+        cells = np.empty((len(trials), 3), dtype=np.int64)
+        u_enc, u_ch = np.empty((len(trials), n)), np.empty((len(trials), n))
+        for i, t in enumerate(trials):
+            rng = np.random.default_rng((cfg.seed, 0, t))
+            mc = int(rng.integers(ms.mc_size))
+            msgs[i] = mc, rng.integers(ms.m1_size), rng.integers(ms.m2_size)
+            cells[i] = ms.cell(mc, rng)
+            u_enc[i] = rng.random(n)
+            u_ch[i] = rng.random(n)
+        mc, m1, m2 = msgs.T
+        y1, y2 = transmit(encode(cells, m1, m2, cb, u_enc), cfg.channel, u_ch)
+        mc_hat, m2_hat = dec1(y1, m1)
+        n1 += int(np.count_nonzero((mc_hat != mc) | (m2_hat != m2)))
+        n2 += int(np.count_nonzero(dec2(y2, m2) != m1))
     return n1, n2
 
 

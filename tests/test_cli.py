@@ -240,6 +240,16 @@ def test_non_finite_option_exits_2(capsys, bsc_file, chain_file, tmp_path, cmd, 
     assert out == ""
 
 
+def test_negative_delta_exits_2(capsys, bsc_file, chain_file, tmp_path):
+    # a negative slack has no meaning in the rate conditions
+    code, out, err = run_cli(capsys, "codebook", bsc_file, chain_file, "--n", "4",
+                             "--delta", "-1", "--out", str(tmp_path / "cb.json"))
+    assert code == 2
+    assert out == ""
+    assert "validation error" in err
+    assert not (tmp_path / "cb.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["region", "{bsc}", "--mode", "secrecy", "--seed", "-1"],
     ["region", "{bsc}", "--mode", "bbc", "--seed", "-1"],

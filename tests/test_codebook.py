@@ -15,6 +15,7 @@ from bbcsec import (
     is_typical,
     rate_check,
 )
+from bbcsec.codebook import TypicalityScorer
 from bbcsec.probability import JointDist, chain_joint
 
 from . import oracles
@@ -136,6 +137,39 @@ class TestIsTypical:
             }
             expected = oracles.sample_entropy_check(seqs, j.tensor, ("V", "Y1"), eps)
             assert is_typical(seqs, j, eps) == expected
+
+    @pytest.mark.parametrize("epsilon", [1.0, math.inf])
+    def test_batch_matches_row_by_row(self, epsilon):
+        # a (T, C, n) batch with one received word per row (T, 1, n), as the
+        # decoders call it, on a joint with zero-probability cells
+        rng = np.random.default_rng(31)
+        tensor = rng.dirichlet(np.ones(12)).reshape(2, 2, 3)
+        tensor[0, 1, 2] = tensor[1, 0, 0] = 0.0
+        j = JointDist(("U", "V", "Y1"), tensor / tensor.sum())
+        scorer = TypicalityScorer(j, ("U", "V", "Y1"), epsilon)
+        t, c, n = 5, 7, 6
+        u, v = rng.integers(2, size=(t, c, n)), rng.integers(2, size=(t, c, n))
+        y = rng.integers(3, size=(t, 1, n))
+        batch = scorer.mask({"U": u, "V": v, "Y1": y})
+        rows = np.array([[scorer.mask({"U": u[a, b], "V": v[a, b], "Y1": y[a, 0]}) for b in range(c)]
+                         for a in range(t)])
+        assert batch.shape == (t, c)
+        assert np.array_equal(batch, rows)
+        assert 0 < rows.sum() < rows.size  # both outcomes occur
+        # codewords (C, n) shared by every received word broadcast the same way
+        shared = scorer.mask({"U": u[0], "V": v[0], "Y1": y})
+        assert np.array_equal(shared, [[scorer.mask({"U": u[0, b], "V": v[0, b], "Y1": y[a, 0]})
+                                         for b in range(c)] for a in range(t)])
+
+    def test_batch_shape_and_symbol_checks(self):
+        j = JointDist(("U", "Y1"), np.full((2, 2), 0.25))
+        scorer = TypicalityScorer(j, ("U", "Y1"), 0.1)
+        with pytest.raises(ValidationError):
+            scorer.mask({"U": np.zeros((3, 4), dtype=int), "Y1": np.zeros((2, 4), dtype=int)})
+        with pytest.raises(ValidationError):
+            scorer.mask({"U": np.array([0, 2]), "Y1": np.array([0, 0])})
+        with pytest.raises(ValidationError):
+            TypicalityScorer(j, ("U", "Y1"), math.nan)
 
     def test_length_mismatch(self):
         j = JointDist(("U", "Y1"), np.full((2, 2), 0.25))

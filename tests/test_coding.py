@@ -25,6 +25,16 @@ from bbcsec.coding import Node1Decoder
 CHI2_99 = {1: 6.635, 2: 9.210, 3: 11.345}
 
 
+def _encode(mc, m1, m2, cb, ms, rng):
+    """One block, its cell and input uniforms drawn from rng in the
+    simulator's order."""
+    return encode(ms.cell(mc, rng), m1, m2, cb, rng.random(cb.params.n))
+
+
+def _transmit(blk, ch, rng):
+    return transmit(blk, ch, rng.random(blk.x_seq.shape[-1]))
+
+
 @pytest.fixture(scope="module")
 def carrier_chain():
     """First layer carries data over a 4-letter alphabet, second layer
@@ -105,15 +115,15 @@ class TestEncode:
         ms = MessageSets.case_b(params, 4)
         for mc in range(ms.mc_size):
             k, _ = ms.unpack(mc)
-            blocks = [encode(mc, 0, 0, cb, ms, np.random.default_rng(s)) for s in range(5)]
+            blocks = [_encode(mc, 0, 0, cb, ms, np.random.default_rng(s)) for s in range(5)]
             assert all(b.j == k for b in blocks)
 
     def test_case_a_deterministic_codeword(self, bsc12, degraded_chain):
         params = CodebookParams(n=6, j_size=2, l_size=2, seed=1)
         cb = generate(params, degraded_chain, bsc12)
         ms = MessageSets.case_a(params)
-        a = encode(3, 0, 0, cb, ms, np.random.default_rng(4))
-        b = encode(3, 0, 0, cb, ms, np.random.default_rng(4))
+        a = _encode(3, 0, 0, cb, ms, np.random.default_rng(4))
+        b = _encode(3, 0, 0, cb, ms, np.random.default_rng(4))
         assert np.array_equal(a.v_seq, b.v_seq)
         assert np.array_equal(a.x_seq, b.x_seq)
 
@@ -125,7 +135,7 @@ class TestEncode:
         draws = 10_000
         counts = np.zeros(4)
         for _ in range(draws):
-            blk = encode(0, 0, 0, cb, ms, rng)  # class 0 -> columns {0, 2}
+            blk = _encode(0, 0, 0, cb, ms, rng)  # class 0 -> columns {0, 2}
             counts[blk.j] += 1
         assert counts[1] == counts[3] == 0
         expected = draws / 2
@@ -137,9 +147,9 @@ class TestEncode:
         cb = generate(params, degraded_chain, bsc12)
         ms = MessageSets.case_a(params)
         with pytest.raises(ValidationError):
-            encode(99, 0, 0, cb, ms, np.random.default_rng(0))
+            _encode(99, 0, 0, cb, ms, np.random.default_rng(0))
         with pytest.raises(ValidationError):
-            encode(0, 5, 0, cb, ms, np.random.default_rng(0))
+            _encode(0, 5, 0, cb, ms, np.random.default_rng(0))
 
     def test_case_a_injective_in_messages(self, noiseless4, carrier_chain):
         params = CodebookParams(n=4, m1_size=2, m2_size=2, seed=5)
@@ -150,8 +160,8 @@ class TestEncode:
         for mc in range(ms.mc_size):
             for m1 in range(2):
                 for m2 in range(2):
-                    blk = encode(mc, m1, m2, cb, ms, rng)
-                    key = (blk.j, blk.l, blk.mprime)
+                    blk = _encode(mc, m1, m2, cb, ms, rng)
+                    key = (int(blk.j), int(blk.l), *map(int, blk.mprime))
                     assert key not in seen
                     seen.add(key)
 
@@ -181,8 +191,8 @@ class TestTransmit:
         params = CodebookParams(n=5, seed=0)
         cb = generate(params, carrier_chain, noiseless4)
         ms = MessageSets.case_a(params)
-        blk = encode(0, 0, 0, cb, ms, np.random.default_rng(1))
-        y1, y2 = transmit(blk, noiseless4, np.random.default_rng(2))
+        blk = _encode(0, 0, 0, cb, ms, np.random.default_rng(1))
+        y1, y2 = _transmit(blk, noiseless4, np.random.default_rng(2))
         assert np.array_equal(y1, blk.x_seq)
         assert np.array_equal(y2, blk.x_seq)
 
@@ -191,16 +201,16 @@ class TestTransmit:
         chain = AuxChain(Dist([1.0]), CondDist([[1.0]]), CondDist([[1.0, 0.0]]))
         params = CodebookParams(n=2000, seed=0)
         cb = generate(params, chain, ch)
-        blk = encode(0, 0, 0, cb, MessageSets.case_a(params), np.random.default_rng(3))
-        _, y2 = transmit(blk, ch, np.random.default_rng(4))
+        blk = _encode(0, 0, 0, cb, MessageSets.case_a(params), np.random.default_rng(3))
+        _, y2 = _transmit(blk, ch, np.random.default_rng(4))
         # all-zero input, output should still be near-uniform
         assert abs(y2.mean() - 0.5) < 0.05
 
     def test_flip_rate(self, bsc12, degraded_chain):
         params = CodebookParams(n=10_000, seed=1)
         cb = generate(params, degraded_chain, bsc12)
-        blk = encode(0, 0, 0, cb, MessageSets.case_a(params), np.random.default_rng(5))
-        y1, _ = transmit(blk, bsc12, np.random.default_rng(6))
+        blk = _encode(0, 0, 0, cb, MessageSets.case_a(params), np.random.default_rng(5))
+        y1, _ = _transmit(blk, bsc12, np.random.default_rng(6))
         flips = np.mean(y1 != blk.x_seq)
         assert abs(flips - 0.1) < 0.01
 
@@ -215,8 +225,8 @@ class TestDecoders:
         ms = MessageSets.case_a(params)
         rng = np.random.default_rng(7)
         for mc in range(ms.mc_size):
-            blk = encode(mc, 0, 0, cb, ms, rng)
-            y1, _ = transmit(blk, ch, rng)
+            blk = _encode(mc, 0, 0, cb, ms, rng)
+            y1, _ = _transmit(blk, ch, rng)
             assert decode_node1(y1, 0, cb, ms) == (mc, 0)
 
     def test_noiseless_round_trip_node2(self, noiseless4, carrier_chain):
@@ -226,8 +236,8 @@ class TestDecoders:
         rng = np.random.default_rng(8)
         for m1 in range(2):
             for m2 in range(2):
-                blk = encode(0, m1, m2, cb, ms, rng)
-                _, y2 = transmit(blk, noiseless4, rng)
+                blk = _encode(0, m1, m2, cb, ms, rng)
+                _, y2 = _transmit(blk, noiseless4, rng)
                 assert decode_node2(y2, m2, cb, ms) == m1
 
     def test_independent_output_erases(self, bsc12, degraded_chain):
@@ -263,8 +273,8 @@ class TestDecoders:
         object.__setattr__(cb, "v_words", v)
         ms = MessageSets.case_a(params)  # columns are distinct messages here
         rng = np.random.default_rng(23)
-        blk = encode(0, 0, 0, cb, ms, rng)
-        y1, _ = transmit(blk, ch, rng)
+        blk = _encode(0, 0, 0, cb, ms, rng)
+        y1, _ = _transmit(blk, ch, rng)
         assert decode_node1(y1, 0, cb, ms) is None
 
     def test_case_b_same_class_hits_still_decode(self):
@@ -280,8 +290,8 @@ class TestDecoders:
         object.__setattr__(cb, "v_words", v)
         ms = MessageSets.case_b(params, 1)
         rng = np.random.default_rng(21)
-        blk = encode(0, 0, 0, cb, ms, rng)
-        y1, _ = transmit(blk, ch, rng)
+        blk = _encode(0, 0, 0, cb, ms, rng)
+        y1, _ = _transmit(blk, ch, rng)
         assert decode_node1(y1, 0, cb, ms) == (0, 0)
 
     def test_inner_decoder_noiseless(self, bsc12):
@@ -292,8 +302,8 @@ class TestDecoders:
         ms = MessageSets.case_a(params)
         rng = np.random.default_rng(15)
         for mc in range(ms.mc_size):
-            blk = encode(mc, 0, 0, cb, ms, rng)
-            _, y2 = transmit(blk, ch, rng)
+            blk = _encode(mc, 0, 0, cb, ms, rng)
+            _, y2 = _transmit(blk, ch, rng)
             assert decode_node2_inner(y2, blk.l, blk.mprime, cb) == blk.j
 
     def test_inner_decoder_saturates_above_capacity(self, bsc12, degraded_chain):
@@ -310,8 +320,8 @@ class TestDecoders:
         trials = 40
         for _ in range(trials):
             mc = int(rng.integers(ms.mc_size))
-            blk = encode(mc, 0, 0, cb, ms, rng)
-            _, y2 = transmit(blk, bsc12, rng)
+            blk = _encode(mc, 0, 0, cb, ms, rng)
+            _, y2 = _transmit(blk, bsc12, rng)
             if decode_node2_inner(y2, blk.l, blk.mprime, cb) != blk.j:
                 errors += 1
         assert errors / trials >= 0.5

@@ -38,10 +38,6 @@ class TestDist:
         with pytest.raises(ValueError):
             d.probs[0] = 1.0
 
-    def test_explicit_normalization(self):
-        d = Dist.normalized([2.0, 2.0])
-        assert np.allclose(d.probs, [0.5, 0.5])
-
 
 class TestEntropy:
     def test_uniform_binary(self):

@@ -16,12 +16,16 @@ from bbcsec import (
     ValidationError,
     asymptotic_terms,
     binary_symmetric,
+    decode_node1,
+    decode_node2,
+    encode,
     equivocation_exact,
     equivocation_mc,
     evaluate_chain,
     from_marginals,
     generate,
     run,
+    transmit,
 )
 from bbcsec.channel import marginal
 
@@ -123,6 +127,52 @@ class TestEquivocationMc:
             exact = equivocation_exact(cb, ms)
             est, se = equivocation_mc(cb, ms, 3000, np.random.default_rng(50 + trial))
             assert abs(est - exact) <= max(3 * se, 1e-9)
+
+
+def _two_case_configs():
+    """Case A and case B with more than one message on every index set the
+    construction allows, and noise that makes both decoders err on some
+    trials but not all."""
+    ch = from_marginals(binary_symmetric(0.05), binary_symmetric(0.1))
+    chain = AuxChain(Dist([0.5, 0.5]), CondDist([[0.9, 0.1], [0.1, 0.9]]), CondDist(np.eye(2)))
+    cases = ((None, dict(m0_size=2, m1_size=2, m2_size=3, j_size=2, l_size=2)),
+             (2, dict(m1_size=4, m2_size=2, j_size=8, l_size=2)))
+    for k_size, sizes in cases:
+        params = CodebookParams(n=12, epsilon=0.3, seed=3, **sizes)
+        cfg = SimConfig(trials=60, params=params, chain=chain, channel=ch, seed=5, k_size=k_size)
+        yield cfg, generate(params, chain, ch), cfg.message_sets()
+
+
+class TestBatchedTrials:
+    def test_block_size_invariance(self, monkeypatch):
+        import bbcsec.simulate as sim
+
+        for cfg, cb, ms in _two_case_configs():
+            results = []
+            for rows in (1, 180, 1 << 20):  # one trial per block, a few with a partial last one, all
+                monkeypatch.setattr(sim, "_CHUNK_ROWS", rows)
+                results.append((sim._run_trials(cfg, cb, ms),
+                                equivocation_mc(cb, ms, 400, np.random.default_rng(2))))
+            assert results[0] == results[1] == results[2]
+            (n1, n2), _ = results[0]
+            assert 0 < n1 < cfg.trials and 0 < n2 < cfg.trials
+
+    def test_batch_equals_one_shot_replay(self):
+        # each trial replayed alone through the one-block API, with the
+        # draws in the documented order
+        from bbcsec.simulate import _run_trials
+
+        for cfg, cb, ms in _two_case_configs():
+            n = cfg.params.n
+            n1 = n2 = 0
+            for t in range(cfg.trials):
+                rng = np.random.default_rng((cfg.seed, 0, t))
+                mc, m1, m2 = (int(rng.integers(size)) for size in (ms.mc_size, ms.m1_size, ms.m2_size))
+                blk = encode(ms.cell(mc, rng), m1, m2, cb, rng.random(n))
+                y1, y2 = transmit(blk, cfg.channel, rng.random(n))
+                n1 += decode_node1(y1, m1, cb, ms) != (mc, m2)
+                n2 += decode_node2(y2, m2, cb, ms) != m1
+            assert _run_trials(cfg, cb, ms) == (n1, n2)
 
 
 class TestAsymptoticTerms:
