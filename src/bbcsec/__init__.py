@@ -17,7 +17,6 @@ from .codebook import Codebook, CodebookParams, generate, is_typical, rate_check
 from .coding import (  # noqa: F401
     EncodedBlock,
     MessageSets,
-    Partition,
     decode_node1,
     decode_node2,
     decode_node2_inner,

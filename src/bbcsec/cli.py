@@ -37,7 +37,6 @@ from .simulate import SimConfig, run as run_simulation
 _search_options = [
     click.option("--restarts", default=64, show_default=True, help="Random restarts per search."),
     click.option("--iterations", default=500, show_default=True, help="Ascent sweeps per restart."),
-    click.option("--tol", default=1e-7, show_default=True, help="Convergence tolerance."),
     click.option("--u-size", default=None, type=int, help="First-layer alphabet size."),
     click.option("--v-size", default=None, type=int, help="Second-layer alphabet size."),
 ]
@@ -52,7 +51,7 @@ def search_flags(fn):
 def _search_manifest(p: SearchParams) -> dict:
     """Search settings for a manifest, in a fixed order whatever the order
     of the flags on the command line."""
-    return {k: getattr(p, k) for k in ("restarts", "iterations", "grid", "tol", "u_size", "v_size")}
+    return {k: getattr(p, k) for k in ("restarts", "iterations", "u_size", "v_size")}
 
 
 def _uniform_x_chain(x_size: int) -> AuxChain:
@@ -76,6 +75,32 @@ def _manifest(command: str, params: dict, seed: int, inputs: list) -> dict:
     }
 
 
+def _emit(text: str, out, command: str, params: dict, seed: int, inputs: list) -> None:
+    """Print a command's output, or write it to `out` with its manifest."""
+    if out is None:
+        click.echo(text, nl=False)
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    jsonio.dump(_manifest(command, params, seed, inputs), str(out) + ".manifest.json")
+
+
+def _load_code(channel_file, chain_file, blocklength: int, sizes: str, epsilon: float, seed: int) -> tuple:
+    """The channel, auxiliary chain and codebook parameters of a code run."""
+    ch = load_channel(channel_file)
+    chain = AuxChain(*load_chain_file(chain_file))
+    parts = sizes.split(",")
+    if len(parts) != 5:
+        raise click.BadParameter("expected m0,m1,m2,j,l", param_hint="--sizes")
+    try:
+        m0, m1, m2, j, l = (int(s) for s in parts)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--sizes")
+    params = CodebookParams(n=blocklength, m0_size=m0, m1_size=m1, m2_size=m2,
+                            j_size=j, l_size=l, epsilon=epsilon, seed=seed)
+    return ch, chain, params
+
+
 @click.group()
 @click.version_option(__version__, prog_name="bbcsec")
 def cli():
@@ -95,8 +120,7 @@ def cmd_info(channel_file, chain_file, uniform_x):
     if uniform_x:
         chain = _uniform_x_chain(ch.x_size)
     else:
-        pu, pvu, pxv = load_chain_file(chain_file)
-        chain = AuxChain(pu, pvu, pxv)
+        chain = AuxChain(*load_chain_file(chain_file))
     iq = evaluate_chain(chain, ch)
     rc_star, re_star = rc_re_star(iq, 0.0, 0.0)
     doc = {
@@ -125,17 +149,8 @@ def cmd_region(channel_file, mode, n_weights, out, seed, **flags):
         entries = secrecy_frontier(ch, p)
     else:
         entries = full_frontier(ch, p)
-    csv_text = frontier_csv(entries)
-    if out is None:
-        click.echo(csv_text, nl=False)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        jsonio.dump(
-            _manifest("region", {"mode": mode, "weights": n_weights, **_search_manifest(p)},
-                      seed, [channel_file]),
-            str(out) + ".manifest.json",
-        )
+    _emit(frontier_csv(entries), out, "region", {"mode": mode, "weights": n_weights, **_search_manifest(p)},
+          seed, [channel_file])
 
 
 @cli.command("member")
@@ -143,7 +158,6 @@ def cmd_region(channel_file, mode, n_weights, out, seed, **flags):
 @click.option("--tuple", "tuple_str", required=True, help="rc,re,r1,r2 in bits per channel use.")
 @click.option("--out", type=click.Path(), default=None, help="Report path (stdout if omitted).")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--grid", default=17, show_default=True, help="Weight-direction count.")
 @search_flags
 def cmd_member(channel_file, tuple_str, out, seed, **flags):
     """Membership verdict for one rate-equivocation tuple."""
@@ -158,24 +172,8 @@ def cmd_member(channel_file, tuple_str, out, seed, **flags):
     ch = load_channel(channel_file)
     p = SearchParams(seed=seed, **flags)
     result = membership(t, ch, p)
-    text = jsonio.dumps(result.to_dict())
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        jsonio.dump(_manifest("member", {"tuple": tuple_str, **_search_manifest(p)}, seed, [channel_file]),
-                    str(out) + ".manifest.json")
-
-
-def _parse_sizes(sizes: str) -> tuple:
-    parts = sizes.split(",")
-    if len(parts) != 5:
-        raise click.BadParameter("expected m0,m1,m2,j,l", param_hint="--sizes")
-    try:
-        return tuple(int(s) for s in parts)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="--sizes")
+    _emit(jsonio.dumps(result.to_dict()), out, "member", {"tuple": tuple_str, **_search_manifest(p)},
+          seed, [channel_file])
 
 
 @cli.command("simulate")
@@ -198,29 +196,15 @@ def cmd_simulate(channel_file, chain_file, blocklength, sizes, trials, equiv, mc
 
     Infeasible rates are not an error; the report shows them.
     """
-    ch = load_channel(channel_file)
-    pu, pvu, pxv = load_chain_file(chain_file)
-    chain = AuxChain(pu, pvu, pxv)
-    m0, m1, m2, j, l = _parse_sizes(sizes)
-    params = CodebookParams(n=blocklength, m0_size=m0, m1_size=m1, m2_size=m2,
-                            j_size=j, l_size=l, epsilon=epsilon, seed=seed)
+    ch, chain, params = _load_code(channel_file, chain_file, blocklength, sizes, epsilon, seed)
     cfg = SimConfig(trials=trials, params=params, chain=chain, channel=ch,
                     equiv_mode=equiv, mc_samples=mc_samples, seed=seed,
                     k_size=k_size)
     report = run_simulation(cfg)
-    text = jsonio.dumps(report.to_dict())
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        jsonio.dump(
-            _manifest("simulate",
-                      {"n": blocklength, "sizes": sizes, "trials": trials, "equiv": equiv,
-                       "mc_samples": mc_samples, "epsilon": epsilon, "k_size": k_size},
-                      seed, [channel_file, chain_file]),
-            str(out) + ".manifest.json",
-        )
+    _emit(jsonio.dumps(report.to_dict()), out, "simulate",
+          {"n": blocklength, "sizes": sizes, "trials": trials, "equiv": equiv,
+           "mc_samples": mc_samples, "epsilon": epsilon, "k_size": k_size},
+          seed, [channel_file, chain_file])
 
 
 @cli.command("codebook")
@@ -236,12 +220,7 @@ def cmd_simulate(channel_file, chain_file, blocklength, sizes, trials, equiv, mc
 def cmd_codebook(channel_file, chain_file, blocklength, sizes, epsilon, delta, seed, out):
     """Write a codebook dump (tiny instances) and print the rate-condition
     report."""
-    ch = load_channel(channel_file)
-    pu, pvu, pxv = load_chain_file(chain_file)
-    chain = AuxChain(pu, pvu, pxv)
-    m0, m1, m2, j, l = _parse_sizes(sizes)
-    params = CodebookParams(n=blocklength, m0_size=m0, m1_size=m1, m2_size=m2,
-                            j_size=j, l_size=l, epsilon=epsilon, seed=seed)
+    ch, chain, params = _load_code(channel_file, chain_file, blocklength, sizes, epsilon, seed)
     conditions = rate_check(params, evaluate_chain(chain, ch), delta)
     cb = generate(params, chain, ch)
     jsonio.dump(cb.to_dict(), out)

@@ -70,8 +70,9 @@ class CodebookParams:
 class Codebook:
     """Generated codeword arrays plus the chain and channel that drew them.
 
-    u_words: int8 array (m0, m1, m2, n); v_words: int8 array
-    (j, l, m0, m1, m2, n). The first-layer triple is (common index,
+    u_words: int64 array (m0, m1, m2, n); v_words: int64 array
+    (j, l, m0, m1, m2, n), wide enough for every admissible alphabet and
+    indexable without a cast. The first-layer triple is (common index,
     message from node 1, message from node 2) throughout: node i knows its
     own entry and decodes the other one.
     """
@@ -129,10 +130,7 @@ def generate(params: CodebookParams, chain: AuxChain, ch: BroadcastChannel) -> C
     v_draws = rng.random(v_shape)
     v_words = _sample_rows(cdf_vu, u_bcast, v_draws)
 
-    return Codebook(
-        params, chain, ch,
-        u_words.astype(np.int8), v_words.astype(np.int8),
-    )
+    return Codebook(params, chain, ch, u_words, v_words)
 
 
 @dataclass(frozen=True)

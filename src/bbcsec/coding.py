@@ -3,10 +3,11 @@
 Two constructions share the two-layer codebook. When the confidential
 rate needs the whole sub-codebook plus part of the first layer (case A),
 the confidential index is the triple (column, row, common) and the encoder
-is deterministic. When it needs less than the sub-codebook (case B), a
-near-equal partition of the column set lets a stochastic encoder spread
-each confidential message over all columns, forcing the non-legitimated
-node to spend its full rate on the column index.
+is deterministic. When it needs less than the sub-codebook (case B), the
+columns fall into k near-equal classes (column j in class j mod k), and a
+stochastic encoder spreads each confidential message over the columns of
+its class, forcing the non-legitimated node to spend its full rate on the
+column index.
 
 Decoders are exhaustive weak-typicality searches returning the unique
 message-level hit, or an in-band erasure on zero or multiple hits: -1 in
@@ -15,6 +16,8 @@ the batched decoders' arrays, None from the one-shot `decode_node1` and
 arrays of blocks; the randomness (codeword cells, uniforms) is drawn by the
 caller, so each block's draws can come from its own stream.
 """
+
+from typing import Optional
 
 import numpy as np
 
@@ -25,78 +28,42 @@ from .exceptions import GuardError, ValidationError
 MAX_CANDIDATES = 1 << 20
 
 
-class Partition:
-    """Near-equal-size map from the column set onto the confidential part.
-
-    Preimage sizes differ by at most one, which implies the required
-    max <= 2 * min property.
-    """
-
-    def __init__(self, mapping: np.ndarray, k_size: int):
-        mapping = np.asarray(mapping, dtype=np.int64)
-        if mapping.ndim != 1:
-            raise ValidationError("Partition: mapping must be a vector")
-        if k_size < 1 or mapping.size < k_size:
-            raise ValidationError("Partition: need at least one column per class")
-        if mapping.min() < 0 or mapping.max() >= k_size:
-            raise ValidationError("Partition: class indices outside 0..k_size-1")
-        counts = np.bincount(mapping, minlength=k_size)
-        if not np.all(counts > 0):
-            raise ValidationError("Partition: mapping must be surjective onto 0..k_size-1")
-        self.mapping = mapping
-        self.k_size = int(k_size)
-        self.preimage_sizes = counts
-
-    @property
-    def j_size(self) -> int:
-        return self.mapping.size
-
-
-def make_partition(j_size: int, k_size: int) -> Partition:
-    """h(j) = j mod k_size; preimage sizes differ by at most one."""
+def make_partition(j_size: int, k_size: int) -> np.ndarray:
+    """The column classes h(j) = j mod k_size, an array (j_size,); class
+    sizes differ by at most one, so max <= 2 * min."""
     if not 1 <= k_size <= j_size:
         raise ValidationError(f"make_partition: need 1 <= k_size <= j_size, got {k_size}, {j_size}")
-    return Partition(np.arange(j_size) % k_size, k_size)
+    return np.arange(j_size) % k_size
 
 
 class MessageSets:
     """Message index sets for one of the two constructions, and the map from
     codeword cells (column, row, common) to confidential messages.
 
-    Case A: the confidential set is (column, row, common), encoder
-    deterministic: each message owns one cell. Case B: the confidential set
-    is (class, row) with a partition of the columns; the common set is the
-    single sentinel 0, and each message owns the cells of its class's
-    columns, among which the encoder picks uniformly.
+    Case A (k_size None): the confidential set is (column, row, common),
+    encoder deterministic: each message owns one cell. Case B: the
+    confidential set is (class, row) with the columns split into k_size
+    classes by `column_class`; the common set is the single sentinel 0, and
+    each message owns the cells of its class's columns, among which the
+    encoder picks uniformly.
     """
 
-    def __init__(self, case: str, params, partition: Partition = None):
-        if case not in ("A", "B"):
-            raise ValidationError(f"MessageSets: case must be 'A' or 'B', got {case!r}")
-        self.case = case
+    def __init__(self, params, k_size: Optional[int] = None):
         self.params = params
-        self.partition = partition
-        if case == "A":
-            if partition is not None:
-                raise ValidationError("MessageSets: case A takes no partition")
-            self.mc_shape = (params.j_size, params.l_size, params.m0_size)
-        else:
-            if partition is None:
-                raise ValidationError("MessageSets: case B needs a partition")
-            if partition.j_size != params.j_size:
-                raise ValidationError("MessageSets: partition does not match the column count")
-            if params.m0_size != 1:
-                raise ValidationError("MessageSets: case B uses the single sentinel common message")
-            self.mc_shape = (partition.k_size, params.l_size)
-        self.mc_size = int(np.prod(self.mc_shape))
         self.m1_size = params.m1_size
         self.m2_size = params.m2_size
-
-        if case == "A":
-            self.cell_mc = np.arange(self.mc_size).reshape(self.mc_shape)
+        if k_size is None:
+            self.column_class = None
+            self.mc_shape = (params.j_size, params.l_size, params.m0_size)
+            self.cell_mc = np.arange(np.prod(self.mc_shape)).reshape(self.mc_shape)
         else:
-            rows = np.ix_(partition.mapping, np.arange(params.l_size))
+            self.column_class = make_partition(params.j_size, k_size)
+            if params.m0_size != 1:
+                raise ValidationError("MessageSets: case B uses the single sentinel common message")
+            self.mc_shape = (k_size, params.l_size)
+            rows = np.ix_(self.column_class, np.arange(params.l_size))
             self.cell_mc = np.ravel_multi_index(rows, self.mc_shape)[:, :, None]
+        self.mc_size = int(np.prod(self.mc_shape))
         self.cells_per_mc = np.bincount(self.cell_mc.reshape(-1), minlength=self.mc_size)
         self._cells = [[] for _ in range(self.mc_size)]  # each in ascending cell order
         for cell, mc in zip(np.ndindex(self.cell_mc.shape), self.cell_mc.reshape(-1).tolist()):
@@ -104,11 +71,15 @@ class MessageSets:
 
     @classmethod
     def case_a(cls, params) -> "MessageSets":
-        return cls("A", params)
+        return cls(params)
 
     @classmethod
     def case_b(cls, params, k_size: int) -> "MessageSets":
-        return cls("B", params, make_partition(params.j_size, k_size))
+        return cls(params, k_size)
+
+    @property
+    def case(self) -> str:
+        return "A" if self.column_class is None else "B"
 
     def unpack(self, mc: int) -> tuple:
         if not 0 <= mc < self.mc_size:
@@ -164,7 +135,7 @@ def encode(cells, m1, m2, cb: Codebook, uniforms) -> EncodedBlock:
     uniforms = np.asarray(uniforms, dtype=np.float64)
     if uniforms.shape[-1:] != (p.n,):
         raise ValidationError(f"encode: uniforms of shape {uniforms.shape} do not end in the blocklength {p.n}")
-    v_seq = cb.v_words[j, l, m0, m1, m2].astype(np.int64)
+    v_seq = cb.v_words[j, l, m0, m1, m2]
     cdf_xv = np.cumsum(cb.chain.pxv.rows, axis=1)
     x_seq = _sample_rows(cdf_xv, v_seq, uniforms)
     return EncodedBlock(v_seq, x_seq, j, l, (m0, m1, m2))
@@ -202,6 +173,23 @@ def _unique_hit(hits: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.where(hits.any(axis=1) & agree, first, -1)
 
 
+def _decode(scorer: TypicalityScorer, y_axis: str, y, own, keys, words_for) -> np.ndarray:
+    """The decoders' shared loop over trials with received words y (T, n)
+    and own messages `own` (T,): per trial, the key (of `keys`, one per
+    candidate) that every candidate typical with its word shares, or -1
+    (see _unique_hit).
+
+    Trials that share their own message m share one typicality call against
+    words_for(m), the candidates' codewords by axis, each (C, n); the terms
+    of the codewords alone are computed once in it.
+    """
+    out = np.empty(own.shape, dtype=np.int64)
+    for m in sorted(set(own.tolist())):
+        rows = np.flatnonzero(own == m)
+        out[rows] = _unique_hit(scorer.mask({**words_for(m), y_axis: y[rows, None, :]}), keys)
+    return out
+
+
 class Node1Decoder:
     """Exhaustive typicality decoder at the legitimate node.
 
@@ -210,7 +198,7 @@ class Node1Decoder:
     sub-word, received word) and reports the unique message-level hit.
     """
 
-    def __init__(self, cb: Codebook, ms: MessageSets, epsilon: float = None):
+    def __init__(self, cb: Codebook, ms: MessageSets):
         p = cb.params
         self.candidates = p.m0_size * p.m2_size * p.j_size * p.l_size
         if self.candidates > MAX_CANDIDATES:
@@ -218,9 +206,7 @@ class Node1Decoder:
                 f"Node1Decoder: {self.candidates} candidate tuples exceeds the limit {MAX_CANDIDATES}"
             )
         self.cb = cb
-        self.ms = ms
-        eps = cb.params.epsilon if epsilon is None else epsilon
-        self.scorer = TypicalityScorer(decoding_joint(cb, "Y1"), ("U", "V", "Y1"), eps)
+        self.scorer = TypicalityScorer(decoding_joint(cb, "Y1"), ("U", "V", "Y1"), p.epsilon)
         grids = np.meshgrid(
             np.arange(p.m0_size), np.arange(p.m2_size), np.arange(p.j_size), np.arange(p.l_size),
             indexing="ij",
@@ -229,27 +215,22 @@ class Node1Decoder:
         self._key = ms.cell_mc[self._j, self._l, self._m0] * p.m2_size + self._m2
         self._cache = {}
 
-    def _seqs_for(self, m1: int):
+    def _words_for(self, m1: int) -> dict:
         if m1 not in self._cache:
-            u = self.cb.u_words[self._m0, m1, self._m2].astype(np.int64)
-            v = self.cb.v_words[self._j, self._l, self._m0, m1, self._m2].astype(np.int64)
-            self._cache[m1] = (u, v)
+            self._cache[m1] = {
+                "U": self.cb.u_words[self._m0, m1, self._m2],
+                "V": self.cb.v_words[self._j, self._l, self._m0, m1, self._m2],
+            }
         return self._cache[m1]
 
     def __call__(self, y1, m1) -> tuple:
         """Decode a batch: received words y1 (T, n), own messages m1 (T,).
 
         Returns (mc, m2), two integer arrays (T,), with -1 in both where the
-        decoder erases (no hit, or hits on more than one message). Trials
-        that share m1 share one typicality call, in which the terms of the
-        codewords alone are computed once.
+        decoder erases (no hit, or hits on more than one message).
         """
         y1, m1 = _check_batch("Node1Decoder", y1, m1, self.cb.params.m1_size)
-        key = np.empty(m1.shape, dtype=np.int64)
-        for m in sorted(set(m1.tolist())):
-            rows = np.flatnonzero(m1 == m)
-            u, v = self._seqs_for(m)
-            key[rows] = _unique_hit(self.scorer.mask({"U": u, "V": v, "Y1": y1[rows, None, :]}), self._key)
+        key = _decode(self.scorer, "Y1", y1, m1, self._key, self._words_for)
         mc, m2 = np.divmod(key, self.cb.params.m2_size)
         erased = key < 0
         return np.where(erased, -1, mc), np.where(erased, -1, m2)
@@ -259,48 +240,44 @@ class Node2Decoder:
     """First-layer typicality decoder at the non-legitimated node; knows m2
     and reports the unique node-1 message among the hits."""
 
-    def __init__(self, cb: Codebook, ms: MessageSets, epsilon: float = None):
+    def __init__(self, cb: Codebook, ms: MessageSets):
         p = cb.params
         self.candidates = p.m0_size * p.m1_size
         self.cb = cb
-        eps = cb.params.epsilon if epsilon is None else epsilon
-        self.scorer = TypicalityScorer(decoding_joint(cb, "Y2").marginal({"U", "Y2"}), ("U", "Y2"), eps)
+        self.scorer = TypicalityScorer(decoding_joint(cb, "Y2").marginal({"U", "Y2"}), ("U", "Y2"), p.epsilon)
         grids = np.meshgrid(np.arange(p.m0_size), np.arange(p.m1_size), indexing="ij")
         self._m0, self._m1 = (g.reshape(-1) for g in grids)
+
+    def _words_for(self, m2: int) -> dict:
+        return {"U": self.cb.u_words[self._m0, self._m1, m2]}
 
     def __call__(self, y2, m2) -> np.ndarray:
         """Decode a batch: received words y2 (T, n), own messages m2 (T,).
 
         Returns the decoded node-1 messages (T,), -1 where the decoder
-        erases. Trials that share m2 share one typicality call.
+        erases.
         """
         y2, m2 = _check_batch("Node2Decoder", y2, m2, self.cb.params.m2_size)
-        m1 = np.empty(m2.shape, dtype=np.int64)
-        for m in sorted(set(m2.tolist())):
-            rows = np.flatnonzero(m2 == m)
-            u = self.cb.u_words[self._m0, self._m1, m].astype(np.int64)
-            m1[rows] = _unique_hit(self.scorer.mask({"U": u, "Y2": y2[rows, None, :]}), self._m1)
-        return m1
+        return _decode(self.scorer, "Y2", y2, m2, self._m1, self._words_for)
 
 
-def decode_node1(y1, m1: int, cb: Codebook, ms: MessageSets, epsilon: float = None):
+def decode_node1(y1, m1: int, cb: Codebook, ms: MessageSets):
     """Node1Decoder on a batch of one; returns (mc, m2) or None."""
-    mc, m2 = Node1Decoder(cb, ms, epsilon)(np.asarray(y1)[None, :], [m1])
+    mc, m2 = Node1Decoder(cb, ms)(np.asarray(y1)[None, :], [m1])
     return None if mc[0] < 0 else (int(mc[0]), int(m2[0]))
 
 
-def decode_node2(y2, m2: int, cb: Codebook, ms: MessageSets, epsilon: float = None):
+def decode_node2(y2, m2: int, cb: Codebook, ms: MessageSets):
     """Node2Decoder on a batch of one; returns m1 or None."""
-    m1 = Node2Decoder(cb, ms, epsilon)(np.asarray(y2)[None, :], [m2])
+    m1 = Node2Decoder(cb, ms)(np.asarray(y2)[None, :], [m2])
     return None if m1[0] < 0 else int(m1[0])
 
 
-def decode_node2_inner(y2, l: int, mprime, cb: Codebook, epsilon: float = None):
+def decode_node2_inner(y2, l: int, mprime, cb: Codebook):
     """Analysis decoder: the column index the non-legitimated node recovers
     when given the row and first-layer indices; None on ambiguity."""
     m0, m1, m2 = mprime
-    eps = cb.params.epsilon if epsilon is None else epsilon
-    scorer = TypicalityScorer(decoding_joint(cb, "Y2"), ("U", "V", "Y2"), eps)
+    scorer = TypicalityScorer(decoding_joint(cb, "Y2"), ("U", "V", "Y2"), cb.params.epsilon)
     hits = scorer.mask({"U": cb.u_words[m0, m1, m2], "V": cb.v_words[:, l, m0, m1, m2], "Y2": y2})
     idx = np.nonzero(hits)[0]
     if idx.size != 1:

@@ -3,6 +3,7 @@
 Floats are emitted with 17 significant digits so every value round-trips
 bit-exactly and the files carry at least 15 significant digits. Output is
 locale-independent by construction (plain str.format, '.' decimal point).
+Nested containers are indented two spaces per level.
 """
 
 import hashlib
@@ -12,14 +13,14 @@ from pathlib import Path
 import numpy as np
 
 
-def _fmt(value, indent: int, level: int) -> str:
-    pad = " " * (indent * (level + 1))
-    close = " " * (indent * level)
+def _fmt(value, level: int) -> str:
+    pad = "  " * (level + 1)
+    close = "  " * level
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = ",\n".join(
-            f"{pad}{json.dumps(str(k))}: {_fmt(v, indent, level + 1)}" for k, v in value.items()
+            f"{pad}{json.dumps(str(k))}: {_fmt(v, level + 1)}" for k, v in value.items()
         )
         return "{\n" + items + "\n" + close + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
@@ -28,8 +29,8 @@ def _fmt(value, indent: int, level: int) -> str:
             return "[]"
         flat = all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq)
         if flat:
-            return "[" + ", ".join(_fmt(v, indent, level) for v in seq) + "]"
-        items = ",\n".join(f"{pad}{_fmt(v, indent, level + 1)}" for v in seq)
+            return "[" + ", ".join(_fmt(v, level) for v in seq) + "]"
+        items = ",\n".join(f"{pad}{_fmt(v, level + 1)}" for v in seq)
         return "[\n" + items + "\n" + close + "]"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -47,16 +48,12 @@ def _fmt(value, indent: int, level: int) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    return _fmt(obj, indent, 0) + "\n"
+def dumps(obj) -> str:
+    return _fmt(obj, 0) + "\n"
 
 
 def dump(obj, path) -> None:
     Path(path).write_text(dumps(obj), encoding="utf-8")
-
-
-def load(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def sha256_file(path) -> str:

@@ -19,6 +19,23 @@ MASS_TOL = 1e-9
 CHAIN_AXES = ("U", "V", "X", "Y1", "Y2")
 
 
+def _numeric(values) -> bool:
+    """Whether values is a number, an integer or float array, or nested
+    lists of those; booleans, strings and None are not numbers. A loop, not
+    recursion, so any nesting depth a JSON file can hold is answered."""
+    stack = [values]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (list, tuple)):
+            stack.extend(v)
+        elif isinstance(v, np.ndarray):
+            if v.dtype.kind not in "iuf":
+                return False
+        elif isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+            return False
+    return True
+
+
 def _as_prob_array(values, ndim: int, what: str, row_axis: Optional[str] = None) -> np.ndarray:
     """Validated read-only float64 copy of probability data.
 
@@ -27,6 +44,8 @@ def _as_prob_array(values, ndim: int, what: str, row_axis: Optional[str] = None)
     axis (named `row_axis` in messages) must have mass one; otherwise the
     whole array must.
     """
+    if not _numeric(values):
+        raise ValidationError(f"{what}: entries must be numbers, not booleans, strings or null")
     try:
         arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -75,10 +94,6 @@ class CondDist:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", _as_prob_array(self.rows, 2, "CondDist", row_axis="row"))
-
-    @classmethod
-    def identity(cls, size: int) -> "CondDist":
-        return cls(np.eye(size))
 
     @property
     def dims(self) -> tuple:

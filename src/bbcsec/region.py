@@ -23,6 +23,8 @@ from .probability import CondDist, Dist
 
 SLACK = 1e-9
 STEP0 = 0.35  # first-phase perturbation scale of the hill climb
+TOL = 1e-7  # a climb phase also ends once its step is below this with no gain
+SEPARATION_DIRECTIONS = 10  # least lattice size of membership's separation check
 
 
 def max_u_size(x_size: int) -> int:
@@ -130,13 +132,13 @@ class RateTuple:
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Budget and reproducibility knobs for the chain search."""
+    """Budget and reproducibility knobs for the chain search; `grid` is the
+    frontier's weight-direction count."""
 
     restarts: int = 64
     iterations: int = 500
     grid: int = 17
     seed: int = 0
-    tol: float = 1e-7
     u_size: Optional[int] = None
     v_size: Optional[int] = None
 
@@ -144,8 +146,6 @@ class SearchParams:
         for name in ("restarts", "iterations", "grid"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"SearchParams: {name} must be positive")
-        if not 0 < self.tol < math.inf:
-            raise ValidationError("SearchParams: tol must be positive and finite")
         if self.seed < 0:
             raise ValidationError("SearchParams: seed must be nonnegative")
         for name in ("u_size", "v_size"):
@@ -310,7 +310,7 @@ def _climb(score, start, p: SearchParams, restarts: int, key: tuple = (), stop_a
     start(i, rng), a list of blocks: 2-D arrays whose rows are
     distributions. A climb perturbs one row at a time and keeps
     improvements. Its step size halves after each sweep with no improvement
-    (geometric decay) and the phase ends when the step falls below tol; a
+    (geometric decay) and the phase ends when the step falls below TOL; a
     short fine-perturbation phase afterwards polishes the incumbent. A
     restart retires when that phase ends or, checked before each sweep, when
     its best reaches stop_at.
@@ -327,13 +327,13 @@ def _climb(score, start, p: SearchParams, restarts: int, key: tuple = (), stop_a
     builds no other restart.
     """
     stop = math.inf if stop_at is None else stop_at
-    rngs = [np.random.default_rng((p.seed, *key, 0))]
+    rngs = [np.random.Generator(np.random.PCG64((p.seed, *key, 0)))]  # default_rng's stream, built faster
     blocks = [np.array([b]) for b in start(0, rngs[0])]
     best, terms = score(blocks)
     if best[0] >= stop:
         return float(best[0]), [blk[0] for blk in blocks], terms[0]
     if restarts > 1:
-        rngs += [np.random.default_rng((p.seed, *key, i)) for i in range(1, restarts)]
+        rngs += [np.random.Generator(np.random.PCG64((p.seed, *key, i))) for i in range(1, restarts)]
         more = [np.stack(b) for b in zip(*(start(i, rngs[i]) for i in range(1, restarts)))]
         more_best, more_terms = score(more)
         best, terms = np.concatenate([best, more_best]), np.concatenate([terms, more_terms])
@@ -381,7 +381,7 @@ def _climb(score, start, p: SearchParams, restarts: int, key: tuple = (), stop_a
             improved |= better
         sweeps += 1
         step = np.where(improved, step, step * 0.5)
-        ended = (sweeps == phase_iters[phase]) | (~improved & (step < p.tol))
+        ended = (sweeps == phase_iters[phase]) | (~improved & (step < TOL))
         phase += ended
         sweeps[ended] = 0
         step[ended] = 1e-3
@@ -607,13 +607,7 @@ def membership(t: RateTuple, ch: BroadcastChannel, p: SearchParams = SearchParam
     under-estimate. The verdict records the budget that produced it.
     """
     cap1, cap2 = _entropy_caps(ch)
-    cap_margin = min(
-        cap1 - t.r1,
-        cap2 - t.r2,
-        cap1 - t.re,
-        2 * cap1 - t.rc - t.r1,
-        cap1 + cap2 - t.rc - t.r2,
-    )
+    cap_margin = float(_margin(cap1, cap2, cap1, 0.0, t))
     if cap_margin < -SLACK:
         # the caps outer-bound every chain's quantities, so this is already
         # a separation certificate
@@ -634,7 +628,7 @@ def membership(t: RateTuple, ch: BroadcastChannel, p: SearchParams = SearchParam
     norm = float(np.linalg.norm(tvec))
     if norm > 0:
         directions.append(tuple(tvec / norm))
-    directions.extend(_octant_directions(min(p.grid, 10), 4))
+    directions.extend(_octant_directions(SEPARATION_DIRECTIONS, 4))
     for wdir in directions:
         res = support_function(ch, wdir, p)
         target = float(np.dot(wdir, tvec))

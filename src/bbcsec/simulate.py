@@ -132,7 +132,7 @@ def _word_table(cb: Codebook, ms: MessageSets, m2: int) -> tuple:
         indexing="ij",
     )
     j, l, m0, m1 = (g.reshape(-1) for g in grids)
-    v = cb.v_words[j, l, m0, m1, m2].astype(np.int64)
+    v = cb.v_words[j, l, m0, m1, m2]
 
     mc = ms.cell_mc[j, l, m0]
     w = 1.0 / (p.m1_size * ms.cells_per_mc[mc])
@@ -235,7 +235,7 @@ def equivocation_mc(cb: Codebook, ms: MessageSets, samples: int, rng) -> tuple:
             cells[e] = ms.cell(m, rng)
             uniforms[e] = rng.random(p.n)
         j, l, m0 = cells.T
-        y2 = _sample_rows(cdf_wv2, cb.v_words[j, l, m0, m1, m2].astype(np.int64), uniforms)
+        y2 = _sample_rows(cdf_wv2, cb.v_words[j, l, m0, m1, m2], uniforms)
 
         for m in sorted(set(m2.tolist())):
             rows = np.flatnonzero(m2 == m)
@@ -283,9 +283,7 @@ class SimConfig:
             raise ValidationError("SimConfig: seed must be nonnegative")
 
     def message_sets(self) -> MessageSets:
-        if self.k_size is None:
-            return MessageSets.case_a(self.params)
-        return MessageSets.case_b(self.params, self.k_size)
+        return MessageSets(self.params, self.k_size)
 
     def to_dict(self) -> dict:
         return {
@@ -360,7 +358,7 @@ def _run_trials(cfg: SimConfig, cb: Codebook, ms: MessageSets) -> tuple:
         cells = np.empty((len(trials), 3), dtype=np.int64)
         u_enc, u_ch = np.empty((len(trials), n)), np.empty((len(trials), n))
         for i, t in enumerate(trials):
-            rng = np.random.default_rng((cfg.seed, 0, t))
+            rng = np.random.Generator(np.random.PCG64((cfg.seed, 0, t)))  # default_rng's stream, built faster
             mc = int(rng.integers(ms.mc_size))
             msgs[i] = mc, rng.integers(ms.m1_size), rng.integers(ms.m2_size)
             cells[i] = ms.cell(mc, rng)

@@ -1,8 +1,12 @@
 import copy
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bbcsec import (
     BroadcastChannel,
@@ -229,3 +233,73 @@ class TestFileFormat:
         assert np.array_equal(pu2.probs, pu.probs)
         assert np.array_equal(pvu2.rows, pvu.rows)
         assert np.array_equal(pxv2.rows, pxv.rows)
+
+
+# valid files for the mutation test; integer entries are legal JSON numbers
+def _valid_docs() -> tuple:
+    channel = {"x_size": 2, "y1_size": 2, "y2_size": 2,
+               "marginals": {"w1": [[0.9, 0.1], [0.2, 0.8]], "w2": [[1, 0], [0.5, 0.5]]}}
+    chain = {"p_u": [1], "p_v_given_u": [[0.5, 0.5]], "p_x_given_v": [[1, 0], [0, 1]]}
+    return channel, chain
+
+
+def _holder(docs, field) -> dict:
+    """The object of docs (channel, chain) that holds the array `field`."""
+    channel, chain = docs
+    return channel["marginals"] if field in ("w1", "w2") else chain
+
+
+def _leaf_paths(value, path=()) -> list:
+    if not isinstance(value, list):
+        return [path]
+    return [p for i, v in enumerate(value) for p in _leaf_paths(v, path + (i,))]
+
+
+NOT_A_NUMBER = st.one_of(st.text(max_size=4), st.booleans(), st.none(), st.lists(st.floats(0, 1), max_size=3))
+ARRAY_FIELDS = ("w1", "w2", "p_u", "p_v_given_u", "p_x_given_v")
+
+
+@st.composite
+def mutations(draw):
+    """One defect: (kind, field, position or depth, value)."""
+    kind = draw(st.sampled_from(["leaf", "drop_row", "add_dim", "size"]))
+    if kind == "size":
+        new = st.one_of(st.integers(-2, 6).filter(lambda v: v != 2), st.floats(allow_nan=False), NOT_A_NUMBER)
+        return kind, draw(st.sampled_from(["x_size", "y1_size", "y2_size"])), None, draw(new)
+    field = draw(st.sampled_from(ARRAY_FIELDS))
+    array = _holder(_valid_docs(), field)[field]
+    if kind == "leaf":
+        return kind, field, draw(st.sampled_from(_leaf_paths(array))), draw(NOT_A_NUMBER)
+    if kind == "drop_row":
+        return kind, field, draw(st.integers(0, len(array) - 1)), None
+    return kind, field, draw(st.integers(1, 3)), None
+
+
+@given(mutations())
+@example(("leaf", "w1", (0, 0), "0.9"))
+@example(("leaf", "p_u", (0,), "1"))
+@example(("leaf", "p_x_given_v", (0, 0), True))
+@example(("add_dim", "w1", 900, None))
+@settings(max_examples=100, deadline=None)
+def test_mutated_input_files_exit_2(mutation):
+    kind, field, where, value = mutation
+    docs = _valid_docs()
+    if kind == "size":
+        docs[0][field] = value
+    else:
+        doc = _holder(docs, field)
+        if kind == "leaf":
+            row = doc[field]
+            for i in where[:-1]:
+                row = row[i]
+            row[where[-1]] = value
+        elif kind == "drop_row":
+            del doc[field][where]
+        else:
+            for _ in range(where):
+                doc[field] = [doc[field]]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "ch.json", Path(tmp) / "chain.json"]
+        for path, doc in zip(paths, docs):
+            path.write_text(json.dumps(doc))
+        assert main(["info", str(paths[0]), "--chain", str(paths[1])]) == 2

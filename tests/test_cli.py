@@ -123,7 +123,8 @@ class TestRegion:
         manifest = json.loads((tmp_path / "frontier.csv.manifest.json").read_text())
         assert manifest["command"] == "region"
         assert bsc_file in manifest["inputs"]
-        assert manifest["parameters"]["grid"] == 4  # the weight count
+        assert manifest["parameters"]["weights"] == 4
+        assert not {"grid", "tol"} & set(manifest["parameters"])
 
     def test_grid_flag_rejected(self, capsys, bsc_file):
         # the weight count is --weights; region has no separate --grid
@@ -179,6 +180,17 @@ class TestMember:
         assert doc["verdict"] == "inside"
         assert doc["witness_chain"] is not None
 
+    def test_report_file_and_manifest(self, capsys, bsc_file, tmp_path):
+        out_path = tmp_path / "member.json"
+        code, out, _ = run_cli(capsys, "member", bsc_file, "--tuple", "0,0,0,0", "--out", str(out_path), *FAST)
+        assert code == 0
+        assert out == ""
+        assert json.loads(out_path.read_text())["verdict"] == "inside"
+        manifest = json.loads((tmp_path / "member.json.manifest.json").read_text())
+        assert manifest["command"] == "member"
+        assert manifest["parameters"] == {"tuple": "0,0,0,0", "restarts": 6, "iterations": 80,
+                                          "u_size": None, "v_size": None}
+
     def test_malformed_tuple(self, capsys, bsc_file):
         code, _, err = run_cli(capsys, "member", bsc_file, "--tuple", "1,2,3")
         assert code == 1
@@ -227,11 +239,20 @@ class TestSimulate:
         assert doc["e1"]["rate"] >= 0
 
 
+@pytest.mark.parametrize("cmd,opt", [("region", "--tol"), ("member", "--tol"), ("member", "--grid")])
+def test_removed_search_option_exits_1(capsys, bsc_file, cmd, opt):
+    # the climb tolerance and the separation lattice are constants
+    extra = ["--tuple", "0,0,0,0"] if cmd == "member" else []
+    code, out, err = run_cli(capsys, cmd, bsc_file, *extra, opt, "3", *FAST)
+    assert code == 1
+    assert opt in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("cmd,opt", [("region", "--tol"), ("simulate", "--epsilon"), ("codebook", "--delta")])
+@pytest.mark.parametrize("cmd,opt", [("simulate", "--epsilon"), ("codebook", "--delta")])
 def test_non_finite_option_exits_2(capsys, bsc_file, chain_file, tmp_path, cmd, opt, value):
     files = {
-        "region": [bsc_file],
         "simulate": [bsc_file, chain_file],
         "codebook": [bsc_file, chain_file, "--out", str(tmp_path / "cb.json")],
     }

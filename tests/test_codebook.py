@@ -9,11 +9,14 @@ from bbcsec import (
     CondDist,
     Dist,
     GuardError,
+    SimConfig,
     ValidationError,
     evaluate_chain,
+    from_marginals,
     generate,
     is_typical,
     rate_check,
+    run,
 )
 from bbcsec.codebook import TypicalityScorer
 from bbcsec.probability import JointDist, chain_joint
@@ -32,6 +35,19 @@ class TestParams:
 
 
 class TestGenerate:
+    def test_second_layer_symbols_past_127(self):
+        # |V| = 130 is admissible at |X| = 10; every word uses symbols 128 and 129
+        nv = 130
+        pvu = np.zeros((1, nv))
+        pvu[0, 128:] = 0.5
+        chain = AuxChain(Dist([1.0]), CondDist(pvu), CondDist(np.full((nv, 10), 0.1)))
+        ch = from_marginals(np.eye(10), np.eye(10))
+        params = CodebookParams(n=6, j_size=2, l_size=2, seed=3)
+        cb = generate(params, chain, ch)
+        assert set(np.unique(cb.v_words).tolist()) == {128, 129}
+        report = run(SimConfig(trials=4, params=params, chain=chain, channel=ch, equiv_mode="mc", mc_samples=4))
+        assert report.e1.trials == 4
+
     def test_constant_first_layer(self, bsc12, degraded_chain):
         params = CodebookParams(n=6, j_size=2, l_size=2, seed=1)
         cb = generate(params, degraded_chain, bsc12)

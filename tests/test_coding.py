@@ -49,35 +49,36 @@ def noiseless4():
 
 class TestPartition:
     def test_bijection(self):
-        part = make_partition(4, 4)
-        assert sorted(part.mapping.tolist()) == [0, 1, 2, 3]
-        assert part.preimage_sizes.tolist() == [1, 1, 1, 1]
+        classes = make_partition(4, 4)
+        assert sorted(classes.tolist()) == [0, 1, 2, 3]
+        assert np.bincount(classes).tolist() == [1, 1, 1, 1]
 
     def test_near_equal_sizes(self):
-        part = make_partition(7, 3)
-        assert part.preimage_sizes.tolist() == np.bincount(part.mapping).tolist()
-        assert sorted(part.preimage_sizes.tolist()) == [2, 2, 3]
+        classes = make_partition(7, 3)
+        assert classes.tolist() == [0, 1, 2, 0, 1, 2, 0]
+        assert sorted(np.bincount(classes).tolist()) == [2, 2, 3]
 
     def test_single_class(self):
-        part = make_partition(4, 1)
-        assert part.mapping.tolist() == [0, 0, 0, 0]
-        assert part.preimage_sizes.tolist() == [4]
+        classes = make_partition(4, 1)
+        assert classes.tolist() == [0, 0, 0, 0]
+        assert np.bincount(classes).tolist() == [4]
 
     def test_size_constraint_spot(self):
         for j, k in [(5, 2), (9, 4), (16, 5), (31, 7)]:
-            part = make_partition(j, k)
-            sizes = part.preimage_sizes
+            sizes = np.bincount(make_partition(j, k), minlength=k)
             assert max(sizes) <= 2 * min(sizes)
 
     def test_invalid(self):
-        with pytest.raises(ValidationError):
-            make_partition(2, 3)
+        for j, k in [(2, 3), (4, 0)]:
+            with pytest.raises(ValidationError):
+                make_partition(j, k)
 
 
 class TestMessageCells:
     def test_case_a_cell_is_unpack_and_draws_nothing(self):
         params = CodebookParams(n=2, m0_size=2, j_size=3, l_size=2)
         ms = MessageSets.case_a(params)
+        assert ms.case == "A" and ms.column_class is None
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
         for mc in range(ms.mc_size):
@@ -88,18 +89,17 @@ class TestMessageCells:
     def test_case_b_cells_lie_in_the_class(self):
         params = CodebookParams(n=2, j_size=7, l_size=2)
         ms = MessageSets.case_b(params, 3)
-        part = ms.partition
-        assert np.array_equal(
-            ms.cells_per_mc.reshape(ms.mc_shape), np.repeat(part.preimage_sizes[:, None], 2, axis=1)
-        )
+        sizes = np.bincount(ms.column_class)
+        assert ms.case == "B"
+        assert np.array_equal(ms.cells_per_mc.reshape(ms.mc_shape), np.repeat(sizes[:, None], 2, axis=1))
         rng = np.random.default_rng(4)
         for mc in range(ms.mc_size):
             k, l = ms.unpack(mc)
             seen = {ms.cell(mc, rng) for _ in range(60)}
             assert {c[1:] for c in seen} == {(l, 0)}
-            assert all(part.mapping[j] == k for j, _, _ in seen)
+            assert all(ms.column_class[j] == k for j, _, _ in seen)
             assert all(ms.cell_mc[c] == mc for c in seen)
-            assert len(seen) == part.preimage_sizes[k]
+            assert len(seen) == sizes[k]
 
     def test_out_of_range(self):
         ms = MessageSets.case_b(CodebookParams(n=2, j_size=4, l_size=2), 2)
@@ -172,7 +172,7 @@ class TestEncode:
         params = CodebookParams(n=3, j_size=2, l_size=1, seed=8)
         cb = generate(params, chain, bsc12)
         ms = MessageSets.case_b(params, 1)
-        pre = np.nonzero(ms.partition.mapping == 0)[0]
+        pre = np.nonzero(ms.column_class == 0)[0]
         total = 0.0
         for xw in np.ndindex(2, 2, 2):
             p = 0.0
