@@ -100,6 +100,8 @@ def _read_json(path, what: str, fields: tuple) -> dict:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: expected a JSON object")
     for key in fields:

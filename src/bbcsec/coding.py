@@ -151,7 +151,7 @@ def transmit(block: EncodedBlock, ch: BroadcastChannel, uniforms) -> tuple:
     cdf = np.cumsum(flat, axis=1)
     pairs = _sample_rows(cdf, block.x_seq, uniforms)
     y1, y2 = np.unravel_index(pairs, (ch.y1_size, ch.y2_size))
-    return y1.astype(np.int64), y2.astype(np.int64)
+    return y1, y2
 
 
 def _check_batch(who: str, y, known, size: int) -> tuple:
@@ -240,7 +240,7 @@ class Node2Decoder:
     """First-layer typicality decoder at the non-legitimated node; knows m2
     and reports the unique node-1 message among the hits."""
 
-    def __init__(self, cb: Codebook, ms: MessageSets):
+    def __init__(self, cb: Codebook):
         p = cb.params
         self.candidates = p.m0_size * p.m1_size
         self.cb = cb
@@ -267,9 +267,9 @@ def decode_node1(y1, m1: int, cb: Codebook, ms: MessageSets):
     return None if mc[0] < 0 else (int(mc[0]), int(m2[0]))
 
 
-def decode_node2(y2, m2: int, cb: Codebook, ms: MessageSets):
+def decode_node2(y2, m2: int, cb: Codebook):
     """Node2Decoder on a batch of one; returns m1 or None."""
-    m1 = Node2Decoder(cb, ms)(np.asarray(y2)[None, :], [m2])
+    m1 = Node2Decoder(cb)(np.asarray(y2)[None, :], [m2])
     return None if m1[0] < 0 else int(m1[0])
 
 

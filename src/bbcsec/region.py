@@ -3,10 +3,11 @@ message: full rate-equivocation region, secrecy region, and the plain
 bidirectional region, all computed by scalarization.
 
 The regions are closed and convex, so support functions characterize them
-exactly; the only approximation is the inner search over auxiliary chains
-(random-restart coordinate ascent over the simplex blocks), which can
-under-estimate a support value but never over-estimates it. Membership
-verdicts are phrased accordingly: "outside" is evidence, not a certificate.
+exactly. The full and secrecy regions are searched over auxiliary chains
+(random-restart coordinate ascent), which can under-estimate a support
+value but never over-estimates it: "outside" is evidence, not a
+certificate. The bidirectional frontier, concave in the input law, is
+solved by Blahut-Arimoto, each point certified to within SLACK.
 """
 
 import itertools
@@ -21,9 +22,10 @@ from .channel import BroadcastChannel, marginal
 from .exceptions import ValidationError
 from .probability import CondDist, Dist
 
-SLACK = 1e-9
+SLACK = 1e-9  # constraint slack; also the duality gap that ends a Blahut-Arimoto direction
 STEP0 = 0.35  # first-phase perturbation scale of the hill climb
 TOL = 1e-7  # a climb phase also ends once its step is below this with no gain
+BA_MAX_STEPS = 100_000  # step cap of one Blahut-Arimoto direction
 SEPARATION_DIRECTIONS = 10  # least lattice size of membership's separation check
 
 
@@ -302,95 +304,6 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return out / out.sum(axis=1, keepdims=True)  # the largest entry stays positive
 
 
-def _climb(score, start, p: SearchParams, restarts: int, key: tuple = (), stop_at=None) -> tuple:
-    """Best of `restarts` hill climbs, run in lockstep; returns the winner's
-    (value, blocks, terms).
-
-    Restart i draws its random stream from (seed, *key, i) and climbs from
-    start(i, rng), a list of blocks: 2-D arrays whose rows are
-    distributions. A climb perturbs one row at a time and keeps
-    improvements. Its step size halves after each sweep with no improvement
-    (geometric decay) and the phase ends when the step falls below TOL; a
-    short fine-perturbation phase afterwards polishes the incumbent. A
-    restart retires when that phase ends or, checked before each sweep, when
-    its best reaches stop_at.
-
-    The live restarts take each row step together: each block is held as a
-    (restarts, rows, cols) array, and score maps such a batch to a pair: one
-    value per restart and the (restarts, k) kernel terms the values were
-    computed from. Each restart keeps the terms of its best next to its
-    value, so the winner is never scored again. Restart i's trajectory
-    depends only on the seed, the key and i. Ties across restarts resolve to
-    the lowest restart index; with stop_at, the lowest restart that reaches
-    it wins and the restarts above it are dropped as soon as it does.
-    Restart 0 is scored alone first, so a search its start already ends
-    builds no other restart.
-    """
-    stop = math.inf if stop_at is None else stop_at
-    rngs = [np.random.Generator(np.random.PCG64((p.seed, *key, 0)))]  # default_rng's stream, built faster
-    blocks = [np.array([b]) for b in start(0, rngs[0])]
-    best, terms = score(blocks)
-    if best[0] >= stop:
-        return float(best[0]), [blk[0] for blk in blocks], terms[0]
-    if restarts > 1:
-        rngs += [np.random.Generator(np.random.PCG64((p.seed, *key, i))) for i in range(1, restarts)]
-        more = [np.stack(b) for b in zip(*(start(i, rngs[i]) for i in range(1, restarts)))]
-        more_best, more_terms = score(more)
-        best, terms = np.concatenate([best, more_best]), np.concatenate([terms, more_terms])
-        blocks = [np.concatenate(b) for b in zip(blocks, more)]
-
-    rows, width = [], 0  # (block, row, noise columns) of each row step in a sweep
-    for bi, blk in enumerate(blocks):
-        for ri in range(blk.shape[1]):
-            rows.append((bi, ri, slice(width, width + blk.shape[2])))
-            width += blk.shape[2]
-    phase_iters = np.array([p.iterations, max(1, p.iterations // 5)])
-    ids = np.arange(len(rngs))
-    step = np.full(len(ids), STEP0)
-    phase = np.zeros(len(ids), dtype=int)
-    sweeps = np.zeros(len(ids), dtype=int)
-    final = {}  # restart -> (best value, blocks, terms)
-    first_reached = len(rngs)  # the lowest restart whose best reached stop_at
-    while True:
-        reached = best >= stop
-        retired = reached | (phase == 2)
-        for j in np.flatnonzero(retired):
-            final[int(ids[j])] = (float(best[j]), [blk[j].copy() for blk in blocks], terms[j])
-        if reached.any():
-            first_reached = min(first_reached, int(ids[reached][0]))
-        live = ~retired & (ids < first_reached)
-        if not live.any():
-            break
-        if not live.all():
-            ids, best, terms = ids[live], best[live], terms[live]
-            step, phase, sweeps = step[live], phase[live], sweeps[live]
-            blocks = [blk[live] for blk in blocks]
-
-        # one draw per sweep yields the same normals as one draw per row step
-        noise = np.stack([rngs[i].standard_normal(width) for i in ids])
-        improved = np.zeros(len(ids), dtype=bool)
-        for bi, ri, cols in rows:
-            blk = blocks[bi]
-            row = blk[:, ri].copy()
-            blk[:, ri] = _project_simplex(row + step[:, None] * noise[:, cols])
-            cand, cand_terms = score(blocks)
-            better = cand > best + 1e-15
-            blk[:, ri] = np.where(better[:, None], blk[:, ri], row)
-            best = np.where(better, cand, best)
-            terms = np.where(better[:, None], cand_terms, terms)
-            improved |= better
-        sweeps += 1
-        step = np.where(improved, step, step * 0.5)
-        ended = (sweeps == phase_iters[phase]) | (~improved & (step < TOL))
-        phase += ended
-        sweeps[ended] = 0
-        step[ended] = 1e-3
-
-    if first_reached < len(rngs):
-        return final[first_reached]
-    return final[max(final, key=lambda i: (final[i][0], -i))]  # the lowest-index strict best
-
-
 STRUCTURED_STARTS = 3
 
 
@@ -431,27 +344,108 @@ def _search_chain(
     p: SearchParams,
     stop_at: Optional[float] = None,
 ) -> tuple:
-    """Maximize score_fn over auxiliary chains; score_fn maps a (B, 4) array
-    of information terms (iu1, iu2, iv1, iv2 of each chain) to B values.
-    Returns the best value, the best chain and the information terms it was
-    scored with."""
+    """Maximize score_fn over auxiliary chains by p.restarts hill climbs run
+    in lockstep; score_fn maps a (B, 4) array of information terms (iu1,
+    iu2, iv1, iv2 of each chain) to B values. Returns the best value, the
+    best chain and the information terms it was scored with.
+
+    Restart i draws its random stream from (seed, i) and climbs from
+    structured start i (the first STRUCTURED_STARTS restarts) or a random
+    chain: three blocks P_U, P_V|U, P_X|V, 2-D arrays whose rows are
+    distributions. A climb perturbs one row at a time and keeps
+    improvements. Its step size halves after each sweep with no improvement
+    (geometric decay) and the phase ends when the step falls below TOL; a
+    short fine-perturbation phase afterwards polishes the incumbent. A
+    restart retires when that phase ends or, checked before each sweep, when
+    its best reaches stop_at.
+
+    The live restarts take each row step together: each block is held as a
+    (restarts, rows, cols) array and scored with one kernel call. Each
+    restart keeps the terms of its best next to its value, so the winner is
+    never scored again. Restart i's trajectory depends only on the seed and
+    i. Ties across restarts resolve to the lowest restart index; with
+    stop_at, the lowest restart that reaches it wins and the restarts above
+    it are dropped as soon as it does. Restart 0 is scored alone first, so a
+    search its start already ends builds no other restart.
+    """
     nx = ch.x_size
     nu, nv = p.sizes_for(nx)
     w1 = marginal(ch, 1).matrix
     w2 = marginal(ch, 2).matrix
+    stop = math.inf if stop_at is None else stop_at
+    rngs = [np.random.Generator(np.random.PCG64((p.seed, 0)))]  # default_rng's stream, built faster
+    blocks = [blk[None] for blk in _structured_init(0, nu, nv, nx)]
+    terms = _core.chain_info(blocks[0][:, 0], blocks[1], blocks[2], w1, w2)
+    best = score_fn(terms)
+    if best[0] >= stop:
+        chain = AuxChain(Dist(blocks[0][0, 0]), CondDist(blocks[1][0]), CondDist(blocks[2][0]))
+        return float(best[0]), chain, InfoQuantities(*terms[0].tolist())
+    if p.restarts > 1:
+        rngs += [np.random.Generator(np.random.PCG64((p.seed, i))) for i in range(1, p.restarts)]
+        more = [np.stack(b) for b in zip(*(
+            _structured_init(i, nu, nv, nx) if i < STRUCTURED_STARTS else _random_init(nu, nv, nx, rngs[i])
+            for i in range(1, p.restarts)
+        ))]
+        more_terms = _core.chain_info(more[0][:, 0], more[1], more[2], w1, w2)
+        best, terms = np.concatenate([best, score_fn(more_terms)]), np.concatenate([terms, more_terms])
+        blocks = [np.concatenate(b) for b in zip(blocks, more)]
 
-    def score(blocks):
-        iq = _core.chain_info(blocks[0][:, 0], blocks[1], blocks[2], w1, w2)
-        return score_fn(iq), iq
+    rows, width = [], 0  # (block, row, noise columns) of each row step in a sweep
+    for bi, blk in enumerate(blocks):
+        for ri in range(blk.shape[1]):
+            rows.append((bi, ri, slice(width, width + blk.shape[2])))
+            width += blk.shape[2]
+    phase_iters = np.array([p.iterations, max(1, p.iterations // 5)])
+    ids = np.arange(len(rngs))
+    step = np.full(len(ids), STEP0)
+    phase = np.zeros(len(ids), dtype=int)
+    sweeps = np.zeros(len(ids), dtype=int)
+    final = {}  # restart -> (best value, blocks, terms)
+    first_reached = len(rngs)  # the lowest restart whose best reached stop_at
+    while True:
+        reached = best >= stop
+        retired = reached | (phase == 2)
+        for j in np.flatnonzero(retired):
+            final[int(ids[j])] = (float(best[j]), [blk[j].copy() for blk in blocks], terms[j])
+        if reached.any():
+            first_reached = min(first_reached, int(ids[reached][0]))
+        live = ~retired & (ids < first_reached)
+        if not live.any():
+            break
+        if not live.all():
+            ids, best, terms = ids[live], best[live], terms[live]
+            step, phase, sweeps = step[live], phase[live], sweeps[live]
+            blocks = [blk[live] for blk in blocks]
 
-    def start(i, rng):
-        return _structured_init(i, nu, nv, nx) if i < STRUCTURED_STARTS else _random_init(nu, nv, nx, rng)
+        # one draw per sweep yields the same normals as one draw per row step
+        noise = np.stack([rngs[i].standard_normal(width) for i in ids])
+        improved = np.zeros(len(ids), dtype=bool)
+        for bi, ri, cols in rows:
+            blk = blocks[bi]
+            row = blk[:, ri].copy()
+            blk[:, ri] = _project_simplex(row + step[:, None] * noise[:, cols])
+            cand_terms = _core.chain_info(blocks[0][:, 0], blocks[1], blocks[2], w1, w2)
+            cand = score_fn(cand_terms)
+            better = cand > best + 1e-15
+            blk[:, ri] = np.where(better[:, None], blk[:, ri], row)
+            best = np.where(better, cand, best)
+            terms = np.where(better[:, None], cand_terms, terms)
+            improved |= better
+        sweeps += 1
+        step = np.where(improved, step, step * 0.5)
+        ended = (sweeps == phase_iters[phase]) | (~improved & (step < TOL))
+        phase += ended
+        sweeps[ended] = 0
+        step[ended] = 1e-3
 
+    if first_reached < len(rngs):
+        value, blocks, terms = final[first_reached]
+    else:
+        value, blocks, terms = final[max(final, key=lambda i: (final[i][0], -i))]  # the lowest-index strict best
     # every climbed row is a distribution already: starts are, and so is
     # each projection onto the simplex
-    value, blocks, iq = _climb(score, start, p, p.restarts, stop_at=stop_at)
     chain = AuxChain(Dist(blocks[0][0]), CondDist(blocks[1]), CondDist(blocks[2]))
-    return value, chain, InfoQuantities(*iq.tolist())
+    return value, chain, InfoQuantities(*terms.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -511,42 +505,43 @@ def secrecy_frontier(
     return _dedupe(entries)
 
 
-def bbc_frontier(ch: BroadcastChannel, p: SearchParams = SearchParams()) -> list:
-    """Upper-right frontier of the plain bidirectional region.
+def _divergences(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D(W(.|x) || q) in bits for each row x of the channel matrix w."""
+    ratio = np.divide(w, q, out=np.ones_like(w), where=w > 0.0)
+    return (w * np.log2(ratio)).sum(axis=1)
 
-    Weighted-sum maximization over the input law (the first layer is held
-    constant and the second layer is the input itself), followed by a
-    Pareto/hull closure of the support points; mixing any two points is
-    achievable by time sharing, so the point list represents the hull.
+
+def bbc_frontier(ch: BroadcastChannel, p: SearchParams = SearchParams()) -> list:
+    """Upper-right frontier of the plain bidirectional region; reads only
+    p.grid, the direction count.
+
+    Each direction maximizes wr1 I(X;Y1) + wr2 I(X;Y2), concave in the input
+    law, by Blahut-Arimoto from the uniform law: a step multiplies p(x) by
+    2^(d(x)/(wr1+wr2)), d(x) = wr1 D(W1(.|x)||pW1) + wr2 D(W2(.|x)||pW2).
+    max_x d(x) bounds the optimum and sum_x p(x) d(x) is the value, so a gap
+    of at most SLACK certifies the point; after BA_MAX_STEPS it is still an
+    achievable inner point. Each law is evaluated as a chain with a constant
+    first layer (iv1, iv2 = I(X;Y1), I(X;Y2)); a Pareto/hull closure follows,
+    and time sharing makes the point list represent the hull.
     """
     nx = ch.x_size
     w1 = marginal(ch, 1).matrix
     w2 = marginal(ch, 2).matrix
-    pxv = np.eye(nx)
-
-    def start(i, rng):
-        return [np.full((1, nx), 1.0 / nx) if i == 0 else rng.dirichlet(np.ones(nx)).reshape(1, -1)]
-
     entries = []
     for k in range(p.grid):
         theta = (math.pi / 2) * k / max(1, p.grid - 1)
         wr1, wr2 = math.cos(theta), math.sin(theta)
-
-        def score(blocks, wr1=wr1, wr2=wr2):
-            # each input law as a chain with a constant first layer, so the
-            # terms iv1 and iv2 are I(X;Y1) and I(X;Y2)
-            b = blocks[0].shape[0]
-            iq = _core.chain_info(np.ones((b, 1)), blocks[0], np.broadcast_to(pxv, (b, nx, nx)), w1, w2)
-            return wr1 * iq[:, 2] + wr2 * iq[:, 3], iq
-
-        # the weighted objective is concave in the input law, so a few
-        # restarts are plenty
-        best_val, best_blocks, terms = _climb(score, start, p, min(p.restarts, 6), key=(k,))
-        iq = InfoQuantities(*terms.tolist())
-        input_chain = AuxChain(Dist([1.0]), CondDist(best_blocks[0]), CondDist(pxv))
-        entries.append(
-            FrontierEntry((0.0, 0.0, wr1, wr2), RateTuple(0.0, 0.0, iq.iv1, iq.iv2), best_val, input_chain)
-        )
+        px = np.full(nx, 1.0 / nx)
+        for _ in range(BA_MAX_STEPS):
+            d = wr1 * _divergences(w1, px @ w1) + wr2 * _divergences(w2, px @ w2)
+            if d.max() - px @ d <= SLACK:
+                break
+            px = px * np.exp2(d / (wr1 + wr2))
+            px /= px.sum()
+        input_chain = AuxChain(Dist([1.0]), CondDist(px[None]), CondDist(np.eye(nx)))
+        iq = evaluate_chain(input_chain, ch)
+        point = RateTuple(0.0, 0.0, iq.iv1, iq.iv2)
+        entries.append(FrontierEntry((0.0, 0.0, wr1, wr2), point, wr1 * iq.iv1 + wr2 * iq.iv2, input_chain))
     return _pareto(_dedupe(entries))
 
 

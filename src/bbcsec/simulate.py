@@ -347,7 +347,7 @@ def _run_trials(cfg: SimConfig, cb: Codebook, ms: MessageSets) -> tuple:
     depend on the block size. An erasure counts as an error.
     """
     dec1 = Node1Decoder(cb, ms)
-    dec2 = Node2Decoder(cb, ms)
+    dec2 = Node2Decoder(cb)
     n = cfg.params.n
     block = max(1, _CHUNK_ROWS // max(dec1.candidates, dec2.candidates))
 

@@ -64,6 +64,22 @@ def grid_channel_capacity(w: np.ndarray, step: float = 1e-4) -> float:
     return grid_max_binary(lambda px: mi_against_channel(px, w), step)
 
 
+def duality_bound(px, ws, weights) -> float:
+    """Upper bound on the maximum over input laws of sum_k w_k I(X;Y_k),
+    valid at any law px: the maximum over x of
+    sum_k w_k sum_y W_k(y|x) log2(W_k(y|x) / q_k(y)), with q_k = px W_k."""
+    best = -math.inf
+    for x in range(len(px)):
+        total = 0.0
+        for wk, w in zip(weights, ws):
+            for y in range(w.shape[1]):
+                q = sum(px[i] * w[i, y] for i in range(len(px)))
+                if w[x, y] > 0:
+                    total += wk * w[x, y] * math.log2(w[x, y] / q)
+        best = max(best, total)
+    return best
+
+
 def bsc(p: float) -> np.ndarray:
     return np.array([[1.0 - p, p], [p, 1.0 - p]])
 

@@ -289,6 +289,22 @@ def test_negative_seed_or_empty_alphabet_exits_2(capsys, bsc_file, chain_file, t
     assert not (tmp_path / "cb.json").exists()
 
 
+@pytest.mark.parametrize("which", ["channel", "chain"])
+def test_deeply_nested_json_exits_2(capsys, bsc_file, tmp_path, which):
+    nested = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    if which == "channel":
+        path.write_text('{"x_size": 2, "y1_size": 2, "y2_size": 2, "joint": ' + nested + "}")
+        argv = ["info", str(path), "--uniform-x"]
+    else:
+        path.write_text('{"p_u": ' + nested + ', "p_v_given_u": [[1.0]], "p_x_given_v": [[0.5, 0.5]]}')
+        argv = ["info", bsc_file, "--chain", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "validation error" in err
+
+
 class TestCodebook:
     def test_dump_and_rate_report(self, capsys, bsc_file, chain_file, tmp_path):
         out_path = tmp_path / "cb.json"

@@ -238,7 +238,7 @@ class TestDecoders:
             for m2 in range(2):
                 blk = _encode(0, m1, m2, cb, ms, rng)
                 _, y2 = _transmit(blk, noiseless4, rng)
-                assert decode_node2(y2, m2, cb, ms) == m1
+                assert decode_node2(y2, m2, cb) == m1
 
     def test_independent_output_erases(self, bsc12, degraded_chain):
         params = CodebookParams(n=24, j_size=2, l_size=2, epsilon=0.05, seed=10)
@@ -259,7 +259,7 @@ class TestDecoders:
         rng = np.random.default_rng(13)
         for _ in range(20):
             y2 = rng.integers(2, size=8)
-            assert decode_node2(y2, 0, cb, ms) in (0, None)
+            assert decode_node2(y2, 0, cb) in (0, None)
 
     def test_message_level_ambiguity_erases(self):
         # two codewords carrying different confidential messages made

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,39 @@ class TestBbcFrontier:
         assert max(e.point.r1 for e in pts) == pytest.approx(
             oracles.grid_channel_capacity(binary_symmetric(0.05)), abs=1e-3
         )
+
+
+class TestBbcFrontierCertified:
+    # asymmetric, so the uniform start is not optimal in any direction
+    W1 = np.array([[0.72, 0.28], [0.15, 0.85], [0.87, 0.13], [0.81, 0.19]])
+    W2 = np.array([[0.738, 0.11, 0.152], [0.017, 0.149, 0.834], [0.131, 0.004, 0.865], [0.599, 0.035, 0.366]])
+
+    @pytest.fixture()
+    def asym4(self):
+        return from_marginals(self.W1, self.W2)
+
+    def test_points_meet_the_duality_bound(self, asym4):
+        pts = bbc_frontier(asym4, SearchParams(seed=0))
+        assert len(pts) > 1
+        for e in pts:
+            _, _, wr1, wr2 = e.weights
+            law = e.chain.pvu.rows[0]
+            value = wr1 * oracles.mi_against_channel(law, self.W1) + wr2 * oracles.mi_against_channel(law, self.W2)
+            assert e.value == pytest.approx(value, abs=1e-9)
+            assert e.value >= oracles.duality_bound(law, (self.W1, self.W2), (wr1, wr2)) - 1e-6
+
+    def test_largest_r1_is_capacity(self, asym4):
+        # a binary-output channel's capacity needs at most two inputs
+        cap1 = max(oracles.grid_channel_capacity(self.W1[[i, j]]) for i, j in itertools.combinations(range(4), 2))
+        r1 = max(e.point.r1 for e in bbc_frontier(asym4, SearchParams(seed=0)))
+        assert r1 == pytest.approx(cap1, abs=1e-6)
+
+    def test_independent_of_seed_and_budget(self, asym4):
+        a = bbc_frontier(asym4, SearchParams(seed=0))
+        b = bbc_frontier(asym4, SearchParams(seed=3, restarts=1, iterations=20))
+        assert [(e.weights, e.point, e.value) for e in a] == [(e.weights, e.point, e.value) for e in b]
+        for ea, eb in zip(a, b):
+            assert np.array_equal(ea.chain.pvu.rows, eb.chain.pvu.rows)
 
 
 class TestMembership:

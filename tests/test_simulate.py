@@ -171,7 +171,7 @@ class TestBatchedTrials:
                 blk = encode(ms.cell(mc, rng), m1, m2, cb, rng.random(n))
                 y1, y2 = transmit(blk, cfg.channel, rng.random(n))
                 n1 += decode_node1(y1, m1, cb, ms) != (mc, m2)
-                n2 += decode_node2(y2, m2, cb, ms) != m1
+                n2 += decode_node2(y2, m2, cb) != m1
             assert _run_trials(cfg, cb, ms) == (n1, n2)
 
 
