@@ -43,7 +43,9 @@ from .region import (  # noqa: F401
     SupportResult,
     bbc_frontier,
     evaluate_chain,
+    input_chain,
     membership,
+    octant_directions,
     rc_re_star,
     secrecy_frontier,
     support_function,

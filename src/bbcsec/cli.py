@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 resource guard.
 
 import datetime
 import sys
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -19,7 +20,6 @@ from . import __version__, jsonio
 from .channel import load_channel, load_chain_file
 from .codebook import CodebookParams, generate, rate_check
 from .exceptions import GuardError, ValidationError
-from .probability import CondDist, Dist
 from .region import (
     RateTuple,
     SearchParams,
@@ -27,7 +27,9 @@ from .region import (
     bbc_frontier,
     evaluate_chain,
     frontier_csv,
+    input_chain,
     membership,
+    octant_directions,
     rc_re_star,
     secrecy_frontier,
     full_frontier,
@@ -35,8 +37,10 @@ from .region import (
 from .simulate import SimConfig, run as run_simulation
 
 _search_options = [
-    click.option("--restarts", default=64, show_default=True, help="Random restarts per search."),
-    click.option("--iterations", default=500, show_default=True, help="Ascent sweeps per restart."),
+    click.option("--restarts", default=SearchParams.restarts, show_default=True,
+                 help="Random restarts per search."),
+    click.option("--iterations", default=SearchParams.iterations, show_default=True,
+                 help="Ascent sweeps per restart."),
     click.option("--u-size", default=None, type=int, help="First-layer alphabet size."),
     click.option("--v-size", default=None, type=int, help="Second-layer alphabet size."),
 ]
@@ -46,22 +50,6 @@ def search_flags(fn):
     for opt in reversed(_search_options):
         fn = opt(fn)
     return fn
-
-
-def _search_manifest(p: SearchParams) -> dict:
-    """Search settings for a manifest, in a fixed order whatever the order
-    of the flags on the command line."""
-    return {k: getattr(p, k) for k in ("restarts", "iterations", "u_size", "v_size")}
-
-
-def _uniform_x_chain(x_size: int) -> AuxChain:
-    """Constant first layer, uniform second layer mapped one-to-one onto the
-    input alphabet."""
-    return AuxChain(
-        Dist(np.array([1.0])),
-        CondDist(np.full((1, x_size), 1.0 / x_size)),
-        CondDist(np.eye(x_size)),
-    )
 
 
 def _manifest(command: str, params: dict, seed: int, inputs: list) -> dict:
@@ -118,7 +106,7 @@ def cmd_info(channel_file, chain_file, uniform_x):
         raise click.UsageError("provide exactly one of --chain or --uniform-x")
     ch = load_channel(channel_file)
     if uniform_x:
-        chain = _uniform_x_chain(ch.x_size)
+        chain = input_chain(np.full(ch.x_size, 1.0 / ch.x_size))
     else:
         chain = AuxChain(*load_chain_file(chain_file))
     iq = evaluate_chain(chain, ch)
@@ -140,17 +128,21 @@ def cmd_info(channel_file, chain_file, uniform_x):
 @click.option("--seed", default=0, show_default=True)
 @search_flags
 def cmd_region(channel_file, mode, n_weights, out, seed, **flags):
-    """Frontier of the selected region as a support-point CSV."""
+    """Frontier of the selected region as a support-point CSV.
+
+    The bbc frontier is solved exactly, so it takes no search settings; the
+    search flags are still validated in every mode.
+    """
     ch = load_channel(channel_file)
-    p = SearchParams(seed=seed, grid=n_weights, **flags)  # the sweep density is the weight count
+    p = SearchParams(seed=seed, **flags)
+    params = {"mode": mode, "weights": n_weights}
     if mode == "bbc":
-        entries = bbc_frontier(ch, p)
-    elif mode == "secrecy":
-        entries = secrecy_frontier(ch, p)
+        entries = bbc_frontier(ch, n_weights)
     else:
-        entries = full_frontier(ch, p)
-    _emit(frontier_csv(entries), out, "region", {"mode": mode, "weights": n_weights, **_search_manifest(p)},
-          seed, [channel_file])
+        frontier, dims = (secrecy_frontier, 3) if mode == "secrecy" else (full_frontier, 4)
+        entries = frontier(ch, octant_directions(n_weights, dims), p)
+        params.update(asdict(p))
+    _emit(frontier_csv(entries), out, "region", params, seed, [channel_file])
 
 
 @cli.command("member")
@@ -172,7 +164,7 @@ def cmd_member(channel_file, tuple_str, out, seed, **flags):
     ch = load_channel(channel_file)
     p = SearchParams(seed=seed, **flags)
     result = membership(t, ch, p)
-    _emit(jsonio.dumps(result.to_dict()), out, "member", {"tuple": tuple_str, **_search_manifest(p)},
+    _emit(jsonio.dumps(result.to_dict()), out, "member", {"tuple": tuple_str, **asdict(p)},
           seed, [channel_file])
 
 

@@ -65,9 +65,6 @@ class MessageSets:
             self.cell_mc = np.ravel_multi_index(rows, self.mc_shape)[:, :, None]
         self.mc_size = int(np.prod(self.mc_shape))
         self.cells_per_mc = np.bincount(self.cell_mc.reshape(-1), minlength=self.mc_size)
-        self._cells = [[] for _ in range(self.mc_size)]  # each in ascending cell order
-        for cell, mc in zip(np.ndindex(self.cell_mc.shape), self.cell_mc.reshape(-1).tolist()):
-            self._cells[mc].append(cell)
 
     @classmethod
     def case_a(cls, params) -> "MessageSets":
@@ -88,11 +85,16 @@ class MessageSets:
 
     def cell(self, mc: int, rng) -> tuple:
         """Codeword cell (column, row, common) carrying message mc, uniform
-        among its cells; a single-cell message draws no random state."""
+        among its cells in ascending order; a single-cell message draws no
+        random state."""
         if not 0 <= mc < self.mc_size:
             raise ValidationError(f"MessageSets: confidential index {mc} outside [0, {self.mc_size})")
-        cells = self._cells[mc]
-        return cells[rng.integers(len(cells))]
+        i = int(rng.integers(self.cells_per_mc[mc]))
+        if self.column_class is None:  # mc is the cell itself, in digits (column, row, common)
+            jl, m0 = divmod(int(mc), self.params.m0_size)
+            return (*divmod(jl, self.params.l_size), m0)
+        c, l = divmod(int(mc), self.params.l_size)  # the i-th column of class c is c + k i
+        return (c + self.mc_shape[0] * i, l, 0)
 
     def matches_case_split(self, iv1: float, n: int) -> bool:
         """Whether the case agrees with the rate threshold: the triple

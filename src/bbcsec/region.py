@@ -12,7 +12,7 @@ solved by Blahut-Arimoto, each point certified to within SLACK.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -134,18 +134,16 @@ class RateTuple:
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Budget and reproducibility knobs for the chain search; `grid` is the
-    frontier's weight-direction count."""
+    """Budget and reproducibility knobs of one chain search."""
 
     restarts: int = 64
     iterations: int = 500
-    grid: int = 17
     seed: int = 0
     u_size: Optional[int] = None
     v_size: Optional[int] = None
 
     def __post_init__(self):
-        for name in ("restarts", "iterations", "grid"):
+        for name in ("restarts", "iterations"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"SearchParams: {name} must be positive")
         if self.seed < 0:
@@ -194,13 +192,7 @@ class MembershipResult:
             "verdict": self.verdict,
             "tuple": {"rc": self.tuple.rc, "re": self.tuple.re, "r1": self.tuple.r1, "r2": self.tuple.r2},
             "best_margin": self.best_margin,
-            "search": {
-                "restarts": self.params.restarts,
-                "iterations": self.params.iterations,
-                "seed": self.params.seed,
-                "u_size": self.params.u_size,
-                "v_size": self.params.v_size,
-            },
+            "search": asdict(self.params),
             "witness_chain": self.witness.to_dict() if self.witness else None,
         }
         if self.evidence is not None:
@@ -468,9 +460,11 @@ def support_function(ch: BroadcastChannel, w, p: SearchParams = SearchParams()) 
     return SupportResult(float(val), chain, RateTuple(*(float(c) for c in corner)), iq)
 
 
-def _octant_directions(count: int, dims: int) -> list:
+def octant_directions(count: int, dims: int) -> list:
     """Deterministic nonnegative weight directions: the integer lattice on
     the simplex, densified until at least `count` directions exist."""
+    if count < 1:
+        raise ValidationError(f"octant_directions: count must be positive, got {count}")
     m = 1
     while math.comb(m + dims - 1, dims - 1) < count:
         m += 1
@@ -481,11 +475,7 @@ def _octant_directions(count: int, dims: int) -> list:
     return dirs
 
 
-def secrecy_frontier(
-    ch: BroadcastChannel,
-    p: SearchParams = SearchParams(),
-    weights: Optional[Sequence] = None,
-) -> list:
+def secrecy_frontier(ch: BroadcastChannel, weights: Sequence, p: SearchParams = SearchParams()) -> list:
     """Frontier of the perfect-secrecy region as (Rc, R1, R2) support points.
 
     The region is the re = rc slice of the full region, so the direction
@@ -493,8 +483,6 @@ def secrecy_frontier(
     nonnegative weights each chain's best corner there is the box corner
     (secrecy bound, I(U;Y1), I(U;Y2)), which is the reported point.
     """
-    if weights is None:
-        weights = _octant_directions(p.grid, 3)
     entries = []
     for wdir in weights:
         res = support_function(ch, (0.0, *wdir), p)
@@ -511,25 +499,34 @@ def _divergences(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (w * np.log2(ratio)).sum(axis=1)
 
 
-def bbc_frontier(ch: BroadcastChannel, p: SearchParams = SearchParams()) -> list:
-    """Upper-right frontier of the plain bidirectional region; reads only
-    p.grid, the direction count.
+def input_chain(px) -> AuxChain:
+    """The chain that sends the input law px straight through: a constant
+    first layer and V = X, so iv1, iv2 = I(X;Y1), I(X;Y2)."""
+    px = np.asarray(px, dtype=np.float64)
+    return AuxChain(Dist([1.0]), CondDist(px[None]), CondDist(np.eye(px.size)))
+
+
+def bbc_frontier(ch: BroadcastChannel, count: int) -> list:
+    """Upper-right frontier of the plain bidirectional region over `count`
+    weight directions (w1, w2) = (cos t, sin t), t evenly spaced in [0, pi/2].
 
     Each direction maximizes wr1 I(X;Y1) + wr2 I(X;Y2), concave in the input
     law, by Blahut-Arimoto from the uniform law: a step multiplies p(x) by
     2^(d(x)/(wr1+wr2)), d(x) = wr1 D(W1(.|x)||pW1) + wr2 D(W2(.|x)||pW2).
     max_x d(x) bounds the optimum and sum_x p(x) d(x) is the value, so a gap
     of at most SLACK certifies the point; after BA_MAX_STEPS it is still an
-    achievable inner point. Each law is evaluated as a chain with a constant
-    first layer (iv1, iv2 = I(X;Y1), I(X;Y2)); a Pareto/hull closure follows,
-    and time sharing makes the point list represent the hull.
+    achievable inner point. Each law is evaluated as its `input_chain`; a
+    Pareto/hull closure follows, and time sharing makes the point list
+    represent the hull.
     """
+    if count < 1:
+        raise ValidationError(f"bbc_frontier: count must be positive, got {count}")
     nx = ch.x_size
     w1 = marginal(ch, 1).matrix
     w2 = marginal(ch, 2).matrix
     entries = []
-    for k in range(p.grid):
-        theta = (math.pi / 2) * k / max(1, p.grid - 1)
+    for k in range(count):
+        theta = (math.pi / 2) * k / max(1, count - 1)
         wr1, wr2 = math.cos(theta), math.sin(theta)
         px = np.full(nx, 1.0 / nx)
         for _ in range(BA_MAX_STEPS):
@@ -538,10 +535,10 @@ def bbc_frontier(ch: BroadcastChannel, p: SearchParams = SearchParams()) -> list
                 break
             px = px * np.exp2(d / (wr1 + wr2))
             px /= px.sum()
-        input_chain = AuxChain(Dist([1.0]), CondDist(px[None]), CondDist(np.eye(nx)))
-        iq = evaluate_chain(input_chain, ch)
+        chain = input_chain(px)
+        iq = evaluate_chain(chain, ch)
         point = RateTuple(0.0, 0.0, iq.iv1, iq.iv2)
-        entries.append(FrontierEntry((0.0, 0.0, wr1, wr2), point, wr1 * iq.iv1 + wr2 * iq.iv2, input_chain))
+        entries.append(FrontierEntry((0.0, 0.0, wr1, wr2), point, wr1 * iq.iv1 + wr2 * iq.iv2, chain))
     return _pareto(_dedupe(entries))
 
 
@@ -570,15 +567,9 @@ def _pareto(entries: list) -> list:
     return keep
 
 
-def full_frontier(
-    ch: BroadcastChannel,
-    p: SearchParams = SearchParams(),
-    weights: Optional[Sequence] = None,
-) -> list:
-    """Support points of the full rate-equivocation region over sampled
+def full_frontier(ch: BroadcastChannel, weights: Sequence, p: SearchParams = SearchParams()) -> list:
+    """Support points of the full rate-equivocation region over the given
     4-dimensional weight directions."""
-    if weights is None:
-        weights = _octant_directions(p.grid, 4)
     entries = []
     for wdir in weights:
         res = support_function(ch, wdir, p)
@@ -623,7 +614,7 @@ def membership(t: RateTuple, ch: BroadcastChannel, p: SearchParams = SearchParam
     norm = float(np.linalg.norm(tvec))
     if norm > 0:
         directions.append(tuple(tvec / norm))
-    directions.extend(_octant_directions(SEPARATION_DIRECTIONS, 4))
+    directions.extend(octant_directions(SEPARATION_DIRECTIONS, 4))
     for wdir in directions:
         res = support_function(ch, wdir, p)
         target = float(np.dot(wdir, tvec))

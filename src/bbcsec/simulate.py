@@ -22,6 +22,7 @@ from .probability import chain_joint, conditional_mutual_information, marginaliz
 from .region import AuxChain, evaluate_chain
 
 MAX_EXACT_SEQUENCES = 1 << 20
+MAX_TABLE_ENTRIES = 1 << 28  # entries of one dense equivocation array (2 GiB of float64)
 _CHUNK_ROWS = 1 << 13
 
 
@@ -127,6 +128,7 @@ def _word_table(cb: Codebook, ms: MessageSets, m2: int) -> tuple:
     over the node-2-unknown data index.
     """
     p = cb.params
+    _check_table("word table", p.j_size * p.l_size * p.m0_size * p.m1_size, ms.mc_size)
     grids = np.meshgrid(
         np.arange(p.j_size), np.arange(p.l_size), np.arange(p.m0_size), np.arange(p.m1_size),
         indexing="ij",
@@ -139,6 +141,11 @@ def _word_table(cb: Codebook, ms: MessageSets, m2: int) -> tuple:
     wmat = np.zeros((j.size, ms.mc_size))
     wmat[np.arange(j.size), mc] = w
     return v, wmat
+
+
+def _check_table(what: str, rows: int, cols: int) -> None:
+    if rows * cols > MAX_TABLE_ENTRIES:
+        raise GuardError(f"equivocation: {what} of {rows} x {cols} entries exceeds the limit {MAX_TABLE_ENTRIES}")
 
 
 def _step_tables(v_seqs: np.ndarray, wv2: np.ndarray) -> list:
@@ -174,6 +181,7 @@ def equivocation_exact(cb: Codebook, ms: MessageSets) -> float:
     while ny2 ** suffix_len > _CHUNK_ROWS and suffix_len > 1:
         suffix_len -= 1
     prefix_len = p.n - suffix_len
+    _check_table("output-word chunk", ny2 ** suffix_len, p.j_size * p.l_size * p.m0_size * p.m1_size)
 
     total = 0.0
     for m2 in range(p.m2_size):

@@ -84,29 +84,41 @@ def bsc(p: float) -> np.ndarray:
     return np.array([[1.0 - p, p], [p, 1.0 - p]])
 
 
-def brute_force_equivocation(v_words, weights_per_mc, wv2, mc_count) -> float:
-    """H(Mc | Y2-word) by full enumeration.
+def brute_force_equivocation(v_words, sizes, m2: int, k_size, wv2) -> float:
+    """H(Mc | Y2-word) given node 2's message m2, by full enumeration.
 
-    v_words: (W, n) integer array of second-layer words; weights_per_mc:
-    (W, mc_count) encoder probabilities P(word | mc); wv2: (|V|, |Y2|)
-    effective channel. Uniform prior on mc. Enumerates every output word.
+    v_words: the codebook's second-layer words, indexed [j, l, m0, m1, m2]
+    then position; sizes: (m0, m1, m2, j, l); k_size: None for the triple
+    construction (message (j, l, m0), probability 1/m1 per word), else the
+    class count (message (j mod k, l), probability 1/(m1 |class|) per word,
+    |class| the number of columns j' with j' mod k = j mod k); wv2:
+    (|V|, |Y2|) effective channel. Uniform prior on the messages.
     """
+    m0_size, m1_size, _, j_size, l_size = sizes
     v_words = np.asarray(v_words)
-    n = v_words.shape[1]
+    n = v_words.shape[-1]
     ny = wv2.shape[1]
+    words = []  # (word, message, P(word | message))
+    for j, l, m0, m1 in itertools.product(range(j_size), range(l_size), range(m0_size), range(m1_size)):
+        if k_size is None:
+            msg, prob = (j, l, m0), 1.0 / m1_size
+        else:
+            members = sum(1 for jj in range(j_size) if jj % k_size == j % k_size)
+            msg, prob = (j % k_size, l), 1.0 / (m1_size * members)
+        words.append((v_words[j, l, m0, m1, m2], msg, prob))
+    messages = sorted({msg for _, msg, _ in words})
     total = 0.0
     for y in itertools.product(range(ny), repeat=n):
-        joint = np.zeros(mc_count)
-        for widx in range(v_words.shape[0]):
+        joint = dict.fromkeys(messages, 0.0)
+        for word, msg, prob in words:
             lik = 1.0
             for k in range(n):
-                lik *= wv2[v_words[widx, k], y[k]]
-            joint += lik * weights_per_mc[widx]
-        joint /= mc_count
-        py = joint.sum()
+                lik *= wv2[word[k], y[k]]
+            joint[msg] += lik * prob / len(messages)
+        py = sum(joint.values())
         if py <= 0:
             continue
-        for pm in joint:
+        for pm in joint.values():
             if pm > 0:
                 total -= pm * math.log2(pm / py)
     return total

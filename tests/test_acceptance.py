@@ -125,7 +125,7 @@ def test_criterion_03_bbc_corner(bsc12):
     t0 = time.perf_counter()
     cap1 = oracles.grid_channel_capacity(binary_symmetric(0.1), step=1e-4)
     cap2 = oracles.grid_channel_capacity(binary_symmetric(0.2), step=1e-4)
-    pts = bbc_frontier(bsc12, SearchParams(restarts=6, iterations=150, grid=9, seed=0))
+    pts = bbc_frontier(bsc12, 9)
     best = min(
         math.hypot(e.point.r1 - cap1, e.point.r2 - cap2) for e in pts
     )
@@ -138,13 +138,13 @@ def test_criterion_03_bbc_corner(bsc12):
 
 def test_criterion_04_region_consistency(bsc12):
     t0 = time.perf_counter()
-    p = SearchParams(restarts=8, iterations=120, grid=33, seed=0)
+    p = SearchParams(restarts=8, iterations=120, seed=0)
     slice_pts = []
     for k in range(33):
         theta = (math.pi / 2) * k / 32
         res = support_function(bsc12, (0.0, 0.0, math.cos(theta), math.sin(theta)), p)
         slice_pts.append((res.corner.r1, res.corner.r2))
-    bbc_pts = [(e.point.r1, e.point.r2) for e in bbc_frontier(bsc12, p)]
+    bbc_pts = [(e.point.r1, e.point.r2) for e in bbc_frontier(bsc12, 33)]
     dist = oracles.hausdorff(slice_pts, bbc_pts)
     elapsed = time.perf_counter() - t0
     ok = dist <= 1e-2

@@ -126,6 +126,44 @@ class TestRegion:
         assert manifest["parameters"]["weights"] == 4
         assert not {"grid", "tol"} & set(manifest["parameters"])
 
+    def test_bbc_ignores_and_records_no_search_flags(self, capsys, bsc_file, tmp_path):
+        # the bbc frontier is solved exactly: the search flags do not shape it
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path, flags in ((a, ["--seed", "0"]), (b, ["--seed", "3", "--restarts", "1", "--iterations", "20"])):
+            code, _, _ = run_cli(capsys, "region", bsc_file, "--mode", "bbc", "--out", str(path), *flags)
+            assert code == 0
+        assert a.read_bytes() == b.read_bytes()
+        for path in (a, b):
+            manifest = json.loads((tmp_path / f"{path.name}.manifest.json").read_text())
+            assert manifest["parameters"] == {"mode": "bbc", "weights": 33}
+
+    @pytest.mark.parametrize("mode", ["secrecy", "full"])
+    def test_search_manifest_records_the_budget(self, capsys, bsc_file, tmp_path, mode):
+        out_path = tmp_path / "frontier.csv"
+        code, _, _ = run_cli(capsys, "region", bsc_file, "--mode", mode, "--weights", "3", "--seed", "2",
+                             "--out", str(out_path), *FAST)
+        assert code == 0
+        manifest = json.loads((tmp_path / "frontier.csv.manifest.json").read_text())
+        assert manifest["parameters"] == {"mode": mode, "weights": 3, "restarts": 6, "iterations": 80,
+                                          "seed": 2, "u_size": None, "v_size": None}
+        assert manifest["seed"] == 2
+
+    def test_set_alphabet_sizes_are_recorded(self, capsys, bsc_file, tmp_path):
+        out_path = tmp_path / "frontier.csv"
+        code, _, _ = run_cli(capsys, "region", bsc_file, "--mode", "secrecy", "--weights", "1",
+                             "--u-size", "2", "--v-size", "3", "--out", str(out_path), "--restarts", "2",
+                             "--iterations", "10")
+        assert code == 0
+        params = json.loads((tmp_path / "frontier.csv.manifest.json").read_text())["parameters"]
+        assert (params["u_size"], params["v_size"]) == (2, 3)
+
+    @pytest.mark.parametrize("mode", ["bbc", "secrecy", "full"])
+    def test_zero_weights_exits_2(self, capsys, bsc_file, mode):
+        code, out, err = run_cli(capsys, "region", bsc_file, "--mode", mode, "--weights", "0", *FAST)
+        assert code == 2
+        assert out == ""
+        assert "validation error" in err
+
     def test_grid_flag_rejected(self, capsys, bsc_file):
         # the weight count is --weights; region has no separate --grid
         code, out, err = run_cli(
@@ -188,7 +226,7 @@ class TestMember:
         assert json.loads(out_path.read_text())["verdict"] == "inside"
         manifest = json.loads((tmp_path / "member.json.manifest.json").read_text())
         assert manifest["command"] == "member"
-        assert manifest["parameters"] == {"tuple": "0,0,0,0", "restarts": 6, "iterations": 80,
+        assert manifest["parameters"] == {"tuple": "0,0,0,0", "restarts": 6, "iterations": 80, "seed": 0,
                                           "u_size": None, "v_size": None}
 
     def test_malformed_tuple(self, capsys, bsc_file):
@@ -227,6 +265,17 @@ class TestSimulate:
         )
         assert code == 3
         assert "guard" in err.lower() or "limit" in err.lower()
+
+    @pytest.mark.parametrize("equiv", ["exact", "mc"])
+    def test_dense_equivocation_table_guard_exit_code(self, capsys, bsc_file, chain_file, equiv):
+        # 65 536 sub-words: the words x messages table would take 32 GiB
+        code, out, err = run_cli(
+            capsys, "simulate", bsc_file, chain_file,
+            "--n", "4", "--sizes", "1,1,1,1024,64", "--trials", "2", "--equiv", equiv,
+        )
+        assert code == 3
+        assert out == ""
+        assert "limit" in err
 
     def test_infeasible_rates_still_report(self, capsys, bsc_file, chain_file):
         # rates far above the region: exit 0, the report shows the errors

@@ -101,6 +101,21 @@ class TestMessageCells:
             assert all(ms.cell_mc[c] == mc for c in seen)
             assert len(seen) == sizes[k]
 
+    @pytest.mark.parametrize("k_size,sizes", [(None, dict(m0_size=2, j_size=3, l_size=2)),
+                                              (3, dict(j_size=7, l_size=2))])
+    def test_cell_is_the_drawn_cell_of_an_enumeration(self, k_size, sizes):
+        # the i-th cell of message mc in ascending order, i drawn as the
+        # encoder draws it, for every message of a case-A code with m0 > 1
+        # and a case-B code with k not dividing j
+        ms = MessageSets(CodebookParams(n=2, **sizes), k_size)
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(5):
+            for mc in range(ms.mc_size):
+                cells = np.argwhere(ms.cell_mc == mc)
+                expected = tuple(int(v) for v in cells[ref.integers(len(cells))])
+                assert ms.cell(mc, rng) == expected
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_out_of_range(self):
         ms = MessageSets.case_b(CodebookParams(n=2, j_size=4, l_size=2), 2)
         for mc in (-1, ms.mc_size):

@@ -16,6 +16,7 @@ from bbcsec import (
     from_marginals,
     full_frontier,
     membership,
+    octant_directions,
     rc_re_star,
     secrecy_frontier,
     support_function,
@@ -175,7 +176,12 @@ class TestSupportFunction:
         with pytest.raises(ValidationError):
             support_function(bsc12, (bad, 1, 0, 0), FAST)
         with pytest.raises(ValidationError):
-            full_frontier(bsc12, FAST, weights=[(0, 0, 1, 0), (1, 0, bad, 0)])
+            full_frontier(bsc12, [(0, 0, 1, 0), (1, 0, bad, 0)], FAST)
+
+    def test_set_alphabet_sizes_shape_the_chain(self, bsc12):
+        p = SearchParams(u_size=1, v_size=2, restarts=2, iterations=10)
+        res = support_function(bsc12, (0.3, 0.1, 0.2, 0.4), p)
+        assert (res.chain.u_size, res.chain.v_size) == (1, 2)
 
     def test_same_seed_identical(self, bsc12):
         w = (0.2, 0.1, 0.4, 0.3)
@@ -188,27 +194,40 @@ class TestSupportFunction:
         assert np.array_equal(first.chain.pxv.rows, again.chain.pxv.rows)
 
 
+class TestOctantDirections:
+    @pytest.mark.parametrize("count,dims,size", [(1, 3, 3), (3, 3, 3), (4, 3, 6), (10, 4, 10), (11, 4, 20)])
+    def test_least_lattice_with_count_directions(self, count, dims, size):
+        dirs = octant_directions(count, dims)
+        assert len(dirs) == size
+        assert all(len(d) == dims and sum(d) == pytest.approx(1.0) and min(d) >= 0.0 for d in dirs)
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_nonpositive_count_rejected(self, count):
+        with pytest.raises(ValidationError):
+            octant_directions(count, 3)
+
+
 class TestSecrecyFrontier:
     def test_identical_marginals_no_secrecy(self):
         ch = from_marginals(binary_symmetric(0.1), binary_symmetric(0.1))
-        pts = secrecy_frontier(ch, FAST, weights=[(1, 0, 0), (1, 1, 1)])
+        pts = secrecy_frontier(ch, [(1, 0, 0), (1, 1, 1)], FAST)
         for e in pts:
             assert e.point.rc <= 1e-6
 
     def test_useless_eavesdropper_channel(self):
         ch = from_marginals(binary_symmetric(0.1), np.full((2, 2), 0.5))
-        pts = secrecy_frontier(ch, FAST, weights=[(1, 0, 0)])
+        pts = secrecy_frontier(ch, [(1, 0, 0)], FAST)
         assert pts[0].point.rc == pytest.approx(0.53100, abs=1e-4)
 
     def test_degraded_bsc_secrecy_rate(self, bsc12):
-        pts = secrecy_frontier(bsc12, FAST, weights=[(1, 0, 0)])
+        pts = secrecy_frontier(bsc12, [(1, 0, 0)], FAST)
         oracle = oracles.grid_secrecy_rate(binary_symmetric(0.1), binary_symmetric(0.2))
         assert pts[0].point.rc == pytest.approx(oracle, abs=1e-3)
 
     def test_points_satisfy_region_constraints(self, bsc12):
         # every secrecy point, read as a rate-equivocation tuple with full
         # equivocation, passes the full-region constraints of its own chain
-        for e in secrecy_frontier(bsc12, FAST, weights=[(1, 0, 0), (1, 1, 0), (0, 1, 1)]):
+        for e in secrecy_frontier(bsc12, [(1, 0, 0), (1, 1, 0), (0, 1, 1)], FAST):
             assert e.point.re == e.point.rc
             iq = evaluate_chain(e.chain, bsc12)
             assert tuple_satisfied(
@@ -218,7 +237,7 @@ class TestSecrecyFrontier:
 
     def test_values_are_support_values(self, bsc12):
         p = SearchParams(restarts=4, iterations=60, seed=2)
-        for e in secrecy_frontier(bsc12, p, weights=[(1, 0, 0), (0.5, 0.5, 0), (0.2, 0.3, 0.5)]):
+        for e in secrecy_frontier(bsc12, [(1, 0, 0), (0.5, 0.5, 0), (0.2, 0.3, 0.5)], p):
             wc, _, w1, w2 = e.weights
             assert e.value == support_function(bsc12, (0.0, wc, w1, w2), p).value
 
@@ -227,18 +246,18 @@ class TestSecrecyFrontier:
     )
     def test_bad_direction_rejected(self, bsc12, wdir):
         with pytest.raises(ValidationError):
-            secrecy_frontier(bsc12, FAST, weights=[wdir])
+            secrecy_frontier(bsc12, [wdir], FAST)
 
 
 class TestBbcFrontier:
     def test_noiseless_corner(self, noiseless2):
-        pts = bbc_frontier(noiseless2, SearchParams(restarts=4, iterations=80, grid=5, seed=0))
+        pts = bbc_frontier(noiseless2, 5)
         assert len(pts) == 1
         assert pts[0].point.r1 == pytest.approx(1.0, abs=1e-6)
         assert pts[0].point.r2 == pytest.approx(1.0, abs=1e-6)
 
     def test_bsc_corner(self, bsc12):
-        pts = bbc_frontier(bsc12, SearchParams(restarts=4, iterations=120, grid=9, seed=0))
+        pts = bbc_frontier(bsc12, 9)
         r1 = max(e.point.r1 for e in pts)
         r2 = max(e.point.r2 for e in pts)
         assert r1 == pytest.approx(0.53100, abs=1e-3)
@@ -246,7 +265,7 @@ class TestBbcFrontier:
 
     def test_dead_second_node(self):
         ch = from_marginals(binary_symmetric(0.05), np.array([[1.0], [1.0]]))
-        pts = bbc_frontier(ch, SearchParams(restarts=4, iterations=120, grid=5, seed=0))
+        pts = bbc_frontier(ch, 5)
         for e in pts:
             assert e.point.r2 == pytest.approx(0.0, abs=1e-9)
         assert max(e.point.r1 for e in pts) == pytest.approx(
@@ -264,7 +283,7 @@ class TestBbcFrontierCertified:
         return from_marginals(self.W1, self.W2)
 
     def test_points_meet_the_duality_bound(self, asym4):
-        pts = bbc_frontier(asym4, SearchParams(seed=0))
+        pts = bbc_frontier(asym4, 17)
         assert len(pts) > 1
         for e in pts:
             _, _, wr1, wr2 = e.weights
@@ -276,15 +295,13 @@ class TestBbcFrontierCertified:
     def test_largest_r1_is_capacity(self, asym4):
         # a binary-output channel's capacity needs at most two inputs
         cap1 = max(oracles.grid_channel_capacity(self.W1[[i, j]]) for i, j in itertools.combinations(range(4), 2))
-        r1 = max(e.point.r1 for e in bbc_frontier(asym4, SearchParams(seed=0)))
+        r1 = max(e.point.r1 for e in bbc_frontier(asym4, 17))
         assert r1 == pytest.approx(cap1, abs=1e-6)
 
-    def test_independent_of_seed_and_budget(self, asym4):
-        a = bbc_frontier(asym4, SearchParams(seed=0))
-        b = bbc_frontier(asym4, SearchParams(seed=3, restarts=1, iterations=20))
-        assert [(e.weights, e.point, e.value) for e in a] == [(e.weights, e.point, e.value) for e in b]
-        for ea, eb in zip(a, b):
-            assert np.array_equal(ea.chain.pvu.rows, eb.chain.pvu.rows)
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_nonpositive_count_rejected(self, asym4, count):
+        with pytest.raises(ValidationError):
+            bbc_frontier(asym4, count)
 
 
 class TestMembership:
@@ -374,7 +391,7 @@ class TestSearchReturnsScoredTerms:
         assert res.best_margin == float(_margin(iq.iu1, iq.iu2, iq.iv1, iq.iv2, t))
 
     def test_bbc_points_are_the_input_chain_terms(self, bsc12):
-        pts = bbc_frontier(bsc12, SearchParams(restarts=4, iterations=60, grid=5, seed=0))
+        pts = bbc_frontier(bsc12, 5)
         for e in pts:
             iq = evaluate_chain(e.chain, bsc12)
             assert (e.point.r1, e.point.r2) == (iq.iv1, iq.iv2)
@@ -386,15 +403,14 @@ class TestDegradedCollapse:
         w1 = binary_symmetric(0.05)
         w2 = w1 @ binary_symmetric(0.15)
         ch = from_marginals(w1, w2)
-        pts = secrecy_frontier(ch, SearchParams(restarts=10, iterations=200, seed=1),
-                               weights=[(1, 0, 0)])
+        pts = secrecy_frontier(ch, [(1, 0, 0)], SearchParams(restarts=10, iterations=200, seed=1))
         oracle = oracles.grid_secrecy_rate(w1, w2)
         assert pts[0].point.rc == pytest.approx(oracle, abs=1e-3)
 
 
 class TestCsv:
     def test_header_and_locale_free_format(self, bsc12):
-        pts = secrecy_frontier(bsc12, FAST, weights=[(1, 0, 0)])
+        pts = secrecy_frontier(bsc12, [(1, 0, 0)], FAST)
         text = frontier_csv(pts)
         lines = text.strip().split("\n")
         assert lines[0] == "w_rc,w_re,w_r1,w_r2,rc,re,r1,r2,support_value"

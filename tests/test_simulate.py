@@ -64,20 +64,22 @@ class TestEquivocationExact:
             assert equivocation_exact(cb, ms) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_brute_force(self, bsc12):
+        # the oracle builds each word's message and encoder probability from
+        # the sizes alone; case B with k = 2 and j = 3 has unequal classes
         rng = np.random.default_rng(5)
+        w2 = marginal(bsc12, 2).matrix
         for trial in range(4):
             chain = random_chain(rng, 2, 3, 2)
-            params = CodebookParams(
-                n=3, m1_size=2, j_size=2, l_size=2, seed=100 + trial
-            )
-            cb = generate(params, chain, bsc12)
-            for ms in (MessageSets.case_a(params), MessageSets.case_b(params, 1)):
-                from bbcsec.simulate import _word_table
-
-                wv2 = chain.pxv.rows @ marginal(bsc12, 2).matrix
-                v, wmat = _word_table(cb, ms, 0)
-                expected = oracles.brute_force_equivocation(v, wmat, wv2, ms.mc_size)
-                assert equivocation_exact(cb, ms) == pytest.approx(expected, abs=1e-10)
+            wv2 = chain.pxv.rows @ w2
+            for sizes, k_size in (((1, 2, 2, 2, 2), None), ((2, 1, 1, 2, 1), None),
+                                  ((1, 2, 1, 2, 2), 1), ((1, 1, 2, 3, 2), 2)):
+                m0, m1, m2, j, l = sizes
+                params = CodebookParams(n=3, m0_size=m0, m1_size=m1, m2_size=m2, j_size=j, l_size=l,
+                                        seed=100 + trial)
+                cb = generate(params, chain, bsc12)
+                expected = sum(oracles.brute_force_equivocation(cb.v_words, sizes, m, k_size, wv2)
+                               for m in range(m2)) / m2
+                assert equivocation_exact(cb, MessageSets(params, k_size)) == pytest.approx(expected, abs=1e-10)
 
     def test_chunking_matches_unchunked(self, bsc12, degraded_chain, monkeypatch):
         # blocklength large enough to force several prefix chunks; the result
@@ -98,6 +100,17 @@ class TestEquivocationExact:
         cb = generate(params, degraded_chain, bsc12)
         with pytest.raises(GuardError):
             equivocation_exact(cb, MessageSets.case_a(params))
+
+    def test_dense_chunk_guard(self, bsc12, degraded_chain, monkeypatch):
+        # a chunk of 64 output words x 128 sub-words is over a limit of 4096
+        # entries, though the word table (128 words x 1 message) is not
+        import bbcsec.simulate as sim
+
+        monkeypatch.setattr(sim, "MAX_TABLE_ENTRIES", 1 << 12)
+        params = CodebookParams(n=6, j_size=128, l_size=1, seed=0)
+        cb = generate(params, degraded_chain, bsc12)
+        with pytest.raises(GuardError, match="limit 4096"):
+            equivocation_exact(cb, MessageSets.case_b(params, 1))
 
 
 class TestEquivocationMc:
