@@ -13,13 +13,10 @@ from .channel import (  # noqa: F401
     marginal,
     save_channel,
 )
-from .codebook import Codebook, CodebookParams, generate, is_typical, rate_check  # noqa: F401
+from .codebook import Codebook, CodebookParams, generate, rate_check  # noqa: F401
 from .coding import (  # noqa: F401
     EncodedBlock,
     MessageSets,
-    decode_node1,
-    decode_node2,
-    decode_node2_inner,
     encode,
     make_partition,
     transmit,

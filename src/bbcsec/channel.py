@@ -1,8 +1,9 @@
 """Discrete memoryless broadcast channel W(y1,y2|x) and its file format.
 
 The channel spec file is JSON with fields `x_size`, `y1_size`, `y2_size`
-and either `joint` (nested array indexed [x][y1][y2]) or `marginals`
-{`w1`, `w2`} implying the conditionally independent product coupling.
+and exactly one of `joint` (nested array indexed [x][y1][y2]) and
+`marginals` {`w1`, `w2`}, which implies the conditionally independent
+product coupling.
 Validation is strict at load; nothing is renormalized.
 """
 
@@ -27,8 +28,8 @@ class BroadcastChannel:
     def __post_init__(self):
         object.__setattr__(self, "tensor", _as_prob_array(self.tensor, 3, "BroadcastChannel", row_axis="x"))
         object.__setattr__(self, "marginals", (
-            MarginalChannel(self.tensor.sum(axis=2), node=1),
-            MarginalChannel(self.tensor.sum(axis=1), node=2),
+            MarginalChannel(self.tensor.sum(axis=2)),
+            MarginalChannel(self.tensor.sum(axis=1)),
         ))
 
     @property
@@ -49,11 +50,8 @@ class MarginalChannel:
     """Single-node transition matrix Wi(y|x), rows indexed by x."""
 
     matrix: np.ndarray = field(repr=False)
-    node: int = 1
 
     def __post_init__(self):
-        if self.node not in (1, 2):
-            raise ValidationError(f"MarginalChannel: node must be 1 or 2, got {self.node}")
         object.__setattr__(self, "matrix", _as_prob_array(self.matrix, 2, "MarginalChannel", row_axis="x"))
 
     @property
@@ -75,8 +73,8 @@ def from_marginals(w1, w2) -> BroadcastChannel:
     The rate regions depend on the marginals only, so this coupling is
     without loss of generality for region computations.
     """
-    m1 = (w1 if isinstance(w1, MarginalChannel) else MarginalChannel(w1, node=1)).matrix
-    m2 = (w2 if isinstance(w2, MarginalChannel) else MarginalChannel(w2, node=2)).matrix
+    m1 = (w1 if isinstance(w1, MarginalChannel) else MarginalChannel(w1)).matrix
+    m2 = (w2 if isinstance(w2, MarginalChannel) else MarginalChannel(w2)).matrix
     if m1.shape[0] != m2.shape[0]:
         raise ValidationError(
             f"from_marginals: input alphabets differ ({m1.shape[0]} vs {m2.shape[0]})"
@@ -119,6 +117,8 @@ def load_channel(path) -> BroadcastChannel:
             raise ValidationError(f"{path}: {name} must be a JSON integer, got {raw[name]!r}")
     shape = tuple(raw[name] for name in names)
 
+    if "joint" in raw and "marginals" in raw:
+        raise ValidationError(f"{path}: give only one of 'joint' and 'marginals'")
     if "joint" in raw:
         ch = BroadcastChannel(raw["joint"])
         if ch.tensor.shape != shape:
@@ -127,8 +127,8 @@ def load_channel(path) -> BroadcastChannel:
         m = raw["marginals"]
         if not isinstance(m, dict) or "w1" not in m or "w2" not in m:
             raise ValidationError(f"{path}: marginals must contain 'w1' and 'w2'")
-        w1 = MarginalChannel(m["w1"], node=1)
-        w2 = MarginalChannel(m["w2"], node=2)
+        w1 = MarginalChannel(m["w1"])
+        w2 = MarginalChannel(m["w2"])
         if w1.matrix.shape != (shape[0], shape[1]):
             raise ValidationError(f"{path}: w1 has shape {w1.matrix.shape}, expected {(shape[0], shape[1])}")
         if w2.matrix.shape != (shape[0], shape[2]):

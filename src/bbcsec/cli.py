@@ -112,7 +112,7 @@ def cmd_info(channel_file, chain_file, uniform_x):
     iq = evaluate_chain(chain, ch)
     rc_star, re_star = rc_re_star(iq, 0.0, 0.0)
     doc = {
-        "info_quantities": {"iu1": iq.iu1, "iu2": iq.iu2, "iv1": iq.iv1, "iv2": iq.iv2},
+        "info_quantities": asdict(iq),
         "rc_star_at_zero_individual_rates": rc_star,
         "re_star": re_star,
         "chain": chain.to_dict(),

@@ -9,7 +9,7 @@ symbol at transmit time.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Mapping
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import BroadcastChannel
 from .exceptions import GuardError, ValidationError
-from .probability import JointDist, chain_joint
+from .probability import JointDist, chain_joint, marginalize
 from .region import AuxChain
 
 MAX_CODEBOOK_SYMBOLS = 1 << 24  # total stored symbols across all sub-codewords
@@ -85,16 +85,7 @@ class Codebook:
 
     def to_dict(self) -> dict:
         return {
-            "params": {
-                "n": self.params.n,
-                "m0_size": self.params.m0_size,
-                "m1_size": self.params.m1_size,
-                "m2_size": self.params.m2_size,
-                "j_size": self.params.j_size,
-                "l_size": self.params.l_size,
-                "epsilon": self.params.epsilon,
-                "seed": self.params.seed,
-            },
+            "params": asdict(self.params),
             "chain": self.chain.to_dict(),
             "u_words": self.u_words,
             "v_words": self.v_words,
@@ -156,14 +147,7 @@ class RateCondition:
         return self.code_rate <= self.bound + 1e-12
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "code_rate": self.code_rate,
-            "bound": self.bound,
-            "delta": self.delta,
-            "exists_ok": self.exists_ok,
-            "reliable_ok": self.reliable_ok,
-        }
+        return {**asdict(self), "exists_ok": self.exists_ok, "reliable_ok": self.reliable_ok}
 
 
 def rate_check(params: CodebookParams, iq, delta: float) -> list:
@@ -205,7 +189,7 @@ class TypicalityScorer:
         self._subsets = []
         for r in range(1, len(self.axes) + 1):
             for sub in combinations(self.axes, r):
-                marg = joint.marginal(sub)
+                marg = marginalize(joint, sub)
                 ordered = tuple(a for a in joint.axes if a in sub)
                 with np.errstate(divide="ignore"):
                     logp = np.log2(marg.tensor)
@@ -252,20 +236,8 @@ class TypicalityScorer:
         return ok
 
 
-def is_typical(seqs: Mapping[str, np.ndarray], joint: JointDist, epsilon: float) -> bool:
-    """Single-tuple weak typicality test (see TypicalityScorer): a batch of
-    one, the tuple of 1-D sequences."""
-    axes = tuple(a for a in joint.axes if a in seqs)
-    if set(seqs) - set(axes):
-        raise ValidationError(f"is_typical: sequences for unknown axes {sorted(set(seqs) - set(axes))}")
-    if any(np.ndim(s) != 1 for s in seqs.values()):
-        raise ValidationError("is_typical: each sequence must be 1-D")
-    scorer = TypicalityScorer(joint, axes, epsilon)
-    return bool(scorer.mask(seqs))
-
-
 def decoding_joint(cb: Codebook, output_axis: str) -> JointDist:
     """Joint law over (first layer, second layer, one output) with the
     physical input summed out; the law the decoders test typicality against."""
     full = chain_joint(cb.chain.pu, cb.chain.pvu, cb.chain.pxv, cb.channel)
-    return full.marginal({"U", "V", output_axis})
+    return marginalize(full, {"U", "V", output_axis})

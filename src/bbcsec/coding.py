@@ -10,11 +10,10 @@ its class, forcing the non-legitimated node to spend its full rate on the
 column index.
 
 Decoders are exhaustive weak-typicality searches returning the unique
-message-level hit, or an in-band erasure on zero or multiple hits: -1 in
-the batched decoders' arrays, None from the one-shot `decode_node1` and
-`decode_node2`. The encoder, the channel sampler and the decoders work on
-arrays of blocks; the randomness (codeword cells, uniforms) is drawn by the
-caller, so each block's draws can come from its own stream.
+message-level hit, or the in-band erasure -1 on zero or multiple hits. The
+encoder, the channel sampler and the decoders work on arrays of blocks;
+the randomness (codeword cells, uniforms) is drawn by the caller, so each
+block's draws can come from its own stream.
 """
 
 from typing import Optional
@@ -24,6 +23,7 @@ import numpy as np
 from .channel import BroadcastChannel
 from .codebook import Codebook, TypicalityScorer, _sample_rows, decoding_joint
 from .exceptions import GuardError, ValidationError
+from .probability import marginalize
 
 MAX_CANDIDATES = 1 << 20
 
@@ -78,11 +78,6 @@ class MessageSets:
     def case(self) -> str:
         return "A" if self.column_class is None else "B"
 
-    def unpack(self, mc: int) -> tuple:
-        if not 0 <= mc < self.mc_size:
-            raise ValidationError(f"MessageSets: confidential index {mc} outside [0, {self.mc_size})")
-        return tuple(int(i) for i in np.unravel_index(mc, self.mc_shape))
-
     def cell(self, mc: int, rng) -> tuple:
         """Codeword cell (column, row, common) carrying message mc, uniform
         among its cells in ascending order; a single-cell message draws no
@@ -95,13 +90,6 @@ class MessageSets:
             return (*divmod(jl, self.params.l_size), m0)
         c, l = divmod(int(mc), self.params.l_size)  # the i-th column of class c is c + k i
         return (c + self.mc_shape[0] * i, l, 0)
-
-    def matches_case_split(self, iv1: float, n: int) -> bool:
-        """Whether the case agrees with the rate threshold: the triple
-        construction is for confidential rates at or above the sub-codebook
-        budget, the partition construction for rates below it."""
-        rc = np.log2(self.mc_size) / n
-        return (rc >= iv1 - 1e-9) == (self.case == "A")
 
 
 class EncodedBlock:
@@ -246,7 +234,8 @@ class Node2Decoder:
         p = cb.params
         self.candidates = p.m0_size * p.m1_size
         self.cb = cb
-        self.scorer = TypicalityScorer(decoding_joint(cb, "Y2").marginal({"U", "Y2"}), ("U", "Y2"), p.epsilon)
+        joint = marginalize(decoding_joint(cb, "Y2"), {"U", "Y2"})
+        self.scorer = TypicalityScorer(joint, ("U", "Y2"), p.epsilon)
         grids = np.meshgrid(np.arange(p.m0_size), np.arange(p.m1_size), indexing="ij")
         self._m0, self._m1 = (g.reshape(-1) for g in grids)
 
@@ -262,26 +251,3 @@ class Node2Decoder:
         y2, m2 = _check_batch("Node2Decoder", y2, m2, self.cb.params.m2_size)
         return _decode(self.scorer, "Y2", y2, m2, self._m1, self._words_for)
 
-
-def decode_node1(y1, m1: int, cb: Codebook, ms: MessageSets):
-    """Node1Decoder on a batch of one; returns (mc, m2) or None."""
-    mc, m2 = Node1Decoder(cb, ms)(np.asarray(y1)[None, :], [m1])
-    return None if mc[0] < 0 else (int(mc[0]), int(m2[0]))
-
-
-def decode_node2(y2, m2: int, cb: Codebook):
-    """Node2Decoder on a batch of one; returns m1 or None."""
-    m1 = Node2Decoder(cb)(np.asarray(y2)[None, :], [m2])
-    return None if m1[0] < 0 else int(m1[0])
-
-
-def decode_node2_inner(y2, l: int, mprime, cb: Codebook):
-    """Analysis decoder: the column index the non-legitimated node recovers
-    when given the row and first-layer indices; None on ambiguity."""
-    m0, m1, m2 = mprime
-    scorer = TypicalityScorer(decoding_joint(cb, "Y2"), ("U", "V", "Y2"), cb.params.epsilon)
-    hits = scorer.mask({"U": cb.u_words[m0, m1, m2], "V": cb.v_words[:, l, m0, m1, m2], "Y2": y2})
-    idx = np.nonzero(hits)[0]
-    if idx.size != 1:
-        return None
-    return int(idx[0])

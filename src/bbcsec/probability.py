@@ -114,9 +114,6 @@ class JointDist:
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "tensor", _as_prob_array(self.tensor, len(axes), "JointDist"))
 
-    def marginal(self, keep: Iterable[str]) -> "JointDist":
-        return marginalize(self, keep)
-
 
 def _entropy_of_tensor(arr: np.ndarray) -> float:
     flat = arr.reshape(-1)

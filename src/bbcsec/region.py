@@ -190,7 +190,7 @@ class MembershipResult:
     def to_dict(self) -> dict:
         doc = {
             "verdict": self.verdict,
-            "tuple": {"rc": self.tuple.rc, "re": self.tuple.re, "r1": self.tuple.r1, "r2": self.tuple.r2},
+            "tuple": asdict(self.tuple),
             "best_margin": self.best_margin,
             "search": asdict(self.params),
             "witness_chain": self.witness.to_dict() if self.witness else None,

@@ -9,7 +9,7 @@ independently per symbol given the second-layer word.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,15 +36,6 @@ class ErrorEstimate:
     errors: int
     trials: int
 
-    def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "errors": self.errors,
-            "trials": self.trials,
-        }
-
 
 def _binomial_ci(errors: int, trials: int) -> ErrorEstimate:
     """Normal-approximation CI, Wilson when either count is below 10."""
@@ -63,36 +54,30 @@ def _binomial_ci(errors: int, trials: int) -> ErrorEstimate:
 
 @dataclass(frozen=True)
 class AsymptoticTerms:
-    """Per-letter limits of the four equivocation-bound terms.
+    """Per-letter limits of the equivocation-bound terms.
 
     `sub_rate_limit` is the limit of the per-letter codeword entropy given
     the first-layer index (the sub-codebook rate); `h_out2_given_code` and
     `h_out2_given_cloud` condition the non-legitimated output on the coding
-    symbol and on the cloud center; the Fano residual vanishes. Their
-    combination reproduces the secrecy bound exactly.
+    symbol and on the cloud center. The Fano residual vanishes in the limit,
+    so it is not a term. Their combination reproduces the secrecy bound
+    exactly.
     """
 
     sub_rate_limit: float
     h_out2_given_code: float
-    fano_residual: float
     h_out2_given_cloud: float
 
     @property
     def combination(self) -> float:
-        return self.sub_rate_limit + self.h_out2_given_code - self.fano_residual - self.h_out2_given_cloud
+        return self.sub_rate_limit + self.h_out2_given_code - self.h_out2_given_cloud
 
     def to_dict(self) -> dict:
-        return {
-            "sub_rate_limit": self.sub_rate_limit,
-            "h_out2_given_code": self.h_out2_given_code,
-            "fano_residual": self.fano_residual,
-            "h_out2_given_cloud": self.h_out2_given_cloud,
-            "combination": self.combination,
-        }
+        return {**asdict(self), "combination": self.combination}
 
 
 def asymptotic_terms(chain: AuxChain, ch: BroadcastChannel) -> AsymptoticTerms:
-    """Evaluate the four term limits from the chain joint.
+    """Evaluate the term limits from the chain joint.
 
     The coding alphabet is the second layer (input randomization folded
     in), so the output-given-input entropy conditions on it.
@@ -106,7 +91,6 @@ def asymptotic_terms(chain: AuxChain, ch: BroadcastChannel) -> AsymptoticTerms:
     return AsymptoticTerms(
         sub_rate_limit=iv1,
         h_out2_given_code=h_vy2 - h_v,
-        fano_residual=0.0,
         h_out2_given_cloud=h_uy2 - h_u,
     )
 
@@ -287,6 +271,8 @@ class SimConfig:
             raise ValidationError("SimConfig: trials must be >= 1")
         if self.equiv_mode not in ("exact", "mc", "none"):
             raise ValidationError(f"SimConfig: unknown equivocation mode {self.equiv_mode!r}")
+        if self.mc_samples < 2:
+            raise ValidationError("SimConfig: mc_samples must be >= 2")
         if self.seed < 0:
             raise ValidationError("SimConfig: seed must be nonnegative")
 
@@ -331,8 +317,8 @@ class SimReport:
 
     def to_dict(self) -> dict:
         return {
-            "e1": self.e1.to_dict(),
-            "e2": self.e2.to_dict(),
+            "e1": asdict(self.e1),
+            "e2": asdict(self.e2),
             "equivocation_rate": self.equiv_rate,
             "equivocation_se": self.equiv_se,
             "leakage_rate": self.leakage_rate,

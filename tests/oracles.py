@@ -146,6 +146,35 @@ def sample_entropy_check(seqs: dict, joint: np.ndarray, axis_names, epsilon: flo
     return True
 
 
+def inner_column_decode(y2, l, mprime, cb):
+    """Analysis decoder: the column index node 2 recovers from its word y2
+    when given the row l and the first-layer triple mprime, or None unless
+    exactly one column is typical.
+
+    Column j is typical when every non-empty subset of (first-layer word,
+    the word at (j, l, mprime), y2) has its sample log-probability within
+    epsilon of the subset entropy under P(u, v, y2), the chain joint with
+    the physical input and node 1's output summed out. Reads the
+    codebook's arrays only; all columns are tested at once.
+    """
+    c = cb.chain
+    joint = np.einsum("u,uv,vx,xab->uvb", c.pu.probs, c.pvu.rows, c.pxv.rows, cb.channel.tensor)
+    v = cb.v_words[(slice(None), l, *mprime)]  # (columns, n)
+    seqs = (np.broadcast_to(cb.u_words[tuple(mprime)], v.shape), v, np.broadcast_to(y2, v.shape))
+    n = v.shape[1]
+    ok = np.ones(v.shape[0], dtype=bool)
+    for r in range(1, 4):
+        for sub in itertools.combinations(range(3), r):
+            drop = tuple(i for i in range(3) if i not in sub)
+            marg = joint.sum(axis=drop) if drop else joint
+            p = marg[tuple(seqs[i] for i in sub)]
+            with np.errstate(divide="ignore"):
+                sample = -np.log2(p).sum(axis=1) / n
+            ok &= (p > 0).all(axis=1) & (np.abs(sample - entropy_of(marg)) <= cb.params.epsilon)
+    hits = np.flatnonzero(ok)
+    return int(hits[0]) if hits.size == 1 else None
+
+
 def hausdorff(a, b) -> float:
     """Symmetric Hausdorff distance between two finite point sets."""
     a = np.asarray(a, dtype=float)

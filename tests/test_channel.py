@@ -52,7 +52,6 @@ class TestMarginal:
         ch = from_marginals(binary_symmetric(0.1), binary_symmetric(0.2))
         for node in (1, 2):
             assert marginal(ch, node) is marginal(ch, node)
-            assert marginal(ch, node).node == node
             assert not marginal(ch, node).matrix.flags.writeable
 
     def test_marginals_are_valid(self):
@@ -60,8 +59,8 @@ class TestMarginal:
         for _ in range(20):
             t = rng.dirichlet(np.ones(12), size=2).reshape(2, 3, 4)
             ch = BroadcastChannel(t)
-            MarginalChannel(marginal(ch, 1).matrix, node=1)
-            MarginalChannel(marginal(ch, 2).matrix, node=2)
+            MarginalChannel(marginal(ch, 1).matrix)
+            MarginalChannel(marginal(ch, 2).matrix)
 
 
 class TestFromMarginals:
@@ -190,6 +189,14 @@ class TestFileFormat:
         )
         ch = load_channel(path)
         assert ch.tensor[0, 0, 0] == pytest.approx(0.72, abs=1e-15)
+
+    def test_joint_and_marginals_together_rejected(self, tmp_path):
+        # a uniform joint beside BSC marginals: neither may silently win
+        path = _write(tmp_path, "ch.json", {"x_size": 2, "y1_size": 2, "y2_size": 2,
+                                            "joint": np.full((2, 2, 2), 0.25).tolist(),
+                                            "marginals": {"w1": W, "w2": W}})
+        with pytest.raises(ValidationError, match="only one of 'joint' and 'marginals'"):
+            load_channel(path)
 
     def test_bad_row_sum_names_position(self, tmp_path):
         path = tmp_path / "ch.json"

@@ -288,6 +288,71 @@ class TestSimulate:
         assert doc["e1"]["rate"] >= 0
 
 
+    @pytest.mark.parametrize("equiv,samples", [("exact", "-7"), ("mc", "1")])
+    def test_too_few_mc_samples_exits_2(self, capsys, bsc_file, chain_file, tmp_path, equiv, samples):
+        # rejected before any trial runs, in every mode, and nothing is written
+        out_path = tmp_path / "sim.json"
+        code, out, err = run_cli(
+            capsys, "simulate", bsc_file, chain_file, "--n", "4", "--trials", "2",
+            "--equiv", equiv, "--mc-samples", samples, "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "mc_samples" in err
+        assert not out_path.exists()
+
+
+def test_channel_with_joint_and_marginals_exits_2(capsys, tmp_path):
+    path = tmp_path / "both.json"
+    jsonio.dump({"x_size": 2, "y1_size": 2, "y2_size": 2, "joint": np.full((2, 2, 2), 0.25),
+                 "marginals": {"w1": binary_symmetric(0.1), "w2": binary_symmetric(0.2)}}, path)
+    code, out, err = run_cli(capsys, "info", str(path), "--uniform-x")
+    assert code == 2
+    assert out == ""
+    assert "only one of 'joint' and 'marginals'" in err
+
+
+class TestReportKeyOrder:
+    """The key sequence of each nested report block, as the files list them."""
+
+    def test_simulate(self, capsys, bsc_file, chain_file):
+        code, out, _ = run_cli(capsys, "simulate", bsc_file, chain_file, "--n", "4", "--trials", "4")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["e1", "e2", "equivocation_rate", "equivocation_se", "leakage_rate",
+                             "confidential_rate", "equivocation_bound", "asymptotic_terms",
+                             "epsilon_n", "config"]
+        for block in ("e1", "e2"):
+            assert list(doc[block]) == ["rate", "ci_low", "ci_high", "errors", "trials"]
+        assert list(doc["asymptotic_terms"]) == ["sub_rate_limit", "h_out2_given_code",
+                                                 "h_out2_given_cloud", "combination"]
+        assert list(doc["config"]) == ["trials", "n", "sizes", "epsilon", "codebook_seed", "equiv_mode",
+                                       "mc_samples", "seed", "k_size", "chain"]
+
+    def test_codebook(self, capsys, bsc_file, chain_file, tmp_path):
+        out_path = tmp_path / "cb.json"
+        code, out, _ = run_cli(capsys, "codebook", bsc_file, chain_file, "--n", "4", "--out", str(out_path))
+        assert code == 0
+        dump = json.loads(out_path.read_text())
+        assert list(dump) == ["params", "chain", "u_words", "v_words"]
+        assert list(dump["params"]) == ["n", "m0_size", "m1_size", "m2_size", "j_size", "l_size",
+                                        "epsilon", "seed"]
+        assert list(json.loads(out)["rate_conditions"][0]) == ["name", "code_rate", "bound", "delta",
+                                                               "exists_ok", "reliable_ok"]
+
+    def test_member(self, capsys, bsc_file):
+        code, out, _ = run_cli(capsys, "member", bsc_file, "--tuple", "0,0,0,0", *FAST)
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc["tuple"]) == ["rc", "re", "r1", "r2"]
+        assert list(doc["search"]) == ["restarts", "iterations", "seed", "u_size", "v_size"]
+
+    def test_info(self, capsys, bsc_file):
+        code, out, _ = run_cli(capsys, "info", bsc_file, "--uniform-x")
+        assert code == 0
+        assert list(json.loads(out)["info_quantities"]) == ["iu1", "iu2", "iv1", "iv2"]
+
+
 @pytest.mark.parametrize("cmd,opt", [("region", "--tol"), ("member", "--tol"), ("member", "--grid")])
 def test_removed_search_option_exits_1(capsys, bsc_file, cmd, opt):
     # the climb tolerance and the separation lattice are constants

@@ -14,12 +14,11 @@ from bbcsec import (
     evaluate_chain,
     from_marginals,
     generate,
-    is_typical,
     rate_check,
     run,
 )
 from bbcsec.codebook import TypicalityScorer
-from bbcsec.probability import JointDist, chain_joint
+from bbcsec.probability import JointDist, chain_joint, marginalize
 
 from . import oracles
 
@@ -113,37 +112,37 @@ class TestIsTypical:
     def test_deterministic_joint_any_epsilon(self):
         j = JointDist(("U", "Y1"), np.array([[1.0, 0.0], [0.0, 0.0]]))
         seqs = {"U": np.zeros(8, dtype=int), "Y1": np.zeros(8, dtype=int)}
-        assert is_typical(seqs, j, 1e-12)
+        assert TypicalityScorer(j, ("U", "Y1"), 1e-12).mask(seqs)
 
     def test_zero_probability_symbol(self):
         j = JointDist(("U", "Y1"), np.array([[1.0, 0.0], [0.0, 0.0]]))
         seqs = {"U": np.array([0, 1]), "Y1": np.array([0, 0])}
-        assert not is_typical(seqs, j, math.inf)
+        assert not TypicalityScorer(j, ("U", "Y1"), math.inf).mask(seqs)
 
     def test_uniform_pair(self):
         j = JointDist(("U", "Y1"), np.full((2, 2), 0.25))
         seqs = {"U": np.zeros(16, dtype=int), "Y1": np.zeros(16, dtype=int)}
         # sample log-probability is exactly the joint entropy here
-        assert is_typical(seqs, j, 0.1)
+        assert TypicalityScorer(j, ("U", "Y1"), 0.1).mask(seqs)
 
     def test_epsilon_zero_exact_match_only(self):
         j = JointDist(("U", "Y1"), np.array([[0.4, 0.1], [0.1, 0.4]]))
         balanced = {"U": np.array([0, 0, 1, 1]), "Y1": np.array([0, 1, 0, 1])}
-        assert not is_typical(balanced, j, 0.0)
+        assert not TypicalityScorer(j, ("U", "Y1"), 0.0).mask(balanced)
         uniform_j = JointDist(("U", "Y1"), np.full((2, 2), 0.25))
-        assert is_typical(balanced, uniform_j, 0.0)
+        assert TypicalityScorer(uniform_j, ("U", "Y1"), 0.0).mask(balanced)
 
     def test_epsilon_infinity_accepts_positive_probability(self):
         rng = np.random.default_rng(5)
         j = JointDist(("U", "Y1"), rng.dirichlet(np.ones(4)).reshape(2, 2))
         seqs = {"U": rng.integers(2, size=12), "Y1": rng.integers(2, size=12)}
         if np.all(j.tensor > 0):
-            assert is_typical(seqs, j, math.inf)
+            assert TypicalityScorer(j, ("U", "Y1"), math.inf).mask(seqs)
 
     def test_matches_independent_oracle(self, bsc12, degraded_chain):
-        j = chain_joint(
+        j = marginalize(chain_joint(
             degraded_chain.pu, degraded_chain.pvu, degraded_chain.pxv, bsc12
-        ).marginal({"V", "Y1"})
+        ), {"V", "Y1"})
         rng = np.random.default_rng(9)
         for _ in range(100):
             eps = float(rng.choice([0.05, 0.15, 0.4]))
@@ -152,7 +151,7 @@ class TestIsTypical:
                 "Y1": rng.integers(2, size=10),
             }
             expected = oracles.sample_entropy_check(seqs, j.tensor, ("V", "Y1"), eps)
-            assert is_typical(seqs, j, eps) == expected
+            assert TypicalityScorer(j, ("V", "Y1"), eps).mask(seqs) == expected
 
     @pytest.mark.parametrize("epsilon", [1.0, math.inf])
     def test_batch_matches_row_by_row(self, epsilon):
@@ -190,4 +189,4 @@ class TestIsTypical:
     def test_length_mismatch(self):
         j = JointDist(("U", "Y1"), np.full((2, 2), 0.25))
         with pytest.raises(ValidationError):
-            is_typical({"U": np.zeros(4, dtype=int), "Y1": np.zeros(5, dtype=int)}, j, 0.1)
+            TypicalityScorer(j, ("U", "Y1"), 0.1).mask({"U": np.zeros(4, dtype=int), "Y1": np.zeros(5, dtype=int)})

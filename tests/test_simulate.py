@@ -16,8 +16,6 @@ from bbcsec import (
     ValidationError,
     asymptotic_terms,
     binary_symmetric,
-    decode_node1,
-    decode_node2,
     encode,
     equivocation_exact,
     equivocation_mc,
@@ -28,6 +26,7 @@ from bbcsec import (
     transmit,
 )
 from bbcsec.channel import marginal
+from bbcsec.coding import Node1Decoder, Node2Decoder
 
 from . import oracles
 from .conftest import random_chain, random_channel
@@ -171,20 +170,22 @@ class TestBatchedTrials:
             assert 0 < n1 < cfg.trials and 0 < n2 < cfg.trials
 
     def test_batch_equals_one_shot_replay(self):
-        # each trial replayed alone through the one-block API, with the
-        # draws in the documented order
+        # each trial replayed alone, as a batch of one, with the draws in
+        # the documented order
         from bbcsec.simulate import _run_trials
 
         for cfg, cb, ms in _two_case_configs():
             n = cfg.params.n
+            dec1, dec2 = Node1Decoder(cb, ms), Node2Decoder(cb)
             n1 = n2 = 0
             for t in range(cfg.trials):
                 rng = np.random.default_rng((cfg.seed, 0, t))
                 mc, m1, m2 = (int(rng.integers(size)) for size in (ms.mc_size, ms.m1_size, ms.m2_size))
                 blk = encode(ms.cell(mc, rng), m1, m2, cb, rng.random(n))
                 y1, y2 = transmit(blk, cfg.channel, rng.random(n))
-                n1 += decode_node1(y1, m1, cb, ms) != (mc, m2)
-                n2 += decode_node2(y2, m2, cb) != m1
+                mc_hat, m2_hat = dec1(y1[None], [m1])
+                n1 += (int(mc_hat[0]), int(m2_hat[0])) != (mc, m2)
+                n2 += int(dec2(y2[None], [m2])[0]) != m1
             assert _run_trials(cfg, cb, ms) == (n1, n2)
 
 
@@ -258,3 +259,10 @@ class TestRun:
         with pytest.raises(ValidationError):
             SimConfig(trials=1, params=CodebookParams(n=4), chain=degraded_chain,
                       channel=bsc12, equiv_mode="sometimes")
+
+    @pytest.mark.parametrize("mode", ["exact", "mc", "none"])
+    @pytest.mark.parametrize("samples", [-7, 1])
+    def test_too_few_mc_samples(self, bsc12, degraded_chain, mode, samples):
+        with pytest.raises(ValidationError, match="mc_samples"):
+            SimConfig(trials=1, params=CodebookParams(n=4), chain=degraded_chain,
+                      channel=bsc12, equiv_mode=mode, mc_samples=samples)
