@@ -151,7 +151,8 @@ def equivocation_exact(cb: Codebook, ms: MessageSets) -> float:
     the non-legitimated node's full output word and its side information.
 
     Enumerates all output words in lexicographic chunks; each chunk's
-    posterior over confidential messages is computed in closed form.
+    posterior over confidential messages is computed in closed form, in
+    three chunk-sized buffers allocated once per side-information value.
     """
     p = cb.params
     ny2 = cb.channel.y2_size
@@ -173,15 +174,23 @@ def equivocation_exact(cb: Codebook, ms: MessageSets) -> float:
         steps = _step_tables(v_seqs, wv2)
         n_words = v_seqs.shape[0]
         suffix = _suffix_products(steps[prefix_len:], n_words)
+        chunk = np.empty_like(suffix)
+        joint = np.empty((suffix.shape[0], ms.mc_size))
+        ratio = np.empty_like(joint)
 
         h_m2 = 0.0
         for lp in _suffix_products(steps[:prefix_len], n_words):
-            chunk = suffix * lp[None, :]
-            joint = (chunk @ wmat) / ms.mc_size      # P(y word, mc | m2)
+            np.multiply(suffix, lp[None, :], out=chunk)
+            np.matmul(chunk, wmat, out=joint)
+            joint /= ms.mc_size                      # P(y word, mc | m2)
             py = joint.sum(axis=1)
-            pos = joint > 0.0
-            ratio = np.divide(joint, py[:, None], out=np.ones_like(joint), where=pos)
-            h_m2 -= float(np.sum(joint[pos] * np.log2(ratio[pos])))
+            # a zero cell gives 0 * log2(0) = nan here and is zeroed below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(joint, py[:, None], out=ratio)
+                np.log2(ratio, out=ratio)
+                ratio *= joint
+            ratio[joint == 0.0] = 0.0
+            h_m2 -= float(np.sum(ratio.reshape(-1)))
         total += h_m2 / p.m2_size
     return total
 
@@ -368,8 +377,8 @@ def _run_trials(cfg: SimConfig, cb: Codebook, ms: MessageSets) -> tuple:
 
 def run(cfg: SimConfig) -> SimReport:
     """Generate the codebook, run the trials, measure equivocation."""
+    ms = cfg.message_sets()  # validates k_size before the codebook is built
     cb = generate(cfg.params, cfg.chain, cfg.channel)
-    ms = cfg.message_sets()
     iq = evaluate_chain(cfg.chain, cfg.channel)
 
     n1, n2 = _run_trials(cfg, cb, ms)

@@ -5,7 +5,6 @@ Run with `pytest tests/test_acceptance.py -v` (add -s to see the lines on
 passing runs).
 """
 
-import json
 import math
 import time
 

@@ -62,20 +62,33 @@ class TestEquivocationExact:
         if len({tuple(w) for w in words.tolist()}) == words.shape[0]:
             assert equivocation_exact(cb, ms) == pytest.approx(0.0, abs=1e-12)
 
-    def test_matches_brute_force(self, bsc12):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_matches_brute_force(self, bsc12, monkeypatch):
         # the oracle builds each word's message and encoder probability from
-        # the sizes alone; case B with k = 2 and j = 3 has unequal classes
+        # the sizes alone; case B with k = 2 and j = 3 has unequal classes.
+        # On the zero-cell channel a deterministic V -> X leaves output words
+        # some messages cannot produce, and chunks of 9 rows split the 27
+        # output words into 3 prefix chunks; no step may warn on those cells
+        import bbcsec.simulate as sim
+
+        zero_cells = from_marginals(binary_symmetric(0.1), np.array([[0.7, 0.3, 0.0], [0.0, 0.4, 0.6]]))
+        default_rows = sim._CHUNK_ROWS
         rng = np.random.default_rng(5)
-        w2 = marginal(bsc12, 2).matrix
         for trial in range(4):
             chain = random_chain(rng, 2, 3, 2)
-            wv2 = chain.pxv.rows @ w2
-            for sizes, k_size in (((1, 2, 2, 2, 2), None), ((2, 1, 1, 2, 1), None),
-                                  ((1, 2, 1, 2, 2), 1), ((1, 1, 2, 3, 2), 2)):
+            cases = [(bsc12, chain, sizes, k_size, default_rows)
+                     for sizes, k_size in (((1, 2, 2, 2, 2), None), ((2, 1, 1, 2, 1), None),
+                                           ((1, 2, 1, 2, 2), 1), ((1, 1, 2, 3, 2), 2))]
+            det_chain = AuxChain(chain.pu, chain.pvu, CondDist(np.eye(2)[[0, 1, 0]]))
+            cases += [(zero_cells, det_chain, sizes, k_size, 9)
+                      for sizes, k_size in (((1, 2, 2, 2, 2), None), ((1, 1, 2, 3, 2), 2))]
+            for ch, aux, sizes, k_size, chunk_rows in cases:
+                monkeypatch.setattr(sim, "_CHUNK_ROWS", chunk_rows)
+                wv2 = aux.pxv.rows @ marginal(ch, 2).matrix
                 m0, m1, m2, j, l = sizes
                 params = CodebookParams(n=3, m0_size=m0, m1_size=m1, m2_size=m2, j_size=j, l_size=l,
                                         seed=100 + trial)
-                cb = generate(params, chain, bsc12)
+                cb = generate(params, aux, ch)
                 expected = sum(oracles.brute_force_equivocation(cb.v_words, sizes, m, k_size, wv2)
                                for m in range(m2)) / m2
                 assert equivocation_exact(cb, MessageSets(params, k_size)) == pytest.approx(expected, abs=1e-10)
@@ -93,6 +106,23 @@ class TestEquivocationExact:
         whole = equivocation_exact(cb, ms)
         assert chunked == pytest.approx(whole, abs=1e-11)
         assert 0.0 <= chunked <= math.log2(ms.mc_size) + 1e-9
+
+    def test_peak_memory_of_the_benchmark_instance(self, bsc12, degraded_chain):
+        # 2^18 output words in chunks of 8192 rows over 64 sub-words and 64
+        # messages: the reused suffix, chunk, joint and ratio buffers are
+        # 4 MiB each, so the peak stays below five chunk-sized arrays
+        import tracemalloc
+
+        params = CodebookParams(n=18, j_size=8, l_size=8, seed=0)
+        cb = generate(params, degraded_chain, bsc12)
+        ms = MessageSets.case_a(params)
+        tracemalloc.start()
+        try:
+            equivocation_exact(cb, ms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8192 * 64 * 8
 
     def test_guard(self, bsc12, degraded_chain):
         params = CodebookParams(n=21, j_size=2, seed=0)
@@ -259,6 +289,21 @@ class TestRun:
         with pytest.raises(ValidationError):
             SimConfig(trials=1, params=CodebookParams(n=4), chain=degraded_chain,
                       channel=bsc12, equiv_mode="sometimes")
+
+    @pytest.mark.parametrize("sizes, k_size", [((1, 1, 1, 4, 2), 0), ((2, 1, 1, 4, 2), 2)])
+    def test_bad_k_size_rejected_before_the_codebook(self, bsc12, degraded_chain, monkeypatch, sizes, k_size):
+        # k_size 0, and case B with a common message, fail before any
+        # codebook is built, so a large instance fails at once
+        import bbcsec.simulate as sim
+
+        calls = []
+        monkeypatch.setattr(sim, "generate", lambda *args: calls.append(args))
+        m0, m1, m2, j, l = sizes
+        params = CodebookParams(n=4, m0_size=m0, m1_size=m1, m2_size=m2, j_size=j, l_size=l)
+        cfg = SimConfig(trials=1, params=params, chain=degraded_chain, channel=bsc12, k_size=k_size)
+        with pytest.raises(ValidationError):
+            run(cfg)
+        assert calls == []
 
     @pytest.mark.parametrize("mode", ["exact", "mc", "none"])
     @pytest.mark.parametrize("samples", [-7, 1])
