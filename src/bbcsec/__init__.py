@@ -15,7 +15,6 @@ from .channel import (  # noqa: F401
 )
 from .codebook import Codebook, CodebookParams, generate, rate_check  # noqa: F401
 from .coding import (  # noqa: F401
-    EncodedBlock,
     MessageSets,
     encode,
     make_partition,

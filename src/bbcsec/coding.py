@@ -50,8 +50,6 @@ class MessageSets:
 
     def __init__(self, params, k_size: Optional[int] = None):
         self.params = params
-        self.m1_size = params.m1_size
-        self.m2_size = params.m2_size
         if k_size is None:
             self.column_class = None
             self.mc_shape = (params.j_size, params.l_size, params.m0_size)
@@ -92,22 +90,8 @@ class MessageSets:
         return (c + self.mc_shape[0] * i, l, 0)
 
 
-class EncodedBlock:
-    """Encoder output for a batch of blocks over leading axes (...):
-    second-layer words `v_seq` and sampled input words `x_seq` (..., n), and
-    the indices that chose them, `j`, `l` and `mprime` = (m0, m1, m2), each
-    an integer array (...)."""
-
-    def __init__(self, v_seq, x_seq, j, l, mprime):
-        self.v_seq = v_seq
-        self.x_seq = x_seq
-        self.j = j
-        self.l = l
-        self.mprime = tuple(mprime)
-
-
-def encode(cells, m1, m2, cb: Codebook, uniforms) -> EncodedBlock:
-    """Map a batch of codeword cells and messages to transmit blocks.
+def encode(cells, m1, m2, cb: Codebook, uniforms) -> np.ndarray:
+    """Map a batch of codeword cells and messages to input words (..., n).
 
     `cells` (..., 3) holds each block's (column, row, common) cell, as
     `MessageSets.cell` draws it for the confidential message (the
@@ -125,21 +109,22 @@ def encode(cells, m1, m2, cb: Codebook, uniforms) -> EncodedBlock:
     uniforms = np.asarray(uniforms, dtype=np.float64)
     if uniforms.shape[-1:] != (p.n,):
         raise ValidationError(f"encode: uniforms of shape {uniforms.shape} do not end in the blocklength {p.n}")
-    v_seq = cb.v_words[j, l, m0, m1, m2]
     cdf_xv = np.cumsum(cb.chain.pxv.rows, axis=1)
-    x_seq = _sample_rows(cdf_xv, v_seq, uniforms)
-    return EncodedBlock(v_seq, x_seq, j, l, (m0, m1, m2))
+    return _sample_rows(cdf_xv, cb.v_words[j, l, m0, m1, m2], uniforms)
 
 
-def transmit(block: EncodedBlock, ch: BroadcastChannel, uniforms) -> tuple:
-    """Pass a batch of input words (..., n) through the memoryless channel,
-    one symbol per uniform of `uniforms` (..., n); returns (y1, y2)."""
+def transmit(x_words, ch: BroadcastChannel, uniforms) -> tuple:
+    """Pass a batch of input words x_words (..., n) through the memoryless
+    channel, one symbol per uniform of `uniforms` (..., n); returns (y1, y2)."""
+    x_words = np.asarray(x_words, dtype=np.int64)
     uniforms = np.asarray(uniforms, dtype=np.float64)
-    if uniforms.shape != block.x_seq.shape:
-        raise ValidationError(f"transmit: uniforms of shape {uniforms.shape}, input words {block.x_seq.shape}")
+    if uniforms.shape != x_words.shape:
+        raise ValidationError(f"transmit: uniforms of shape {uniforms.shape}, input words {x_words.shape}")
+    if np.any((x_words < 0) | (x_words >= ch.x_size)):
+        raise ValidationError(f"transmit: an input symbol is outside [0, {ch.x_size})")
     flat = ch.tensor.reshape(ch.x_size, -1)
     cdf = np.cumsum(flat, axis=1)
-    pairs = _sample_rows(cdf, block.x_seq, uniforms)
+    pairs = _sample_rows(cdf, x_words, uniforms)
     y1, y2 = np.unravel_index(pairs, (ch.y1_size, ch.y2_size))
     return y1, y2
 
@@ -166,26 +151,31 @@ def _unique_hit(hits: np.ndarray, keys: np.ndarray) -> np.ndarray:
 def _decode(scorer: TypicalityScorer, y_axis: str, y, own, keys, words_for) -> np.ndarray:
     """The decoders' shared loop over trials with received words y (T, n)
     and own messages `own` (T,): per trial, the key (of `keys`, one per
-    candidate) that every candidate typical with its word shares, or -1
-    (see _unique_hit).
+    candidate, in the candidates' array shape) that every candidate typical
+    with its word shares, or -1 (see _unique_hit).
 
     Trials that share their own message m share one typicality call against
-    words_for(m), the candidates' codewords by axis, each (C, n); the terms
-    of the codewords alone are computed once in it.
+    words_for(m), the candidates' codewords by axis, each a view of the
+    codebook broadcasting to (keys' shape, n); a term that does not depend
+    on an index axis is computed once for all of it.
     """
     out = np.empty(own.shape, dtype=np.int64)
+    flat_keys = keys.reshape(-1)
     for m in sorted(set(own.tolist())):
         rows = np.flatnonzero(own == m)
-        out[rows] = _unique_hit(scorer.mask({**words_for(m), y_axis: y[rows, None, :]}), keys)
+        y_rows = y[rows].reshape((rows.size,) + (1,) * keys.ndim + y.shape[-1:])
+        hits = scorer.mask({**words_for(m), y_axis: y_rows})
+        out[rows] = _unique_hit(hits.reshape(rows.size, -1), flat_keys)
     return out
 
 
 class Node1Decoder:
     """Exhaustive typicality decoder at the legitimate node.
 
-    Knows its own message m1; searches all (common index, node-2 message,
-    column, row) candidates for joint typicality of (first-layer word,
-    sub-word, received word) and reports the unique message-level hit.
+    Knows its own message m1; searches all (column, row, common index,
+    node-2 message) candidates, the codebook's own index axes, for joint
+    typicality of (first-layer word, sub-word, received word) and reports
+    the unique message-level hit.
     """
 
     def __init__(self, cb: Codebook, ms: MessageSets):
@@ -197,21 +187,10 @@ class Node1Decoder:
             )
         self.cb = cb
         self.scorer = TypicalityScorer(decoding_joint(cb, "Y1"), ("U", "V", "Y1"), p.epsilon)
-        grids = np.meshgrid(
-            np.arange(p.m0_size), np.arange(p.m2_size), np.arange(p.j_size), np.arange(p.l_size),
-            indexing="ij",
-        )
-        self._m0, self._m2, self._j, self._l = (g.reshape(-1) for g in grids)
-        self._key = ms.cell_mc[self._j, self._l, self._m0] * p.m2_size + self._m2
-        self._cache = {}
+        self._key = ms.cell_mc[..., None] * p.m2_size + np.arange(p.m2_size)  # (j, l, m0, m2)
 
     def _words_for(self, m1: int) -> dict:
-        if m1 not in self._cache:
-            self._cache[m1] = {
-                "U": self.cb.u_words[self._m0, m1, self._m2],
-                "V": self.cb.v_words[self._j, self._l, self._m0, m1, self._m2],
-            }
-        return self._cache[m1]
+        return {"U": self.cb.u_words[:, m1], "V": self.cb.v_words[:, :, :, m1]}
 
     def __call__(self, y1, m1) -> tuple:
         """Decode a batch: received words y1 (T, n), own messages m1 (T,).
@@ -227,8 +206,9 @@ class Node1Decoder:
 
 
 class Node2Decoder:
-    """First-layer typicality decoder at the non-legitimated node; knows m2
-    and reports the unique node-1 message among the hits."""
+    """First-layer typicality decoder at the non-legitimated node; knows m2,
+    searches all (common index, node-1 message) candidates and reports the
+    unique node-1 message among the hits."""
 
     def __init__(self, cb: Codebook):
         p = cb.params
@@ -236,11 +216,10 @@ class Node2Decoder:
         self.cb = cb
         joint = marginalize(decoding_joint(cb, "Y2"), {"U", "Y2"})
         self.scorer = TypicalityScorer(joint, ("U", "Y2"), p.epsilon)
-        grids = np.meshgrid(np.arange(p.m0_size), np.arange(p.m1_size), indexing="ij")
-        self._m0, self._m1 = (g.reshape(-1) for g in grids)
+        self._key = np.broadcast_to(np.arange(p.m1_size), (p.m0_size, p.m1_size))  # (m0, m1)
 
     def _words_for(self, m2: int) -> dict:
-        return {"U": self.cb.u_words[self._m0, self._m1, m2]}
+        return {"U": self.cb.u_words[:, :, m2]}
 
     def __call__(self, y2, m2) -> np.ndarray:
         """Decode a batch: received words y2 (T, n), own messages m2 (T,).
@@ -249,5 +228,4 @@ class Node2Decoder:
         erases.
         """
         y2, m2 = _check_batch("Node2Decoder", y2, m2, self.cb.params.m2_size)
-        return _decode(self.scorer, "Y2", y2, m2, self._m1, self._words_for)
-
+        return _decode(self.scorer, "Y2", y2, m2, self._key, self._words_for)

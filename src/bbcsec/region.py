@@ -107,7 +107,7 @@ class InfoQuantities:
     @property
     def secrecy_bound(self) -> float:
         """Largest equivocation rate this chain supports, clamped at zero."""
-        return max(0.0, self.iv1 - self.iv2)
+        return float(_secrecy_term(self.iv1, self.iv2))
 
 
 @dataclass(frozen=True)
@@ -229,11 +229,17 @@ def tuple_satisfied(iq: InfoQuantities, t: RateTuple) -> bool:
     return bool(_margin(iq.iu1, iq.iu2, iq.iv1, iq.iv2, t) >= -SLACK)
 
 
+def _secrecy_term(iv1, iv2):
+    """The equivocation cap max(0, iv1 - iv2), elementwise: the one place
+    the region scores the secrecy term."""
+    return np.maximum(0.0, iv1 - iv2)
+
+
 def _margin(iu1, iu2, iv1, iv2, t: RateTuple):
     """Smallest slack of the constraints at t, per chain. The arguments are
     clamped information terms, arrays of one shape (one entry per chain)."""
     return np.minimum.reduce([
-        np.maximum(0.0, iv1 - iv2) - t.re,
+        _secrecy_term(iv1, iv2) - t.re,
         iv1 + iu1 - t.rc - t.r1,
         iv1 + iu2 - t.rc - t.r2,
         iu1 - t.r1,
@@ -258,7 +264,7 @@ def _corner_keys(iu1, iu2, iv1, iv2, w) -> np.ndarray:
     chain). The feasible set is linear in the tuple for fixed quantities, so
     the maximum of w . (rc,re,r1,r2) sits on one of these vertices."""
     zero = np.zeros(np.shape(iu1))
-    e = np.maximum(0.0, iv1 - iv2)
+    e = _secrecy_term(iv1, iv2)
     m = np.minimum(iu1, iu2)
     r1 = np.array([zero, iu1, zero, iu1, iu1 - m])
     r2 = np.array([zero, zero, iu2, iu2, iu2 - m])

@@ -113,17 +113,12 @@ def _word_table(cb: Codebook, ms: MessageSets, m2: int) -> tuple:
     """
     p = cb.params
     _check_table("word table", p.j_size * p.l_size * p.m0_size * p.m1_size, ms.mc_size)
-    grids = np.meshgrid(
-        np.arange(p.j_size), np.arange(p.l_size), np.arange(p.m0_size), np.arange(p.m1_size),
-        indexing="ij",
-    )
-    j, l, m0, m1 = (g.reshape(-1) for g in grids)
-    v = cb.v_words[j, l, m0, m1, m2]
+    v = cb.v_words[:, :, :, :, m2].reshape(-1, p.n)  # words in (j, l, m0, m1) order
 
-    mc = ms.cell_mc[j, l, m0]
+    mc = np.broadcast_to(ms.cell_mc[..., None], (p.j_size, p.l_size, p.m0_size, p.m1_size)).reshape(-1)
     w = 1.0 / (p.m1_size * ms.cells_per_mc[mc])
-    wmat = np.zeros((j.size, ms.mc_size))
-    wmat[np.arange(j.size), mc] = w
+    wmat = np.zeros((mc.size, ms.mc_size))
+    wmat[np.arange(mc.size), mc] = w
     return v, wmat
 
 
@@ -351,7 +346,8 @@ def _run_trials(cfg: SimConfig, cb: Codebook, ms: MessageSets) -> tuple:
     """
     dec1 = Node1Decoder(cb, ms)
     dec2 = Node2Decoder(cb)
-    n = cfg.params.n
+    p = cfg.params
+    n = p.n
     block = max(1, _CHUNK_ROWS // max(dec1.candidates, dec2.candidates))
 
     n1 = n2 = 0
@@ -363,7 +359,7 @@ def _run_trials(cfg: SimConfig, cb: Codebook, ms: MessageSets) -> tuple:
         for i, t in enumerate(trials):
             rng = np.random.Generator(np.random.PCG64((cfg.seed, 0, t)))  # default_rng's stream, built faster
             mc = int(rng.integers(ms.mc_size))
-            msgs[i] = mc, rng.integers(ms.m1_size), rng.integers(ms.m2_size)
+            msgs[i] = mc, rng.integers(p.m1_size), rng.integers(p.m2_size)
             cells[i] = ms.cell(mc, rng)
             u_enc[i] = rng.random(n)
             u_ch[i] = rng.random(n)

@@ -64,6 +64,35 @@ def grid_channel_capacity(w: np.ndarray, step: float = 1e-4) -> float:
     return grid_max_binary(lambda px: mi_against_channel(px, w), step)
 
 
+def binary_secrecy_capacity(joint, points: int) -> float:
+    """Secrecy capacity of a binary-input channel joint[x, y1, y2] =
+    P(y1, y2 | x): by Csiszar and Korner (1978) the max over V -> X of
+    I(V;Y1) - I(V;Y2), which at input law P is g(P) minus the lower convex
+    envelope of g, g(P) = H(Y1) - H(Y2). Both are taken on `points` equally
+    spaced laws P = (1 - p, p), the envelope as the lower hull of those
+    points (Andrew's monotone chain), so the value is a lower estimate that
+    tightens as the grid refines."""
+    joint = np.asarray(joint, dtype=float)
+    p = np.linspace(0.0, 1.0, points)
+    laws = np.stack([1.0 - p, p], axis=1)
+
+    def entropies(q):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return -np.where(q > 0, q * np.log2(q), 0.0).sum(axis=1)
+
+    g = entropies(laws @ joint.sum(axis=2)) - entropies(laws @ joint.sum(axis=1))
+    hull = []
+    for i in range(points):
+        # drop the last vertex while it lies on or above the chord to point i
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (p[b] - p[a]) * (g[i] - g[a]) - (g[b] - g[a]) * (p[i] - p[a]) > 0:
+                break
+            hull.pop()
+        hull.append(i)
+    return float(np.max(g - np.interp(p, p[hull], g[hull])))
+
+
 def duality_bound(px, ws, weights) -> float:
     """Upper bound on the maximum over input laws of sum_k w_k I(X;Y_k),
     valid at any law px: the maximum over x of

@@ -26,12 +26,14 @@ CHI2_99 = {1: 6.635, 2: 9.210, 3: 11.345}
 
 def _encode(mc, m1, m2, cb, ms, rng):
     """One block, its cell and input uniforms drawn from rng in the
-    simulator's order."""
-    return encode(ms.cell(mc, rng), m1, m2, cb, rng.random(cb.params.n))
+    simulator's order; returns the cell (column, row, common) and the input
+    word."""
+    cell = ms.cell(mc, rng)
+    return cell, encode(cell, m1, m2, cb, rng.random(cb.params.n))
 
 
-def _transmit(blk, ch, rng):
-    return transmit(blk, ch, rng.random(blk.x_seq.shape[-1]))
+def _transmit(x, ch, rng):
+    return transmit(x, ch, rng.random(x.shape[-1]))
 
 
 def _decode1(y1, m1, cb, ms):
@@ -140,17 +142,17 @@ class TestEncode:
         ms = MessageSets.case_b(params, 4)
         for mc in range(ms.mc_size):
             k, _ = divmod(mc, params.l_size)
-            blocks = [_encode(mc, 0, 0, cb, ms, np.random.default_rng(s)) for s in range(5)]
-            assert all(b.j == k for b in blocks)
+            cells = [_encode(mc, 0, 0, cb, ms, np.random.default_rng(s))[0] for s in range(5)]
+            assert all(j == k for j, _, _ in cells)
 
     def test_case_a_deterministic_codeword(self, bsc12, degraded_chain):
         params = CodebookParams(n=6, j_size=2, l_size=2, seed=1)
         cb = generate(params, degraded_chain, bsc12)
         ms = MessageSets.case_a(params)
-        a = _encode(3, 0, 0, cb, ms, np.random.default_rng(4))
-        b = _encode(3, 0, 0, cb, ms, np.random.default_rng(4))
-        assert np.array_equal(a.v_seq, b.v_seq)
-        assert np.array_equal(a.x_seq, b.x_seq)
+        cell_a, x_a = _encode(3, 0, 0, cb, ms, np.random.default_rng(4))
+        cell_b, x_b = _encode(3, 0, 0, cb, ms, np.random.default_rng(4))
+        assert cell_a == cell_b  # and so is the codeword, v_words[(*cell, m1, m2)]
+        assert np.array_equal(x_a, x_b)
 
     def test_case_b_spreads_uniformly(self, bsc12, degraded_chain):
         params = CodebookParams(n=2, j_size=4, l_size=1, seed=2)
@@ -160,8 +162,8 @@ class TestEncode:
         draws = 10_000
         counts = np.zeros(4)
         for _ in range(draws):
-            blk = _encode(0, 0, 0, cb, ms, rng)  # class 0 -> columns {0, 2}
-            counts[blk.j] += 1
+            (j, _, _), _ = _encode(0, 0, 0, cb, ms, rng)  # class 0 -> columns {0, 2}
+            counts[j] += 1
         assert counts[1] == counts[3] == 0
         expected = draws / 2
         chi2 = ((counts[0] - expected) ** 2 + (counts[2] - expected) ** 2) / expected
@@ -185,8 +187,8 @@ class TestEncode:
         for mc in range(ms.mc_size):
             for m1 in range(2):
                 for m2 in range(2):
-                    blk = _encode(mc, m1, m2, cb, ms, rng)
-                    key = (int(blk.j), int(blk.l), *map(int, blk.mprime))
+                    cell, _ = _encode(mc, m1, m2, cb, ms, rng)
+                    key = (*cell, m1, m2)
                     assert key not in seen
                     seen.add(key)
 
@@ -216,28 +218,34 @@ class TestTransmit:
         params = CodebookParams(n=5, seed=0)
         cb = generate(params, carrier_chain, noiseless4)
         ms = MessageSets.case_a(params)
-        blk = _encode(0, 0, 0, cb, ms, np.random.default_rng(1))
-        y1, y2 = _transmit(blk, noiseless4, np.random.default_rng(2))
-        assert np.array_equal(y1, blk.x_seq)
-        assert np.array_equal(y2, blk.x_seq)
+        _, x = _encode(0, 0, 0, cb, ms, np.random.default_rng(1))
+        y1, y2 = _transmit(x, noiseless4, np.random.default_rng(2))
+        assert np.array_equal(y1, x)
+        assert np.array_equal(y2, x)
 
     def test_uniform_output_independent(self):
         ch = from_marginals(np.eye(2), np.full((2, 2), 0.5))
         chain = AuxChain(Dist([1.0]), CondDist([[1.0]]), CondDist([[1.0, 0.0]]))
         params = CodebookParams(n=2000, seed=0)
         cb = generate(params, chain, ch)
-        blk = _encode(0, 0, 0, cb, MessageSets.case_a(params), np.random.default_rng(3))
-        _, y2 = _transmit(blk, ch, np.random.default_rng(4))
+        _, x = _encode(0, 0, 0, cb, MessageSets.case_a(params), np.random.default_rng(3))
+        _, y2 = _transmit(x, ch, np.random.default_rng(4))
         # all-zero input, output should still be near-uniform
         assert abs(y2.mean() - 0.5) < 0.05
 
     def test_flip_rate(self, bsc12, degraded_chain):
         params = CodebookParams(n=10_000, seed=1)
         cb = generate(params, degraded_chain, bsc12)
-        blk = _encode(0, 0, 0, cb, MessageSets.case_a(params), np.random.default_rng(5))
-        y1, _ = _transmit(blk, bsc12, np.random.default_rng(6))
-        flips = np.mean(y1 != blk.x_seq)
+        _, x = _encode(0, 0, 0, cb, MessageSets.case_a(params), np.random.default_rng(5))
+        y1, _ = _transmit(x, bsc12, np.random.default_rng(6))
+        flips = np.mean(y1 != x)
         assert abs(flips - 0.1) < 0.01
+
+    def test_out_of_range_input_symbol(self, bsc12):
+        # a negative symbol would otherwise index the last channel row
+        for x in ([0, -1, 1], [0, 2, 1]):
+            with pytest.raises(ValidationError, match="input symbol"):
+                transmit(np.array(x), bsc12, np.full(3, 0.5))
 
 
 class TestDecoders:
@@ -250,8 +258,8 @@ class TestDecoders:
         ms = MessageSets.case_a(params)
         rng = np.random.default_rng(7)
         for mc in range(ms.mc_size):
-            blk = _encode(mc, 0, 0, cb, ms, rng)
-            y1, _ = _transmit(blk, ch, rng)
+            _, x = _encode(mc, 0, 0, cb, ms, rng)
+            y1, _ = _transmit(x, ch, rng)
             assert _decode1(y1, 0, cb, ms) == (mc, 0)
 
     def test_noiseless_round_trip_node2(self, noiseless4, carrier_chain):
@@ -261,8 +269,8 @@ class TestDecoders:
         rng = np.random.default_rng(8)
         for m1 in range(2):
             for m2 in range(2):
-                blk = _encode(0, m1, m2, cb, ms, rng)
-                _, y2 = _transmit(blk, noiseless4, rng)
+                _, x = _encode(0, m1, m2, cb, ms, rng)
+                _, y2 = _transmit(x, noiseless4, rng)
                 assert _decode2(y2, m2, cb) == m1
 
     def test_independent_output_erases(self, bsc12, degraded_chain):
@@ -298,8 +306,8 @@ class TestDecoders:
         object.__setattr__(cb, "v_words", v)
         ms = MessageSets.case_a(params)  # columns are distinct messages here
         rng = np.random.default_rng(23)
-        blk = _encode(0, 0, 0, cb, ms, rng)
-        y1, _ = _transmit(blk, ch, rng)
+        _, x = _encode(0, 0, 0, cb, ms, rng)
+        y1, _ = _transmit(x, ch, rng)
         assert _decode1(y1, 0, cb, ms) == (-1, -1)
 
     def test_case_b_same_class_hits_still_decode(self):
@@ -315,8 +323,8 @@ class TestDecoders:
         object.__setattr__(cb, "v_words", v)
         ms = MessageSets.case_b(params, 1)
         rng = np.random.default_rng(21)
-        blk = _encode(0, 0, 0, cb, ms, rng)
-        y1, _ = _transmit(blk, ch, rng)
+        _, x = _encode(0, 0, 0, cb, ms, rng)
+        y1, _ = _transmit(x, ch, rng)
         assert _decode1(y1, 0, cb, ms) == (0, 0)
 
     def test_inner_decoder_noiseless(self, bsc12):
@@ -327,9 +335,9 @@ class TestDecoders:
         ms = MessageSets.case_a(params)
         rng = np.random.default_rng(15)
         for mc in range(ms.mc_size):
-            blk = _encode(mc, 0, 0, cb, ms, rng)
-            _, y2 = _transmit(blk, ch, rng)
-            assert oracles.inner_column_decode(y2, blk.l, blk.mprime, cb) == blk.j
+            (j, l, m0), x = _encode(mc, 0, 0, cb, ms, rng)
+            _, y2 = _transmit(x, ch, rng)
+            assert oracles.inner_column_decode(y2, l, (m0, 0, 0), cb) == j
 
     def test_inner_decoder_saturates_above_capacity(self, bsc12, degraded_chain):
         # column rate far above the node-2 information term: decoding fails
@@ -345,9 +353,9 @@ class TestDecoders:
         trials = 40
         for _ in range(trials):
             mc = int(rng.integers(ms.mc_size))
-            blk = _encode(mc, 0, 0, cb, ms, rng)
-            _, y2 = _transmit(blk, bsc12, rng)
-            if oracles.inner_column_decode(y2, blk.l, blk.mprime, cb) != blk.j:
+            (j, l, m0), x = _encode(mc, 0, 0, cb, ms, rng)
+            _, y2 = _transmit(x, bsc12, rng)
+            if oracles.inner_column_decode(y2, l, (m0, 0, 0), cb) != j:
                 errors += 1
         assert errors / trials >= 0.5
 

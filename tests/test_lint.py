@@ -1,13 +1,15 @@
-"""Every module imports only names it uses.
+"""Static checks with the standard library's `ast`, so they need no linter.
 
-Checked with the standard library's `ast`, so the check needs no linter.
-`__init__.py` files are exempt: their imports are the package's exports.
+Every module imports only names it uses (`__init__.py` files are exempt:
+their imports are the package's exports), and every private module-level
+name of the package is used somewhere in the package.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def _unused_imports(path: Path) -> list:
@@ -24,7 +26,40 @@ def _unused_imports(path: Path) -> list:
     return [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def _private_definitions(tree: ast.Module) -> dict:
+    """Module-level functions, classes and constants whose names start with
+    one underscore, by name -> line."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [(node.name, node.lineno)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [(t.id, node.lineno) for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        out.update((name, line) for name, line in targets if name.startswith("_") and not name.startswith("__"))
+    return out
+
+
+def _references(tree: ast.Module) -> set:
+    """Names read anywhere in a module, as bare names or as attributes."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 def test_no_unused_imports():
-    files = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
+    files = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")
+                   if p.name != "__init__.py")
     assert files
     assert [u for p in files for u in _unused_imports(p)] == []
+
+
+def test_no_unreferenced_private_names():
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.rglob("*.py"))}
+    assert trees
+    referenced = set().union(*(_references(t) for t in trees.values()))
+    unreferenced = [f"{p.relative_to(ROOT)}:{line}: {name}"
+                    for p, t in trees.items() for name, line in _private_definitions(t).items()
+                    if name not in referenced]
+    assert unreferenced == []

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from bbcsec import (
     transmit,
 )
 from bbcsec.channel import marginal
+from bbcsec.codebook import decoding_joint
 from bbcsec.coding import Node1Decoder, Node2Decoder
 
 from . import oracles
@@ -210,13 +212,71 @@ class TestBatchedTrials:
             n1 = n2 = 0
             for t in range(cfg.trials):
                 rng = np.random.default_rng((cfg.seed, 0, t))
-                mc, m1, m2 = (int(rng.integers(size)) for size in (ms.mc_size, ms.m1_size, ms.m2_size))
-                blk = encode(ms.cell(mc, rng), m1, m2, cb, rng.random(n))
-                y1, y2 = transmit(blk, cfg.channel, rng.random(n))
+                mc, m1, m2 = (int(rng.integers(size)) for size in (ms.mc_size, cfg.params.m1_size, cfg.params.m2_size))
+                x = encode(ms.cell(mc, rng), m1, m2, cb, rng.random(n))
+                y1, y2 = transmit(x, cfg.channel, rng.random(n))
                 mc_hat, m2_hat = dec1(y1[None], [m1])
                 n1 += (int(mc_hat[0]), int(m2_hat[0])) != (mc, m2)
                 n2 += int(dec2(y2[None], [m2])[0]) != m1
             assert _run_trials(cfg, cb, ms) == (n1, n2)
+
+
+class TestDecodersMatchTheDefinition:
+    """Both decoders equal a decoder written from the typicality definition:
+    every candidate of the codebook tested alone with
+    oracles.sample_entropy_check against decoding_joint (summed over V for
+    node 2), then the one message shared by all hits, or an erasure."""
+
+    @staticmethod
+    def _words(cfg, cb, ms, rng):
+        # 100 received words from codewords and 100 drawn uniformly, per node
+        p, ch = cfg.params, cfg.channel
+        mc, m1, m2 = (rng.integers(size, size=200) for size in (ms.mc_size, p.m1_size, p.m2_size))
+        cells = [ms.cell(m, rng) for m in mc[:100].tolist()]
+        y1, y2 = transmit(encode(cells, m1[:100], m2[:100], cb, rng.random((100, p.n))), ch,
+                          rng.random((100, p.n)))
+        y1 = np.concatenate([y1, rng.integers(ch.y1_size, size=(100, p.n))])
+        y2 = np.concatenate([y2, rng.integers(ch.y2_size, size=(100, p.n))])
+        return y1, m1, y2, m2
+
+    @staticmethod
+    def _message(cfg, j, l, m0):
+        p = cfg.params
+        if cfg.k_size is None:
+            return (j * p.l_size + l) * p.m0_size + m0
+        return (j % cfg.k_size) * p.l_size + l
+
+    def _node1(self, cfg, cb, y1, m1):
+        p = cfg.params
+        joint = decoding_joint(cb, "Y1")
+        hits = set()
+        for j, l, m0, m2 in itertools.product(*(range(s) for s in (p.j_size, p.l_size, p.m0_size, p.m2_size))):
+            seqs = {"U": cb.u_words[m0, m1, m2], "V": cb.v_words[j, l, m0, m1, m2], "Y1": y1}
+            if oracles.sample_entropy_check(seqs, joint.tensor, joint.axes, p.epsilon):
+                hits.add((self._message(cfg, j, l, m0), m2))
+        return hits.pop() if len(hits) == 1 else (-1, -1)
+
+    @staticmethod
+    def _node2(cfg, cb, y2, m2):
+        p = cfg.params
+        joint = decoding_joint(cb, "Y2")
+        names = tuple(a for a in joint.axes if a != "V")
+        tensor = joint.tensor.sum(axis=joint.axes.index("V"))
+        hits = {m1 for m0, m1 in itertools.product(range(p.m0_size), range(p.m1_size))
+                if oracles.sample_entropy_check({"U": cb.u_words[m0, m1, m2], "Y2": y2}, tensor, names, p.epsilon)}
+        return hits.pop() if len(hits) == 1 else -1
+
+    def test_both_decoders_on_both_constructions(self):
+        rng = np.random.default_rng(17)
+        for cfg, cb, ms in _two_case_configs():
+            y1, m1, y2, m2 = self._words(cfg, cb, ms, rng)
+            mc_hat, m2_hat = Node1Decoder(cb, ms)(y1, m1)
+            expected1 = [self._node1(cfg, cb, y, m) for y, m in zip(y1, m1.tolist())]
+            assert list(zip(mc_hat.tolist(), m2_hat.tolist())) == expected1
+            m1_hat = Node2Decoder(cb)(y2, m2)
+            assert m1_hat.tolist() == [self._node2(cfg, cb, y, m) for y, m in zip(y2, m2.tolist())]
+            for decoded in (mc_hat, m1_hat):
+                assert 0 < np.count_nonzero(decoded >= 0) < decoded.size
 
 
 class TestAsymptoticTerms:
