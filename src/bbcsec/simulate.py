@@ -141,13 +141,25 @@ def _suffix_products(steps: list, n_words: int) -> np.ndarray:
     return out
 
 
+def _entropy(probs: np.ndarray) -> float:
+    """Entropy (bits) of the probabilities in `probs`, any shape."""
+    q = probs[probs > 0.0]
+    return float(-np.dot(q, np.log2(q)))
+
+
 def equivocation_exact(cb: Codebook, ms: MessageSets) -> float:
     """Exact conditional entropy (bits) of the confidential message given
     the non-legitimated node's full output word and its side information.
 
-    Enumerates all output words in lexicographic chunks; each chunk's
-    posterior over confidential messages is computed in closed form, in
-    three chunk-sized buffers allocated once per side-information value.
+    The message is uniform and independent of m2, so by the chain rule
+    H(Mc | Y2, m2) = log2|Mc| + H(Y2 | Mc, m2) - H(Y2 | m2). The law of all
+    |Y2|^n output words given m2 is one product of the prefix and suffix
+    likelihood tables, weighted by the word probabilities. A message with a
+    single word (case A with m1 = 1) has H(Y2 | mc, m2) in closed form, the
+    sum over positions of the entropy of the word symbol's output row; a
+    message with several words has its mixture law enumerated by the same
+    product over its columns. Each term is clamped to [0, log2|Mc|], the
+    quantity's exact range, so round-off never leaves it.
     """
     p = cb.params
     ny2 = cb.channel.y2_size
@@ -156,37 +168,39 @@ def equivocation_exact(cb: Codebook, ms: MessageSets) -> float:
             f"equivocation_exact: {ny2}^{p.n} output words exceeds the limit {MAX_EXACT_SEQUENCES}"
         )
     wv2 = _effective_w2(cb)
+    h_rows = np.array([_entropy(row) for row in wv2])  # H(Y2 | V = v) per letter
 
     suffix_len = p.n
     while ny2 ** suffix_len > _CHUNK_ROWS and suffix_len > 1:
         suffix_len -= 1
     prefix_len = p.n - suffix_len
-    _check_table("output-word chunk", ny2 ** suffix_len, p.j_size * p.l_size * p.m0_size * p.m1_size)
+    prefix_rows, suffix_rows = ny2 ** prefix_len, ny2 ** suffix_len
+    n_words = p.j_size * p.l_size * p.m0_size * p.m1_size
+    _check_table("output-word chunk", suffix_rows, n_words)
+    _check_table("output-word prefix", prefix_rows, n_words)
+    _check_table("output law", prefix_rows, suffix_rows)
+
+    # words in (j, l, m0, m1) order, regrouped so each message's are adjacent
+    mc = np.broadcast_to(ms.cell_mc[..., None], (p.j_size, p.l_size, p.m0_size, p.m1_size)).reshape(-1)
+    order = np.argsort(mc, kind="stable")
+    counts = p.m1_size * ms.cells_per_mc  # words per message
+    starts = np.cumsum(counts) - counts
+    weights = 1.0 / counts[mc[order]]  # P(word | its message)
+    h_mc = math.log2(ms.mc_size)
 
     total = 0.0
     for m2 in range(p.m2_size):
-        v_seqs, wmat = _word_table(cb, ms, m2)
+        v_seqs = cb.v_words[:, :, :, :, m2].reshape(-1, p.n)[order]
         steps = _step_tables(v_seqs, wv2)
-        n_words = v_seqs.shape[0]
+        prefix = _suffix_products(steps[:prefix_len], n_words)
         suffix = _suffix_products(steps[prefix_len:], n_words)
-        chunk = np.empty_like(suffix)
-        joint = np.empty((suffix.shape[0], ms.mc_size))
-        ratio = np.empty_like(joint)
 
-        h_m2 = 0.0
-        for lp in _suffix_products(steps[:prefix_len], n_words):
-            np.multiply(suffix, lp[None, :], out=chunk)
-            np.matmul(chunk, wmat, out=joint)
-            joint /= ms.mc_size                      # P(y word, mc | m2)
-            py = joint.sum(axis=1)
-            # a zero cell gives 0 * log2(0) = nan here and is zeroed below
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(joint, py[:, None], out=ratio)
-                np.log2(ratio, out=ratio)
-                ratio *= joint
-            ratio[joint == 0.0] = 0.0
-            h_m2 -= float(np.sum(ratio.reshape(-1)))
-        total += h_m2 / p.m2_size
+        h_out = _entropy((prefix * (weights / ms.mc_size)) @ suffix.T)  # H(Y2 | m2)
+        h_msg = h_rows[v_seqs[starts]].sum(axis=1)  # H(Y2 | mc, m2) of one-word messages
+        for m in np.flatnonzero(counts > 1).tolist():
+            cols = slice(starts[m], starts[m] + counts[m])
+            h_msg[m] = _entropy((prefix[:, cols] * weights[cols]) @ suffix[:, cols].T)
+        total += min(max(h_mc + float(h_msg.sum()) / ms.mc_size - h_out, 0.0), h_mc) / p.m2_size
     return total
 
 

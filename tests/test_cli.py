@@ -266,16 +266,30 @@ class TestSimulate:
         assert code == 3
         assert "guard" in err.lower() or "limit" in err.lower()
 
-    @pytest.mark.parametrize("equiv", ["exact", "mc"])
-    def test_dense_equivocation_table_guard_exit_code(self, capsys, bsc_file, chain_file, equiv):
-        # 65 536 sub-words: the words x messages table would take 32 GiB
+    @pytest.mark.parametrize("equiv, n", [pytest.param("exact", "16", id="exact"),
+                                          pytest.param("mc", "4", id="mc")])
+    def test_dense_equivocation_table_guard_exit_code(self, capsys, bsc_file, chain_file, equiv, n):
+        # 65 536 sub-words: Monte Carlo's words x messages table would take
+        # 32 GiB, and at n = 16 the exact mode's table of 8192 suffix output
+        # words x sub-words would take 4 GiB
         code, out, err = run_cli(
             capsys, "simulate", bsc_file, chain_file,
-            "--n", "4", "--sizes", "1,1,1,1024,64", "--trials", "2", "--equiv", equiv,
+            "--n", n, "--sizes", "1,1,1,1024,64", "--trials", "2", "--equiv", equiv,
         )
         assert code == 3
         assert out == ""
         assert "limit" in err
+
+    def test_exact_equivocation_of_65536_messages(self, capsys, bsc_file, chain_file):
+        # one word per message: the exact mode builds no words x messages
+        # table, and log2|Mc| - n log2|Y2| <= H(Mc|Y2) <= log2|Mc| bounds the
+        # rate to [16 - 4, 16] / 4
+        code, out, _ = run_cli(
+            capsys, "simulate", bsc_file, chain_file,
+            "--n", "4", "--sizes", "1,1,1,1024,64", "--trials", "2", "--equiv", "exact",
+        )
+        assert code == 0
+        assert 3.0 <= json.loads(out)["equivocation_rate"] <= 4.0
 
     def test_infeasible_rates_still_report(self, capsys, bsc_file, chain_file):
         # rates far above the region: exit 0, the report shows the errors

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bbcsec import (
@@ -36,6 +36,25 @@ from .conftest import random_chain, random_channel
 
 def _uniform_w2_channel(ny2=2):
     return from_marginals(binary_symmetric(0.1), np.full((2, ny2), 1.0 / ny2))
+
+
+def _zero_cell_pair(chain):
+    """A channel to node 2 with zero cells, and `chain` with a deterministic
+    V -> X, so some output words are impossible under some messages."""
+    ch = from_marginals(binary_symmetric(0.1), np.array([[0.7, 0.3, 0.0], [0.0, 0.4, 0.6]]))
+    return ch, AuxChain(chain.pu, chain.pvu, CondDist(np.eye(2)[[0, 1, 0]]))
+
+
+@st.composite
+def _small_instances(draw):
+    """(n, sizes (m0, m1, m2, j, l), k_size, zero_cells, seed): every size at
+    most 3, case A (k_size None) or case B at any valid k_size."""
+    n = draw(st.integers(1, 4))
+    m0, m1, m2, j, l = (draw(st.integers(1, 3)) for _ in range(5))
+    k_size = draw(st.one_of(st.none(), st.integers(1, j)))
+    if k_size is not None:
+        m0 = 1
+    return n, (m0, m1, m2, j, l), k_size, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
 
 class TestEquivocationExact:
@@ -73,7 +92,6 @@ class TestEquivocationExact:
         # output words into 3 prefix chunks; no step may warn on those cells
         import bbcsec.simulate as sim
 
-        zero_cells = from_marginals(binary_symmetric(0.1), np.array([[0.7, 0.3, 0.0], [0.0, 0.4, 0.6]]))
         default_rows = sim._CHUNK_ROWS
         rng = np.random.default_rng(5)
         for trial in range(4):
@@ -81,7 +99,7 @@ class TestEquivocationExact:
             cases = [(bsc12, chain, sizes, k_size, default_rows)
                      for sizes, k_size in (((1, 2, 2, 2, 2), None), ((2, 1, 1, 2, 1), None),
                                            ((1, 2, 1, 2, 2), 1), ((1, 1, 2, 3, 2), 2))]
-            det_chain = AuxChain(chain.pu, chain.pvu, CondDist(np.eye(2)[[0, 1, 0]]))
+            zero_cells, det_chain = _zero_cell_pair(chain)
             cases += [(zero_cells, det_chain, sizes, k_size, 9)
                       for sizes, k_size in (((1, 2, 2, 2, 2), None), ((1, 1, 2, 3, 2), 2))]
             for ch, aux, sizes, k_size, chunk_rows in cases:
@@ -94,6 +112,30 @@ class TestEquivocationExact:
                 expected = sum(oracles.brute_force_equivocation(cb.v_words, sizes, m, k_size, wv2)
                                for m in range(m2)) / m2
                 assert equivocation_exact(cb, MessageSets(params, k_size)) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(_small_instances())
+    # case B with j = 3, k = 2 and m1 = 1: message class 0 owns two words and
+    # class 1 one, so the closed form and the enumeration meet in one sum
+    @example((3, (1, 1, 2, 3, 2), 2, False, 0))
+    @example((3, (1, 1, 2, 3, 2), 2, True, 0))
+    def test_small_instances_match_brute_force(self, bsc12, instance):
+        n, sizes, k_size, zero_cells, seed = instance
+        chain = random_chain(np.random.default_rng(seed), 2, 3, 2)
+        ch = bsc12
+        if zero_cells:
+            ch, chain = _zero_cell_pair(chain)
+        wv2 = chain.pxv.rows @ marginal(ch, 2).matrix
+        m0, m1, m2, j, l = sizes
+        params = CodebookParams(n=n, m0_size=m0, m1_size=m1, m2_size=m2, j_size=j, l_size=l, seed=seed)
+        cb = generate(params, chain, ch)
+        ms = MessageSets(params, k_size)
+        h = equivocation_exact(cb, ms)
+        expected = sum(oracles.brute_force_equivocation(cb.v_words, sizes, m, k_size, wv2)
+                       for m in range(m2)) / m2
+        assert abs(h - expected) <= 1e-10
+        assert 0.0 <= h <= math.log2(ms.mc_size)
 
     def test_chunking_matches_unchunked(self, bsc12, degraded_chain, monkeypatch):
         # blocklength large enough to force several prefix chunks; the result
@@ -110,9 +152,11 @@ class TestEquivocationExact:
         assert 0.0 <= chunked <= math.log2(ms.mc_size) + 1e-9
 
     def test_peak_memory_of_the_benchmark_instance(self, bsc12, degraded_chain):
-        # 2^18 output words in chunks of 8192 rows over 64 sub-words and 64
-        # messages: the reused suffix, chunk, joint and ratio buffers are
-        # 4 MiB each, so the peak stays below five chunk-sized arrays
+        # 2^18 output words over 64 one-word messages: the suffix likelihood
+        # table (8192 output words x 64 sub-words) is 4 MiB, the output law
+        # (32 prefix x 8192 suffix output words) and the positive entries and
+        # logs taken of it 2 MiB each, so the peak stays below five
+        # 8192 x 64 arrays
         import tracemalloc
 
         params = CodebookParams(n=18, j_size=8, l_size=8, seed=0)
@@ -133,8 +177,8 @@ class TestEquivocationExact:
             equivocation_exact(cb, MessageSets.case_a(params))
 
     def test_dense_chunk_guard(self, bsc12, degraded_chain, monkeypatch):
-        # a chunk of 64 output words x 128 sub-words is over a limit of 4096
-        # entries, though the word table (128 words x 1 message) is not
+        # the suffix table of 64 output words x 128 sub-words is over a limit
+        # of 4096 entries
         import bbcsec.simulate as sim
 
         monkeypatch.setattr(sim, "MAX_TABLE_ENTRIES", 1 << 12)
