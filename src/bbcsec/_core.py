@@ -27,16 +27,22 @@ def chain_info(pu, pvu, pxv, w1, w2):
     """
     puv = pu[:, :, None] * pvu
     out = np.empty((pu.shape[0], 4))
-    # zero-probability cells give 0/0 and log2(0); the masks zero them
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Each term sums p * log2(ratio) over the cells where the log is finite.
+    # That drops the zero-probability cells (0/0, log2(0)) and the cells
+    # whose ratio leaves the floats: a denominator that underflows to 0 under
+    # a positive numerator, or a quotient that overflows. Such a cell holds
+    # a mass below the smallest normal float, so its term is negligible.
+    # Every other sum is bit for bit that of the mask p > 0: the only cells
+    # kept beyond it add 0 * a finite log.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k, w in enumerate((w1, w2)):
             wv = pxv @ w            # effective per-letter law, second layer -> output
             puy = puv @ wv
             py = puy.sum(axis=1)
-            ratio = puy / (pu[:, :, None] * py[:, None, :])
-            out[:, k] = np.where(puy > 0.0, puy * np.log2(ratio), 0.0).sum(axis=(1, 2))
+            lr = np.log2(puy / (pu[:, :, None] * py[:, None, :]))
+            out[:, k] = np.where(np.isfinite(lr), puy * lr, 0.0).sum(axis=(1, 2))
 
             t = puv[:, :, :, None] * wv[:, None, :, :]
-            ratio2 = (wv[:, None, :, :] * pu[:, :, None, None]) / puy[:, :, None, :]
-            out[:, 2 + k] = np.where(t > 0.0, t * np.log2(ratio2), 0.0).sum(axis=(1, 2, 3))
+            lr2 = np.log2((wv[:, None, :, :] * pu[:, :, None, None]) / puy[:, :, None, :])
+            out[:, 2 + k] = np.where(np.isfinite(lr2), t * lr2, 0.0).sum(axis=(1, 2, 3))
     return out

@@ -3,11 +3,13 @@ message: full rate-equivocation region, secrecy region, and the plain
 bidirectional region, all computed by scalarization.
 
 The regions are closed and convex, so support functions characterize them
-exactly. The full and secrecy regions are searched over auxiliary chains
-(random-restart coordinate ascent), which can under-estimate a support
-value but never over-estimates it: "outside" is evidence, not a
-certificate. The bidirectional frontier, concave in the input law, is
-solved by Blahut-Arimoto, each point certified to within SLACK.
+exactly. A support direction (wc, we, w1, w2) with wc + we <= w1, which
+includes the whole bidirectional slice, is solved by Blahut-Arimoto and
+certified to within SLACK; so is each point of the bidirectional frontier.
+Every other direction is searched over auxiliary chains (random-restart
+coordinate ascent, its budget a SearchParams), which can under-estimate a
+support value but never over-estimates it: "outside" is evidence, not a
+certificate.
 """
 
 import itertools
@@ -452,16 +454,32 @@ def _search_chain(
 
 
 def support_function(ch: BroadcastChannel, w, p: SearchParams = SearchParams()) -> SupportResult:
-    """Maximum of w . (rc,re,r1,r2) over the full rate-equivocation region."""
+    """Maximum of w . (rc,re,r1,r2) over the full rate-equivocation region.
+
+    With a = wc + we, every chain's value is at most
+    max_P [max(w1, a) I(X;Y1) + w2 I(X;Y2)] (rc + r1 <= I(X;Y1),
+    r2 <= I(X;Y2), re <= rc). In the cone a <= w1 the carrier chain U = V = X
+    at the Blahut-Arimoto law attains that bound, so there the value is
+    exact to within SLACK and `p` is only validated. Outside the cone the
+    chain is searched within the budget `p` (restarts, sweeps, seed and the
+    alphabet sizes), which can under-estimate the value.
+    """
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (4,) or not np.all(np.isfinite(w)) or np.any(w < 0.0) or not np.any(w > 0.0):
         raise ValidationError("support_function: weights must be 4 finite nonnegative values, not all zero")
     w = w.tolist()
+    p.sizes_for(ch.x_size)  # a malformed budget fails in every direction
 
     def score(iq):
         return _corner_keys(*iq.T, w)[4].max(axis=0)
 
-    _, chain, iq = _search_chain(ch, score, p)
+    wc, we, w1, w2 = w
+    if wc + we <= w1:
+        ident = CondDist(np.eye(ch.x_size))
+        chain = AuxChain(Dist(_blahut_arimoto(ch, w1, w2)), ident, ident)
+        iq = evaluate_chain(chain, ch)
+    else:
+        _, chain, iq = _search_chain(ch, score, p)
     val, corner = _best_corner(iq.iu1, iq.iu2, iq.iv1, iq.iv2, w)
     return SupportResult(float(val), chain, RateTuple(*(float(c) for c in corner)), iq)
 
@@ -499,12 +517,6 @@ def secrecy_frontier(ch: BroadcastChannel, weights: Sequence, p: SearchParams = 
     return _dedupe(entries)
 
 
-def _divergences(w: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """D(W(.|x) || q) in bits for each row x of the channel matrix w."""
-    ratio = np.divide(w, q, out=np.ones_like(w), where=w > 0.0)
-    return (w * np.log2(ratio)).sum(axis=1)
-
-
 def input_chain(px) -> AuxChain:
     """The chain that sends the input law px straight through: a constant
     first layer and V = X, so iv1, iv2 = I(X;Y1), I(X;Y2)."""
@@ -512,36 +524,73 @@ def input_chain(px) -> AuxChain:
     return AuxChain(Dist([1.0]), CondDist(px[None]), CondDist(np.eye(px.size)))
 
 
+def _blahut_arimoto(ch: BroadcastChannel, wr1: float, wr2: float) -> np.ndarray:
+    """The input law maximizing wr1 I(X;Y1) + wr2 I(X;Y2), which is concave
+    in the law, by Blahut-Arimoto from the uniform law.
+
+    With d(x) = wr1 D(W1(.|x)||pW1) + wr2 D(W2(.|x)||pW2), the value is p.d
+    and max_x d(x) bounds the optimum, so a gap of at most SLACK certifies
+    the law; after BA_MAX_STEPS it is still achievable. Both channels sit
+    side by side in one matrix, so d costs one product with the law, one
+    log2 and one product with the weighted matrix.
+
+    A step of length s multiplies p(x) by 2^(s d(x)). The plain step
+    s = 1/(wr1 + wr2) reaches at least log2(sum_x p(x) 2^(s d(x))) / s, which
+    is at least p.d. Longer steps accelerate the iteration (Matz and
+    Duhamel, ITW 2004): s doubles after each step that reaches that bound
+    for its own length, and halves back toward the plain step when a longer
+    step falls short, which discards it. The plain step is always taken.
+    Masses below the smallest normal float are returned as 0.
+    """
+    w = np.hstack([marginal(ch, 1).matrix, marginal(ch, 2).matrix])
+    weighted = w * np.repeat([wr1, wr2], [ch.y1_size, ch.y2_size])
+    reached = w.any(axis=0)  # an output no input reaches would put log2(0) in every d
+    w, weighted = w[:, reached], weighted[:, reached]
+    plain = step = 1.0 / (wr1 + wr2)
+    px = np.full(ch.x_size, 1.0 / ch.x_size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        row_terms = np.where(w > 0.0, weighted * np.log2(w), 0.0).sum(axis=1)
+
+        def divergences(px):
+            d = row_terms - weighted @ np.log2(px @ w)
+            return d, px @ d
+
+        d, value = divergences(px)
+        for _ in range(BA_MAX_STEPS):  # every step tried counts, taken or not
+            top = d.max()
+            if top - value <= SLACK:
+                break
+            cand = px * np.exp2(step * (d - top))
+            total = cand.sum()
+            cand /= total
+            cand_d, cand_value = divergences(cand)
+            kept = cand_value >= top + np.log2(total) / step  # False on NaN
+            if not kept and step > plain:
+                step = max(plain, step / 2)
+                continue
+            px, d, value = cand, cand_d, cand_value
+            if kept:
+                step *= 2
+    return np.where(px < np.finfo(np.float64).tiny, 0.0, px)
+
+
 def bbc_frontier(ch: BroadcastChannel, count: int) -> list:
     """Upper-right frontier of the plain bidirectional region over `count`
     weight directions (w1, w2) = (cos t, sin t), t evenly spaced in [0, pi/2].
 
-    Each direction maximizes wr1 I(X;Y1) + wr2 I(X;Y2), concave in the input
-    law, by Blahut-Arimoto from the uniform law: a step multiplies p(x) by
-    2^(d(x)/(wr1+wr2)), d(x) = wr1 D(W1(.|x)||pW1) + wr2 D(W2(.|x)||pW2).
-    max_x d(x) bounds the optimum and sum_x p(x) d(x) is the value, so a gap
-    of at most SLACK certifies the point; after BA_MAX_STEPS it is still an
-    achievable inner point. Each law is evaluated as its `input_chain`; a
-    Pareto/hull closure follows, and time sharing makes the point list
-    represent the hull.
+    Each direction maximizes wr1 I(X;Y1) + wr2 I(X;Y2) by `_blahut_arimoto`,
+    each point certified to within SLACK unless its direction hit
+    BA_MAX_STEPS. Each law is evaluated as its `input_chain`; a Pareto/hull
+    closure follows, and time sharing makes the point list represent the
+    hull.
     """
     if count < 1:
         raise ValidationError(f"bbc_frontier: count must be positive, got {count}")
-    nx = ch.x_size
-    w1 = marginal(ch, 1).matrix
-    w2 = marginal(ch, 2).matrix
     entries = []
     for k in range(count):
         theta = (math.pi / 2) * k / max(1, count - 1)
         wr1, wr2 = math.cos(theta), math.sin(theta)
-        px = np.full(nx, 1.0 / nx)
-        for _ in range(BA_MAX_STEPS):
-            d = wr1 * _divergences(w1, px @ w1) + wr2 * _divergences(w2, px @ w2)
-            if d.max() - px @ d <= SLACK:
-                break
-            px = px * np.exp2(d / (wr1 + wr2))
-            px /= px.sum()
-        chain = input_chain(px)
+        chain = input_chain(_blahut_arimoto(ch, wr1, wr2))
         iq = evaluate_chain(chain, ch)
         point = RateTuple(0.0, 0.0, iq.iv1, iq.iv2)
         entries.append(FrontierEntry((0.0, 0.0, wr1, wr2), point, wr1 * iq.iv1 + wr2 * iq.iv2, chain))

@@ -1,7 +1,11 @@
 import itertools
+import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bbcsec import (
     AuxChain,
@@ -16,6 +20,7 @@ from bbcsec import (
     evaluate_chain,
     from_marginals,
     full_frontier,
+    marginal,
     membership,
     octant_directions,
     rc_re_star,
@@ -54,6 +59,20 @@ class TestEvaluateChain:
         chain = AuxChain(Dist([1.0]), CondDist([[1.0]]), CondDist([[0.2, 0.3, 0.5]]))
         with pytest.raises(ValidationError):
             evaluate_chain(chain, bsc12)
+
+    def test_underflowed_mass_scores_as_zero_mass(self, noiseless2):
+        # a mass of 5e-324 underflows pu * py to 0 (first chain) or makes a
+        # ratio overflow (second chain); those cells' terms are negligible,
+        # so each chain scores as the one with that mass set to 0
+        asym4 = from_marginals(TestBbcFrontierCertified.W1, TestBbcFrontierCertified.W2)
+        eye4, eye2 = CondDist(np.eye(4)), CondDist(np.eye(2))
+        cases = [
+            (asym4, (Dist([0.5, 0.5 - 5e-324, 5e-324, 0.0]), eye4, eye4), (Dist([0.5, 0.5, 0.0, 0.0]), eye4, eye4)),
+            (noiseless2, (Dist([1.0]), CondDist([[1.0, 5e-324]]), eye2), (Dist([1.0]), CondDist([[1.0, 0.0]]), eye2)),
+        ]
+        for ch, tiny, zero in cases:
+            got = astuple(evaluate_chain(AuxChain(*tiny), ch))
+            assert np.allclose(got, astuple(evaluate_chain(AuxChain(*zero), ch)), rtol=0.0, atol=1e-12)
 
 
 class TestRateTuple:
@@ -184,6 +203,33 @@ class TestSupportFunction:
         res = support_function(bsc12, (0.3, 0.1, 0.2, 0.4), p)
         assert (res.chain.u_size, res.chain.v_size) == (1, 2)
 
+    @pytest.mark.parametrize("w", [(0, 0, 1, 0), (1, 0, 0, 0)])
+    def test_bad_alphabet_size_rejected_in_and_outside_the_cone(self, bsc12, w):
+        # the cone wc + we <= w1 is solved without a search, yet a malformed
+        # budget still fails there
+        with pytest.raises(ValidationError):
+            support_function(bsc12, w, SearchParams(u_size=50))
+
+    @given(seed=st.integers(0, 2**32 - 1), nx=st.integers(2, 4),
+           w=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0.1))
+    @example(seed=0, nx=4, w=[0.1, 0.2, 0.5, 0.3])
+    @example(seed=0, nx=3, w=[0.5, 0.2, 0.1, 0.4])
+    @settings(max_examples=40, deadline=None)
+    def test_never_above_the_outer_bound(self, seed, nx, w):
+        # rc + r1 <= I(X;Y1), r2 <= I(X;Y2) and re <= rc bound every value by
+        # max_P [max(w1, wc + we) I(X;Y1) + w2 I(X;Y2)], which the duality
+        # bound at any law exceeds; in the cone wc + we <= w1 the value is
+        # that maximum, certified at the returned law
+        rng = np.random.default_rng(seed)
+        ch = random_channel(rng, nx, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+        ws = (marginal(ch, 1).matrix, marginal(ch, 2).matrix)
+        wc, we, w1, w2 = w
+        res = support_function(ch, w, SearchParams(restarts=2, iterations=10))
+        assert res.value <= oracles.duality_bound(np.full(nx, 1.0 / nx), ws, (max(w1, wc + we), w2)) + 1e-9
+        if wc + we <= w1:
+            law = res.chain.pu.probs @ res.chain.pvu.rows @ res.chain.pxv.rows
+            assert res.value >= oracles.duality_bound(law, ws, (w1, w2)) - 1e-9
+
     def test_same_seed_identical(self, bsc12):
         w = (0.2, 0.1, 0.4, 0.3)
         p = SearchParams(restarts=6, iterations=60, seed=5)
@@ -298,6 +344,17 @@ class TestBbcFrontierCertified:
         cap1 = max(oracles.grid_channel_capacity(self.W1[[i, j]]) for i, j in itertools.combinations(range(4), 2))
         r1 = max(e.point.r1 for e in bbc_frontier(asym4, 17))
         assert r1 == pytest.approx(cap1, abs=1e-6)
+
+    def test_bidirectional_slice_meets_the_duality_bound(self, asym4):
+        # every direction (0, 0, w1, w2) is in the cone wc + we <= w1, so at
+        # criterion 04's budget the value is certified at the returned law
+        p = SearchParams(restarts=8, iterations=120, seed=0)
+        for k in range(33):
+            theta = (math.pi / 2) * k / 32
+            wr = (math.cos(theta), math.sin(theta))
+            res = support_function(asym4, (0.0, 0.0, *wr), p)
+            law = res.chain.pu.probs @ res.chain.pvu.rows @ res.chain.pxv.rows
+            assert res.value == pytest.approx(oracles.duality_bound(law, (self.W1, self.W2), wr), abs=1e-9)
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_nonpositive_count_rejected(self, asym4, count):
