@@ -31,7 +31,7 @@ def chain_info(pu, pvu, pxv, w1, w2):
     # That drops the zero-probability cells (0/0, log2(0)) and the cells
     # whose ratio leaves the floats: a denominator that underflows to 0 under
     # a positive numerator, or a quotient that overflows. Such a cell holds
-    # a mass below the smallest normal float, so its term is negligible.
+    # a mass below 2e-162, so its term is negligible.
     # Every other sum is bit for bit that of the mask p > 0: the only cells
     # kept beyond it add 0 * a finite log.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
