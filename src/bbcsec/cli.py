@@ -73,7 +73,7 @@ def _emit(text: str, out, command: str, params: dict, seed: int, inputs: list) -
     jsonio.dump(_manifest(command, params, seed, inputs), str(out) + ".manifest.json")
 
 
-def _load_code(channel_file, chain_file, blocklength: int, sizes: str, epsilon: float, seed: int) -> tuple:
+def _load_code(channel_file, chain_file, blocklength: int, sizes: str, seed: int) -> tuple:
     """The channel, auxiliary chain and codebook parameters of a code run."""
     ch = load_channel(channel_file)
     chain = AuxChain(*load_chain_file(chain_file))
@@ -85,7 +85,7 @@ def _load_code(channel_file, chain_file, blocklength: int, sizes: str, epsilon: 
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="--sizes")
     params = CodebookParams(n=blocklength, m0_size=m0, m1_size=m1, m2_size=m2,
-                            j_size=j, l_size=l, epsilon=epsilon, seed=seed)
+                            j_size=j, l_size=l, seed=seed)
     return ch, chain, params
 
 
@@ -188,9 +188,9 @@ def cmd_simulate(channel_file, chain_file, blocklength, sizes, trials, equiv, mc
 
     Infeasible rates are not an error; the report shows them.
     """
-    ch, chain, params = _load_code(channel_file, chain_file, blocklength, sizes, epsilon, seed)
+    ch, chain, params = _load_code(channel_file, chain_file, blocklength, sizes, seed)
     cfg = SimConfig(trials=trials, params=params, chain=chain, channel=ch,
-                    equiv_mode=equiv, mc_samples=mc_samples, seed=seed,
+                    equiv_mode=equiv, mc_samples=mc_samples, epsilon=epsilon, seed=seed,
                     k_size=k_size)
     report = run_simulation(cfg)
     _emit(jsonio.dumps(report.to_dict()), out, "simulate",
@@ -205,19 +205,18 @@ def cmd_simulate(channel_file, chain_file, blocklength, sizes, trials, equiv, mc
 @click.option("--n", "blocklength", default=8, show_default=True)
 @click.option("--sizes", default="1,1,1,2,2", show_default=True,
               help="m0,m1,m2,j,l index-set sizes (powers of two keep rates in bits exact).")
-@click.option("--epsilon", default=0.15, show_default=True)
 @click.option("--delta", default=0.05, show_default=True, help="Rate-condition slack.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True, help="Codebook dump path.")
-def cmd_codebook(channel_file, chain_file, blocklength, sizes, epsilon, delta, seed, out):
+def cmd_codebook(channel_file, chain_file, blocklength, sizes, delta, seed, out):
     """Write a codebook dump (tiny instances) and print the rate-condition
     report."""
-    ch, chain, params = _load_code(channel_file, chain_file, blocklength, sizes, epsilon, seed)
+    ch, chain, params = _load_code(channel_file, chain_file, blocklength, sizes, seed)
     conditions = rate_check(params, evaluate_chain(chain, ch), delta)
     cb = generate(params, chain, ch)
     jsonio.dump(cb.to_dict(), out)
     jsonio.dump(_manifest("codebook",
-                          {"n": blocklength, "sizes": sizes, "epsilon": epsilon, "delta": delta},
+                          {"n": blocklength, "sizes": sizes, "delta": delta},
                           seed, [channel_file, chain_file]),
                 str(out) + ".manifest.json")
     click.echo(jsonio.dumps({"rate_conditions": [c.to_dict() for c in conditions]}), nl=False)

@@ -25,7 +25,7 @@ MAX_CODEBOOK_SYMBOLS = 1 << 24  # total stored symbols across all sub-codewords
 
 @dataclass(frozen=True)
 class CodebookParams:
-    """Blocklength, index-set sizes, typicality slack, and the seed."""
+    """Blocklength, index-set sizes and the seed."""
 
     n: int
     m0_size: int = 1
@@ -33,7 +33,6 @@ class CodebookParams:
     m2_size: int = 1
     j_size: int = 1
     l_size: int = 1
-    epsilon: float = 0.15
     seed: int = 0
 
     def __post_init__(self):
@@ -42,8 +41,6 @@ class CodebookParams:
         for name in ("m0_size", "m1_size", "m2_size", "j_size", "l_size"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"CodebookParams: {name} must be >= 1")
-        if not 0 < self.epsilon < math.inf:
-            raise ValidationError("CodebookParams: epsilon must be positive and finite")
         if self.seed < 0:
             raise ValidationError("CodebookParams: seed must be nonnegative")
 

@@ -65,10 +65,6 @@ class MessageSets:
         self.cells_per_mc = np.bincount(self.cell_mc.reshape(-1), minlength=self.mc_size)
 
     @classmethod
-    def case_a(cls, params) -> "MessageSets":
-        return cls(params)
-
-    @classmethod
     def case_b(cls, params, k_size: int) -> "MessageSets":
         return cls(params, k_size)
 
@@ -174,11 +170,11 @@ class Node1Decoder:
 
     Knows its own message m1; searches all (column, row, common index,
     node-2 message) candidates, the codebook's own index axes, for joint
-    typicality of (first-layer word, sub-word, received word) and reports
-    the unique message-level hit.
+    typicality of (first-layer word, sub-word, received word), within the
+    slack `epsilon`, and reports the unique message-level hit.
     """
 
-    def __init__(self, cb: Codebook, ms: MessageSets):
+    def __init__(self, cb: Codebook, ms: MessageSets, epsilon: float):
         p = cb.params
         self.candidates = p.m0_size * p.m2_size * p.j_size * p.l_size
         if self.candidates > MAX_CANDIDATES:
@@ -186,7 +182,7 @@ class Node1Decoder:
                 f"Node1Decoder: {self.candidates} candidate tuples exceeds the limit {MAX_CANDIDATES}"
             )
         self.cb = cb
-        self.scorer = TypicalityScorer(decoding_joint(cb, "Y1"), ("U", "V", "Y1"), p.epsilon)
+        self.scorer = TypicalityScorer(decoding_joint(cb, "Y1"), ("U", "V", "Y1"), epsilon)
         self._key = ms.cell_mc[..., None] * p.m2_size + np.arange(p.m2_size)  # (j, l, m0, m2)
 
     def _words_for(self, m1: int) -> dict:
@@ -207,15 +203,16 @@ class Node1Decoder:
 
 class Node2Decoder:
     """First-layer typicality decoder at the non-legitimated node; knows m2,
-    searches all (common index, node-1 message) candidates and reports the
-    unique node-1 message among the hits."""
+    searches all (common index, node-1 message) candidates for typicality
+    within the slack `epsilon` and reports the unique node-1 message among
+    the hits."""
 
-    def __init__(self, cb: Codebook):
+    def __init__(self, cb: Codebook, epsilon: float):
         p = cb.params
         self.candidates = p.m0_size * p.m1_size
         self.cb = cb
         joint = marginalize(decoding_joint(cb, "Y2"), {"U", "Y2"})
-        self.scorer = TypicalityScorer(joint, ("U", "Y2"), p.epsilon)
+        self.scorer = TypicalityScorer(joint, ("U", "Y2"), epsilon)
         self._key = np.broadcast_to(np.arange(p.m1_size), (p.m0_size, p.m1_size))  # (m0, m1)
 
     def _words_for(self, m2: int) -> dict:

@@ -514,7 +514,7 @@ def secrecy_frontier(ch: BroadcastChannel, weights: Sequence, p: SearchParams = 
         point = RateTuple(iq.secrecy_bound, iq.secrecy_bound, iq.iu1, iq.iu2)
         wc, w1, w2 = (float(x) for x in wdir)
         entries.append(FrontierEntry((wc, 0.0, w1, w2), point, res.value, res.chain))
-    return _dedupe(entries)
+    return entries
 
 
 def input_chain(px) -> AuxChain:
@@ -631,7 +631,7 @@ def full_frontier(ch: BroadcastChannel, weights: Sequence, p: SearchParams = Sea
         entries.append(
             FrontierEntry(tuple(float(x) for x in wdir), res.corner, res.value, res.chain)
         )
-    return _dedupe(entries)
+    return entries
 
 
 def _entropy_caps(ch: BroadcastChannel) -> tuple:

@@ -104,22 +104,21 @@ def _effective_w2(cb: Codebook) -> np.ndarray:
     return cb.chain.pxv.rows @ marginal(cb.channel, 2).matrix
 
 
-def _word_table(cb: Codebook, ms: MessageSets, m2: int) -> tuple:
-    """All sub-words consistent with one node-2 side-information value.
+def _message_order(cb: Codebook, ms: MessageSets) -> tuple:
+    """The sub-words of one side-information value, in (j, l, m0, m1)
+    order, regrouped so each confidential message's words are adjacent.
 
-    Returns (v_seqs (W, n), weight matrix (W, mc_size)) where column mc
-    holds the encoder probability of each word given that message, averaged
-    over the node-2-unknown data index.
+    Returns (order, counts, starts, weights): the stable permutation that
+    regroups them, the words per message, each message's first position in
+    the new order, and P(word | its message) in the new order, uniform over
+    the message's words (the encoder's cell times the node-2-unknown m1).
     """
     p = cb.params
-    _check_table("word table", p.j_size * p.l_size * p.m0_size * p.m1_size, ms.mc_size)
-    v = cb.v_words[:, :, :, :, m2].reshape(-1, p.n)  # words in (j, l, m0, m1) order
-
     mc = np.broadcast_to(ms.cell_mc[..., None], (p.j_size, p.l_size, p.m0_size, p.m1_size)).reshape(-1)
-    w = 1.0 / (p.m1_size * ms.cells_per_mc[mc])
-    wmat = np.zeros((mc.size, ms.mc_size))
-    wmat[np.arange(mc.size), mc] = w
-    return v, wmat
+    order = np.argsort(mc, kind="stable")
+    counts = p.m1_size * ms.cells_per_mc
+    starts = np.cumsum(counts) - counts
+    return order, counts, starts, 1.0 / counts[mc[order]]
 
 
 def _check_table(what: str, rows: int, cols: int) -> None:
@@ -180,12 +179,7 @@ def equivocation_exact(cb: Codebook, ms: MessageSets) -> float:
     _check_table("output-word prefix", prefix_rows, n_words)
     _check_table("output law", prefix_rows, suffix_rows)
 
-    # words in (j, l, m0, m1) order, regrouped so each message's are adjacent
-    mc = np.broadcast_to(ms.cell_mc[..., None], (p.j_size, p.l_size, p.m0_size, p.m1_size)).reshape(-1)
-    order = np.argsort(mc, kind="stable")
-    counts = p.m1_size * ms.cells_per_mc  # words per message
-    starts = np.cumsum(counts) - counts
-    weights = 1.0 / counts[mc[order]]  # P(word | its message)
+    order, counts, starts, weights = _message_order(cb, ms)
     h_mc = math.log2(ms.mc_size)
 
     total = 0.0
@@ -215,9 +209,9 @@ def equivocation_mc(cb: Codebook, ms: MessageSets, samples: int, rng) -> tuple:
     `rng` draws the messages of all episodes, then each episode's codeword
     cell and channel uniforms in turn. Episodes run in blocks whose rows
     (episodes x sub-words) stay within _CHUNK_ROWS; within a block the
-    likelihoods multiply position by position and each posterior is one
-    vector-matrix product, as for a single episode, so no value depends on
-    the block size.
+    likelihoods of the message-grouped words (`_message_order`) multiply
+    position by position and each message's posterior mass is the sum of
+    its segment, row by row, so no value depends on the block size.
     """
     if samples < 2:
         raise ValidationError("equivocation_mc: need at least 2 samples")
@@ -225,11 +219,9 @@ def equivocation_mc(cb: Codebook, ms: MessageSets, samples: int, rng) -> tuple:
     wv2 = _effective_w2(cb)
     cdf_wv2 = np.cumsum(wv2, axis=1)
 
-    tables = {}
-    for m2 in range(p.m2_size):
-        v_seqs, wmat = _word_table(cb, ms, m2)
-        tables[m2] = (wmat, _step_tables(v_seqs, wv2))
-    n_words = p.j_size * p.l_size * p.m0_size * p.m1_size
+    order, _, starts, weights = _message_order(cb, ms)
+    steps = [_step_tables(cb.v_words[:, :, :, :, m2].reshape(-1, p.n)[order], wv2) for m2 in range(p.m2_size)]
+    n_words = order.size
 
     mc_draw = rng.integers(ms.mc_size, size=samples)
     m1_draw = rng.integers(p.m1_size, size=samples)
@@ -249,13 +241,11 @@ def equivocation_mc(cb: Codebook, ms: MessageSets, samples: int, rng) -> tuple:
 
         for m in sorted(set(m2.tolist())):
             rows = np.flatnonzero(m2 == m)
-            wmat, steps = tables[m]
             lik = np.ones((rows.size, n_words))
             for k_pos in range(p.n):
-                lik *= steps[k_pos][y2[rows, k_pos]]
-            # one vector-matrix product per episode, as for a single episode: a
-            # matrix-matrix product may sum in another order and round differently
-            post = (lik[:, None, :] @ wmat)[:, 0, :]
+                lik *= steps[m][k_pos][y2[rows, k_pos]]
+            # one segment per message; none is empty, since make_partition keeps k <= j
+            post = np.add.reduceat(lik * weights, starts, axis=1)
             true_post = post[np.arange(rows.size), mc[rows]] / post.sum(axis=1)
             # math.log2, not np.log2, whose SIMD variants can differ in the last bit
             vals[start + rows] = [-math.log2(x) for x in true_post.tolist()]
@@ -272,8 +262,8 @@ def equivocation_mc(cb: Codebook, ms: MessageSets, samples: int, rng) -> tuple:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """A full simulation request; blocklength and typicality slack live in
-    the codebook parameters."""
+    """A full simulation request; the blocklength lives in the codebook
+    parameters, the decoders' typicality slack `epsilon` here."""
 
     trials: int
     params: CodebookParams
@@ -281,6 +271,7 @@ class SimConfig:
     channel: BroadcastChannel
     equiv_mode: str = "exact"  # "exact" | "mc" | "none"
     mc_samples: int = 2000
+    epsilon: float = 0.15
     seed: int = 0
     k_size: Optional[int] = None  # None selects the triple construction (case A)
 
@@ -291,6 +282,8 @@ class SimConfig:
             raise ValidationError(f"SimConfig: unknown equivocation mode {self.equiv_mode!r}")
         if self.mc_samples < 2:
             raise ValidationError("SimConfig: mc_samples must be >= 2")
+        if not 0 < self.epsilon < math.inf:
+            raise ValidationError("SimConfig: epsilon must be positive and finite")
         if self.seed < 0:
             raise ValidationError("SimConfig: seed must be nonnegative")
 
@@ -308,7 +301,7 @@ class SimConfig:
                 "j": self.params.j_size,
                 "l": self.params.l_size,
             },
-            "epsilon": self.params.epsilon,
+            "epsilon": self.epsilon,
             "codebook_seed": self.params.seed,
             "equiv_mode": self.equiv_mode,
             "mc_samples": self.mc_samples,
@@ -358,8 +351,8 @@ def _run_trials(cfg: SimConfig, cb: Codebook, ms: MessageSets) -> tuple:
     decoder's candidates) stay within _CHUNK_ROWS, so the counts do not
     depend on the block size. An erasure counts as an error.
     """
-    dec1 = Node1Decoder(cb, ms)
-    dec2 = Node2Decoder(cb)
+    dec1 = Node1Decoder(cb, ms, cfg.epsilon)
+    dec2 = Node2Decoder(cb, cfg.epsilon)
     p = cfg.params
     n = p.n
     block = max(1, _CHUNK_ROWS // max(dec1.candidates, dec2.candidates))

@@ -175,14 +175,14 @@ def sample_entropy_check(seqs: dict, joint: np.ndarray, axis_names, epsilon: flo
     return True
 
 
-def inner_column_decode(y2, l, mprime, cb):
+def inner_column_decode(y2, l, mprime, cb, epsilon):
     """Analysis decoder: the column index node 2 recovers from its word y2
     when given the row l and the first-layer triple mprime, or None unless
     exactly one column is typical.
 
     Column j is typical when every non-empty subset of (first-layer word,
     the word at (j, l, mprime), y2) has its sample log-probability within
-    epsilon of the subset entropy under P(u, v, y2), the chain joint with
+    `epsilon` of the subset entropy under P(u, v, y2), the chain joint with
     the physical input and node 1's output summed out. Reads the
     codebook's arrays only; all columns are tested at once.
     """
@@ -199,7 +199,7 @@ def inner_column_decode(y2, l, mprime, cb):
             p = marg[tuple(seqs[i] for i in sub)]
             with np.errstate(divide="ignore"):
                 sample = -np.log2(p).sum(axis=1) / n
-            ok &= (p > 0).all(axis=1) & (np.abs(sample - entropy_of(marg)) <= cb.params.epsilon)
+            ok &= (p > 0).all(axis=1) & (np.abs(sample - entropy_of(marg)) <= epsilon)
     hits = np.flatnonzero(ok)
     return int(hits[0]) if hits.size == 1 else None
 

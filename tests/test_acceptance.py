@@ -171,7 +171,7 @@ def test_criterion_05_perfect_secrecy_oracle():
             seed=trial,
         )
         cb = generate(params, chain, ch)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         h = equivocation_exact(cb, ms)
         ok &= abs(h - math.log2(ms.mc_size)) <= 1e-9
     elapsed = time.perf_counter() - t0
@@ -200,7 +200,7 @@ def test_criterion_06_estimator_cross_validation():
         )
         cb = generate(params, chain, ch)
         ms = (
-            MessageSets.case_a(params)
+            MessageSets(params)
             if trial % 2 == 0
             else MessageSets.case_b(params, max(1, params.j_size // 2))
         )
@@ -291,9 +291,9 @@ def test_criterion_10_trend_and_equivocation(bsc12, degraded_chain):
         j, l = sizes_at(n)
         e1s, e2s = [], []
         for seed in range(5):
-            params = CodebookParams(n=n, j_size=j, l_size=l, epsilon=0.2, seed=seed)
+            params = CodebookParams(n=n, j_size=j, l_size=l, seed=seed)
             cfg = SimConfig(trials=200, params=params, chain=degraded_chain,
-                            channel=bsc12, equiv_mode="none", seed=seed)
+                            channel=bsc12, equiv_mode="none", epsilon=0.2, seed=seed)
             rep = run(cfg)
             e1s.append(rep.e1.rate)
             e2s.append(rep.e2.rate)
@@ -305,9 +305,9 @@ def test_criterion_10_trend_and_equivocation(bsc12, degraded_chain):
     )
 
     j16, l16 = sizes_at(16)
-    params16 = CodebookParams(n=16, j_size=j16, l_size=l16, epsilon=0.2, seed=0)
+    params16 = CodebookParams(n=16, j_size=j16, l_size=l16, seed=0)
     cb = generate(params16, degraded_chain, bsc12)
-    equiv_rate = equivocation_exact(cb, MessageSets.case_a(params16)) / 16
+    equiv_rate = equivocation_exact(cb, MessageSets(params16)) / 16
     equiv_ok = equiv_rate >= 0.5 * bound
 
     elapsed = time.perf_counter() - t0

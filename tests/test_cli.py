@@ -266,12 +266,10 @@ class TestSimulate:
         assert code == 3
         assert "guard" in err.lower() or "limit" in err.lower()
 
-    @pytest.mark.parametrize("equiv, n", [pytest.param("exact", "16", id="exact"),
-                                          pytest.param("mc", "4", id="mc")])
+    @pytest.mark.parametrize("equiv, n", [pytest.param("exact", "16", id="exact")])
     def test_dense_equivocation_table_guard_exit_code(self, capsys, bsc_file, chain_file, equiv, n):
-        # 65 536 sub-words: Monte Carlo's words x messages table would take
-        # 32 GiB, and at n = 16 the exact mode's table of 8192 suffix output
-        # words x sub-words would take 4 GiB
+        # 65 536 sub-words: at n = 16 the exact mode's table of 8192 suffix
+        # output words x sub-words would take 4 GiB
         code, out, err = run_cli(
             capsys, "simulate", bsc_file, chain_file,
             "--n", n, "--sizes", "1,1,1,1024,64", "--trials", "2", "--equiv", equiv,
@@ -287,6 +285,16 @@ class TestSimulate:
         code, out, _ = run_cli(
             capsys, "simulate", bsc_file, chain_file,
             "--n", "4", "--sizes", "1,1,1,1024,64", "--trials", "2", "--equiv", "exact",
+        )
+        assert code == 0
+        assert 3.0 <= json.loads(out)["equivocation_rate"] <= 4.0
+
+    def test_mc_equivocation_of_65536_messages(self, capsys, bsc_file, chain_file):
+        # the same instance by Monte Carlo: one-word messages are segments of
+        # one word, and no words x messages table is built
+        code, out, _ = run_cli(
+            capsys, "simulate", bsc_file, chain_file,
+            "--n", "4", "--sizes", "1,1,1,1024,64", "--trials", "2", "--equiv", "mc", "--mc-samples", "200",
         )
         assert code == 0
         assert 3.0 <= json.loads(out)["equivocation_rate"] <= 4.0
@@ -349,8 +357,9 @@ class TestReportKeyOrder:
         assert code == 0
         dump = json.loads(out_path.read_text())
         assert list(dump) == ["params", "chain", "u_words", "v_words"]
-        assert list(dump["params"]) == ["n", "m0_size", "m1_size", "m2_size", "j_size", "l_size",
-                                        "epsilon", "seed"]
+        assert list(dump["params"]) == ["n", "m0_size", "m1_size", "m2_size", "j_size", "l_size", "seed"]
+        manifest = json.loads((tmp_path / "cb.json.manifest.json").read_text())
+        assert list(manifest["parameters"]) == ["n", "sizes", "delta"]
         assert list(json.loads(out)["rate_conditions"][0]) == ["name", "code_rate", "bound", "delta",
                                                                "exists_ok", "reliable_ok"]
 
@@ -387,6 +396,23 @@ def test_non_finite_option_exits_2(capsys, bsc_file, chain_file, tmp_path, cmd, 
     code, out, _ = run_cli(capsys, cmd, *files[cmd], opt, value)
     assert code == 2
     assert out == ""
+
+
+def test_zero_epsilon_exits_2(capsys, bsc_file, chain_file):
+    code, out, err = run_cli(capsys, "simulate", bsc_file, chain_file, "--epsilon", "0")
+    assert code == 2
+    assert out == ""
+    assert "epsilon" in err
+
+
+def test_codebook_takes_no_epsilon(capsys, bsc_file, chain_file, tmp_path):
+    # the typicality slack is a decoder setting; a codebook dump has none
+    code, out, err = run_cli(capsys, "codebook", bsc_file, chain_file, "--n", "4",
+                             "--epsilon", "0.1", "--out", str(tmp_path / "cb.json"))
+    assert code == 1
+    assert "--epsilon" in err
+    assert out == ""
+    assert not (tmp_path / "cb.json").exists()
 
 
 def test_negative_delta_exits_2(capsys, bsc_file, chain_file, tmp_path):

@@ -29,8 +29,6 @@ class TestParams:
             CodebookParams(n=0)
         with pytest.raises(ValidationError):
             CodebookParams(n=4, j_size=0)
-        with pytest.raises(ValidationError):
-            CodebookParams(n=4, epsilon=0.0)
 
 
 class TestGenerate:

@@ -36,15 +36,15 @@ def _transmit(x, ch, rng):
     return transmit(x, ch, rng.random(x.shape[-1]))
 
 
-def _decode1(y1, m1, cb, ms):
+def _decode1(y1, m1, cb, ms, epsilon):
     """Node1Decoder on a batch of one: (mc, m2), or (-1, -1) on erasure."""
-    mc, m2 = Node1Decoder(cb, ms)(np.asarray(y1)[None], [m1])
+    mc, m2 = Node1Decoder(cb, ms, epsilon)(np.asarray(y1)[None], [m1])
     return int(mc[0]), int(m2[0])
 
 
-def _decode2(y2, m2, cb):
+def _decode2(y2, m2, cb, epsilon):
     """Node2Decoder on a batch of one: m1, or -1 on erasure."""
-    return int(Node2Decoder(cb)(np.asarray(y2)[None], [m2])[0])
+    return int(Node2Decoder(cb, epsilon)(np.asarray(y2)[None], [m2])[0])
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +89,7 @@ class TestPartition:
 class TestMessageCells:
     def test_case_a_cell_is_the_index_digits_and_draws_nothing(self):
         params = CodebookParams(n=2, m0_size=2, j_size=3, l_size=2)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         assert ms.case == "A" and ms.column_class is None
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
@@ -148,7 +148,7 @@ class TestEncode:
     def test_case_a_deterministic_codeword(self, bsc12, degraded_chain):
         params = CodebookParams(n=6, j_size=2, l_size=2, seed=1)
         cb = generate(params, degraded_chain, bsc12)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         cell_a, x_a = _encode(3, 0, 0, cb, ms, np.random.default_rng(4))
         cell_b, x_b = _encode(3, 0, 0, cb, ms, np.random.default_rng(4))
         assert cell_a == cell_b  # and so is the codeword, v_words[(*cell, m1, m2)]
@@ -172,7 +172,7 @@ class TestEncode:
     def test_out_of_range(self, bsc12, degraded_chain):
         params = CodebookParams(n=4, j_size=2, l_size=2, seed=0)
         cb = generate(params, degraded_chain, bsc12)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         with pytest.raises(ValidationError):
             _encode(99, 0, 0, cb, ms, np.random.default_rng(0))
         with pytest.raises(ValidationError):
@@ -181,7 +181,7 @@ class TestEncode:
     def test_case_a_injective_in_messages(self, noiseless4, carrier_chain):
         params = CodebookParams(n=4, m1_size=2, m2_size=2, seed=5)
         cb = generate(params, carrier_chain, noiseless4)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         seen = set()
         rng = np.random.default_rng(0)
         for mc in range(ms.mc_size):
@@ -217,7 +217,7 @@ class TestTransmit:
     def test_identity_channel(self, noiseless4, carrier_chain):
         params = CodebookParams(n=5, seed=0)
         cb = generate(params, carrier_chain, noiseless4)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         _, x = _encode(0, 0, 0, cb, ms, np.random.default_rng(1))
         y1, y2 = _transmit(x, noiseless4, np.random.default_rng(2))
         assert np.array_equal(y1, x)
@@ -228,7 +228,7 @@ class TestTransmit:
         chain = AuxChain(Dist([1.0]), CondDist([[1.0]]), CondDist([[1.0, 0.0]]))
         params = CodebookParams(n=2000, seed=0)
         cb = generate(params, chain, ch)
-        _, x = _encode(0, 0, 0, cb, MessageSets.case_a(params), np.random.default_rng(3))
+        _, x = _encode(0, 0, 0, cb, MessageSets(params), np.random.default_rng(3))
         _, y2 = _transmit(x, ch, np.random.default_rng(4))
         # all-zero input, output should still be near-uniform
         assert abs(y2.mean() - 0.5) < 0.05
@@ -236,7 +236,7 @@ class TestTransmit:
     def test_flip_rate(self, bsc12, degraded_chain):
         params = CodebookParams(n=10_000, seed=1)
         cb = generate(params, degraded_chain, bsc12)
-        _, x = _encode(0, 0, 0, cb, MessageSets.case_a(params), np.random.default_rng(5))
+        _, x = _encode(0, 0, 0, cb, MessageSets(params), np.random.default_rng(5))
         y1, _ = _transmit(x, bsc12, np.random.default_rng(6))
         flips = np.mean(y1 != x)
         assert abs(flips - 0.1) < 0.01
@@ -253,69 +253,75 @@ class TestDecoders:
         # second layer carries the confidential pair over a 4-letter alphabet
         chain = AuxChain(Dist([1.0]), CondDist([[0.25] * 4]), CondDist(np.eye(4)))
         ch = from_marginals(np.eye(4), np.eye(4))
-        params = CodebookParams(n=8, j_size=2, l_size=2, epsilon=1.0, seed=4)
+        epsilon = 1.0
+        params = CodebookParams(n=8, j_size=2, l_size=2, seed=4)
         cb = generate(params, chain, ch)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         rng = np.random.default_rng(7)
         for mc in range(ms.mc_size):
             _, x = _encode(mc, 0, 0, cb, ms, rng)
             y1, _ = _transmit(x, ch, rng)
-            assert _decode1(y1, 0, cb, ms) == (mc, 0)
+            assert _decode1(y1, 0, cb, ms, epsilon) == (mc, 0)
 
     def test_noiseless_round_trip_node2(self, noiseless4, carrier_chain):
-        params = CodebookParams(n=6, m1_size=2, m2_size=2, epsilon=1.0, seed=9)
+        epsilon = 1.0
+        params = CodebookParams(n=6, m1_size=2, m2_size=2, seed=9)
         cb = generate(params, carrier_chain, noiseless4)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         rng = np.random.default_rng(8)
         for m1 in range(2):
             for m2 in range(2):
                 _, x = _encode(0, m1, m2, cb, ms, rng)
                 _, y2 = _transmit(x, noiseless4, rng)
-                assert _decode2(y2, m2, cb) == m1
+                assert _decode2(y2, m2, cb, epsilon) == m1
 
     def test_independent_output_erases(self, bsc12, degraded_chain):
-        params = CodebookParams(n=24, j_size=2, l_size=2, epsilon=0.05, seed=10)
+        epsilon = 0.05
+        params = CodebookParams(n=24, j_size=2, l_size=2, seed=10)
         cb = generate(params, degraded_chain, bsc12)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         rng = np.random.default_rng(11)
         erasures = 0
         for _ in range(30):
             y1 = rng.integers(2, size=24)  # not from the code at all
-            if _decode1(y1, 0, cb, ms) == (-1, -1):
+            if _decode1(y1, 0, cb, ms, epsilon) == (-1, -1):
                 erasures += 1
         assert erasures >= 25
 
     def test_single_m1_never_wrong(self, bsc12, degraded_chain):
-        params = CodebookParams(n=8, m1_size=1, epsilon=0.5, seed=12)
+        epsilon = 0.5
+        params = CodebookParams(n=8, m1_size=1, seed=12)
         cb = generate(params, degraded_chain, bsc12)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         rng = np.random.default_rng(13)
         for _ in range(20):
             y2 = rng.integers(2, size=8)
-            assert _decode2(y2, 0, cb) in (0, -1)
+            assert _decode2(y2, 0, cb, epsilon) in (0, -1)
 
     def test_message_level_ambiguity_erases(self):
         # two codewords carrying different confidential messages made
         # identical: the decoder must erase, never guess
         ch = from_marginals(np.eye(2), np.eye(2))
         chain = AuxChain(Dist([1.0]), CondDist([[0.5, 0.5]]), CondDist(np.eye(2)))
-        params = CodebookParams(n=10, j_size=2, l_size=1, epsilon=1.5, seed=22)
+        epsilon = 1.5
+        params = CodebookParams(n=10, j_size=2, l_size=1, seed=22)
         cb = generate(params, chain, ch)
         v = cb.v_words.copy()
         v[1] = v[0]
         object.__setattr__(cb, "v_words", v)
-        ms = MessageSets.case_a(params)  # columns are distinct messages here
+        ms = MessageSets(params)  # columns are distinct messages here
         rng = np.random.default_rng(23)
         _, x = _encode(0, 0, 0, cb, ms, rng)
         y1, _ = _transmit(x, ch, rng)
-        assert _decode1(y1, 0, cb, ms) == (-1, -1)
+        assert _decode1(y1, 0, cb, ms, epsilon) == (-1, -1)
 
     def test_case_b_same_class_hits_still_decode(self):
         # both columns of one class map to the same confidential message, so
         # simultaneous typicality of the pair is not an ambiguity
         ch = from_marginals(np.eye(2), np.eye(2))
         chain = AuxChain(Dist([1.0]), CondDist([[0.5, 0.5]]), CondDist(np.eye(2)))
-        params = CodebookParams(n=10, j_size=2, l_size=1, epsilon=1.5, seed=20)
+        epsilon = 1.5
+        params = CodebookParams(n=10, j_size=2, l_size=1, seed=20)
         cb = generate(params, chain, ch)
         # force identical column words so both columns are always typical
         v = cb.v_words.copy()
@@ -325,19 +331,20 @@ class TestDecoders:
         rng = np.random.default_rng(21)
         _, x = _encode(0, 0, 0, cb, ms, rng)
         y1, _ = _transmit(x, ch, rng)
-        assert _decode1(y1, 0, cb, ms) == (0, 0)
+        assert _decode1(y1, 0, cb, ms, epsilon) == (0, 0)
 
     def test_inner_decoder_noiseless(self, bsc12):
         chain = AuxChain(Dist([1.0]), CondDist([[0.25] * 4]), CondDist(np.eye(4)))
         ch = from_marginals(np.eye(4), np.eye(4))
-        params = CodebookParams(n=8, j_size=4, l_size=1, epsilon=1.0, seed=14)
+        epsilon = 1.0
+        params = CodebookParams(n=8, j_size=4, l_size=1, seed=14)
         cb = generate(params, chain, ch)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         rng = np.random.default_rng(15)
         for mc in range(ms.mc_size):
             (j, l, m0), x = _encode(mc, 0, 0, cb, ms, rng)
             _, y2 = _transmit(x, ch, rng)
-            assert oracles.inner_column_decode(y2, l, (m0, 0, 0), cb) == j
+            assert oracles.inner_column_decode(y2, l, (m0, 0, 0), cb, epsilon) == j
 
     def test_inner_decoder_saturates_above_capacity(self, bsc12, degraded_chain):
         # column rate far above the node-2 information term: decoding fails
@@ -345,9 +352,10 @@ class TestDecoders:
         iq = evaluate_chain(degraded_chain, bsc12)
         n = 16
         j_size = 2 ** int(np.ceil(n * (iq.iv2 + 0.35)))
-        params = CodebookParams(n=n, j_size=j_size, l_size=1, epsilon=0.25, seed=16)
+        epsilon = 0.25
+        params = CodebookParams(n=n, j_size=j_size, l_size=1, seed=16)
         cb = generate(params, degraded_chain, bsc12)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         rng = np.random.default_rng(17)
         errors = 0
         trials = 40
@@ -355,7 +363,7 @@ class TestDecoders:
             mc = int(rng.integers(ms.mc_size))
             (j, l, m0), x = _encode(mc, 0, 0, cb, ms, rng)
             _, y2 = _transmit(x, bsc12, rng)
-            if oracles.inner_column_decode(y2, l, (m0, 0, 0), cb) != j:
+            if oracles.inner_column_decode(y2, l, (m0, 0, 0), cb, epsilon) != j:
                 errors += 1
         assert errors / trials >= 0.5
 
@@ -363,7 +371,7 @@ class TestDecoders:
         params = CodebookParams(n=2, j_size=1 << 11, l_size=1 << 10, seed=18)
         cb = generate(params, degraded_chain, bsc12)
         with pytest.raises(GuardError):
-            Node1Decoder(cb, MessageSets.case_a(params))
+            Node1Decoder(cb, MessageSets(params), 0.15)
 
 
 class TestMessageSets:

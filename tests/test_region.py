@@ -362,6 +362,21 @@ class TestBbcFrontierCertified:
             bbc_frontier(asym4, count)
 
 
+class TestFrontierDirections:
+    def test_one_entry_per_requested_direction(self, bsc12):
+        # on the asym4 channel (0, 0.5, 0.5, 0) has the point of an earlier
+        # direction, and on the BSC pair the secrecy directions (0, 1, 0) and
+        # (0, 0, 1) share one point; each still has its own row, in order
+        asym4 = from_marginals(TestBbcFrontierCertified.W1, TestBbcFrontierCertified.W2)
+        dirs = octant_directions(5, 4)
+        entries = full_frontier(asym4, dirs, SearchParams(restarts=6, iterations=80, seed=3))
+        assert [e.weights for e in entries] == dirs
+        dirs = octant_directions(3, 3)
+        entries = secrecy_frontier(bsc12, dirs, FAST)
+        assert [(wc, w1, w2) for wc, _, w1, w2 in (e.weights for e in entries)] == dirs
+        assert astuple(entries[0].point) == pytest.approx(astuple(entries[1].point), abs=1e-9)
+
+
 class TestMembership:
     def test_origin_inside(self, bsc12):
         res = membership(RateTuple(0, 0, 0, 0), bsc12, FAST)

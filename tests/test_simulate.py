@@ -62,13 +62,13 @@ class TestEquivocationExact:
         ch = _uniform_w2_channel()
         params = CodebookParams(n=6, j_size=2, l_size=2, seed=0)
         cb = generate(params, degraded_chain, ch)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         assert equivocation_exact(cb, ms) == pytest.approx(math.log2(ms.mc_size), abs=1e-12)
 
     def test_single_message(self, bsc12, degraded_chain):
         params = CodebookParams(n=4, seed=1)
         cb = generate(params, degraded_chain, bsc12)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         assert equivocation_exact(cb, ms) == 0.0
 
     def test_noiseless_distinct_words_leak_everything(self):
@@ -78,7 +78,7 @@ class TestEquivocationExact:
         chain = AuxChain(Dist([1.0]), CondDist([[0.5, 0.5]]), CondDist(np.eye(2)))
         params = CodebookParams(n=8, j_size=2, l_size=2, seed=3)
         cb = generate(params, chain, ch)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         words = cb.v_words.reshape(-1, 8)
         if len({tuple(w) for w in words.tolist()}) == words.shape[0]:
             assert equivocation_exact(cb, ms) == pytest.approx(0.0, abs=1e-12)
@@ -144,7 +144,7 @@ class TestEquivocationExact:
 
         params = CodebookParams(n=15, j_size=2, l_size=2, seed=6)
         cb = generate(params, degraded_chain, bsc12)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         chunked = equivocation_exact(cb, ms)
         monkeypatch.setattr(sim, "_CHUNK_ROWS", 1 << 21)
         whole = equivocation_exact(cb, ms)
@@ -161,7 +161,7 @@ class TestEquivocationExact:
 
         params = CodebookParams(n=18, j_size=8, l_size=8, seed=0)
         cb = generate(params, degraded_chain, bsc12)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         tracemalloc.start()
         try:
             equivocation_exact(cb, ms)
@@ -174,7 +174,7 @@ class TestEquivocationExact:
         params = CodebookParams(n=21, j_size=2, seed=0)
         cb = generate(params, degraded_chain, bsc12)
         with pytest.raises(GuardError):
-            equivocation_exact(cb, MessageSets.case_a(params))
+            equivocation_exact(cb, MessageSets(params))
 
     def test_dense_chunk_guard(self, bsc12, degraded_chain, monkeypatch):
         # the suffix table of 64 output words x 128 sub-words is over a limit
@@ -193,25 +193,31 @@ class TestEquivocationMc:
         ch = _uniform_w2_channel()
         params = CodebookParams(n=5, j_size=2, l_size=2, seed=2)
         cb = generate(params, degraded_chain, ch)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         est, se = equivocation_mc(cb, ms, 500, np.random.default_rng(3))
         assert est == pytest.approx(math.log2(ms.mc_size), abs=max(3 * se, 1e-9))
 
     def test_single_message_exact_zero(self, bsc12, degraded_chain):
         params = CodebookParams(n=4, seed=1)
         cb = generate(params, degraded_chain, bsc12)
-        ms = MessageSets.case_a(params)
+        ms = MessageSets(params)
         est, se = equivocation_mc(cb, ms, 100, np.random.default_rng(0))
         assert est == 0.0
         assert se == 0.0
 
     def test_cross_validates_exact(self, bsc12):
+        # case A, then case B with k < j and m1 > 1: each message's words form
+        # one segment of several words, of unequal lengths when k does not
+        # divide j
         rng = np.random.default_rng(7)
-        for trial in range(3):
+        cases = [(dict(m1_size=2, j_size=2, l_size=2), None)] * 3
+        cases += [(dict(m1_size=2, j_size=4, l_size=2), 2), (dict(m1_size=3, j_size=5, l_size=1), 2),
+                  (dict(m1_size=2, m2_size=2, j_size=3, l_size=2), 1)]
+        for trial, (sizes, k_size) in enumerate(cases):
             chain = random_chain(rng, 1, 2, 2)
-            params = CodebookParams(n=6, m1_size=2, j_size=2, l_size=2, seed=40 + trial)
+            params = CodebookParams(n=6, seed=40 + trial, **sizes)
             cb = generate(params, chain, bsc12)
-            ms = MessageSets.case_a(params)
+            ms = MessageSets(params, k_size)
             exact = equivocation_exact(cb, ms)
             est, se = equivocation_mc(cb, ms, 3000, np.random.default_rng(50 + trial))
             assert abs(est - exact) <= max(3 * se, 1e-9)
@@ -226,8 +232,8 @@ def _two_case_configs():
     cases = ((None, dict(m0_size=2, m1_size=2, m2_size=3, j_size=2, l_size=2)),
              (2, dict(m1_size=4, m2_size=2, j_size=8, l_size=2)))
     for k_size, sizes in cases:
-        params = CodebookParams(n=12, epsilon=0.3, seed=3, **sizes)
-        cfg = SimConfig(trials=60, params=params, chain=chain, channel=ch, seed=5, k_size=k_size)
+        params = CodebookParams(n=12, seed=3, **sizes)
+        cfg = SimConfig(trials=60, params=params, chain=chain, channel=ch, epsilon=0.3, seed=5, k_size=k_size)
         yield cfg, generate(params, chain, ch), cfg.message_sets()
 
 
@@ -252,7 +258,7 @@ class TestBatchedTrials:
 
         for cfg, cb, ms in _two_case_configs():
             n = cfg.params.n
-            dec1, dec2 = Node1Decoder(cb, ms), Node2Decoder(cb)
+            dec1, dec2 = Node1Decoder(cb, ms, cfg.epsilon), Node2Decoder(cb, cfg.epsilon)
             n1 = n2 = 0
             for t in range(cfg.trials):
                 rng = np.random.default_rng((cfg.seed, 0, t))
@@ -296,7 +302,7 @@ class TestDecodersMatchTheDefinition:
         hits = set()
         for j, l, m0, m2 in itertools.product(*(range(s) for s in (p.j_size, p.l_size, p.m0_size, p.m2_size))):
             seqs = {"U": cb.u_words[m0, m1, m2], "V": cb.v_words[j, l, m0, m1, m2], "Y1": y1}
-            if oracles.sample_entropy_check(seqs, joint.tensor, joint.axes, p.epsilon):
+            if oracles.sample_entropy_check(seqs, joint.tensor, joint.axes, cfg.epsilon):
                 hits.add((self._message(cfg, j, l, m0), m2))
         return hits.pop() if len(hits) == 1 else (-1, -1)
 
@@ -307,17 +313,17 @@ class TestDecodersMatchTheDefinition:
         names = tuple(a for a in joint.axes if a != "V")
         tensor = joint.tensor.sum(axis=joint.axes.index("V"))
         hits = {m1 for m0, m1 in itertools.product(range(p.m0_size), range(p.m1_size))
-                if oracles.sample_entropy_check({"U": cb.u_words[m0, m1, m2], "Y2": y2}, tensor, names, p.epsilon)}
+                if oracles.sample_entropy_check({"U": cb.u_words[m0, m1, m2], "Y2": y2}, tensor, names, cfg.epsilon)}
         return hits.pop() if len(hits) == 1 else -1
 
     def test_both_decoders_on_both_constructions(self):
         rng = np.random.default_rng(17)
         for cfg, cb, ms in _two_case_configs():
             y1, m1, y2, m2 = self._words(cfg, cb, ms, rng)
-            mc_hat, m2_hat = Node1Decoder(cb, ms)(y1, m1)
+            mc_hat, m2_hat = Node1Decoder(cb, ms, cfg.epsilon)(y1, m1)
             expected1 = [self._node1(cfg, cb, y, m) for y, m in zip(y1, m1.tolist())]
             assert list(zip(mc_hat.tolist(), m2_hat.tolist())) == expected1
-            m1_hat = Node2Decoder(cb)(y2, m2)
+            m1_hat = Node2Decoder(cb, cfg.epsilon)(y2, m2)
             assert m1_hat.tolist() == [self._node2(cfg, cb, y, m) for y, m in zip(y2, m2.tolist())]
             for decoded in (mc_hat, m1_hat):
                 assert 0 < np.count_nonzero(decoded >= 0) < decoded.size
@@ -359,35 +365,41 @@ class TestRun:
     def test_noiseless_no_errors_and_exact_equivocation(self):
         ch = from_marginals(np.eye(4), np.eye(4))
         chain = AuxChain(Dist([1.0]), CondDist([[0.25] * 4]), CondDist(np.eye(4)))
-        params = CodebookParams(n=6, j_size=2, l_size=2, epsilon=1.0, seed=4)
-        cfg = SimConfig(trials=60, params=params, chain=chain, channel=ch, seed=9)
+        params = CodebookParams(n=6, j_size=2, l_size=2, seed=4)
+        cfg = SimConfig(trials=60, params=params, chain=chain, channel=ch, epsilon=1.0, seed=9)
         rep = run(cfg)
         assert rep.e1.rate == 0.0
         cb = generate(params, chain, ch)
         assert rep.equiv_rate == pytest.approx(
-            equivocation_exact(cb, MessageSets.case_a(params)) / params.n, abs=1e-12
+            equivocation_exact(cb, MessageSets(params)) / params.n, abs=1e-12
         )
 
     def test_uniform_output_zero_leakage(self, degraded_chain):
         ch = _uniform_w2_channel()
-        params = CodebookParams(n=5, j_size=2, l_size=2, epsilon=0.4, seed=5)
-        cfg = SimConfig(trials=40, params=params, chain=degraded_chain, channel=ch, seed=1)
+        params = CodebookParams(n=5, j_size=2, l_size=2, seed=5)
+        cfg = SimConfig(trials=40, params=params, chain=degraded_chain, channel=ch, epsilon=0.4, seed=1)
         rep = run(cfg)
         assert rep.leakage_rate == pytest.approx(0.0, abs=1e-12)
 
     def test_equiv_rate_within_range(self, bsc12, degraded_chain):
-        params = CodebookParams(n=8, j_size=4, l_size=2, epsilon=0.3, seed=7)
-        cfg = SimConfig(trials=30, params=params, chain=degraded_chain, channel=bsc12, seed=2)
+        params = CodebookParams(n=8, j_size=4, l_size=2, seed=7)
+        cfg = SimConfig(trials=30, params=params, chain=degraded_chain, channel=bsc12, epsilon=0.3, seed=2)
         rep = run(cfg)
         assert 0.0 <= rep.equiv_rate <= rep.confidential_rate + 1e-9
         assert rep.epsilon_n == max(rep.e1.rate, rep.e2.rate)
 
     def test_mc_mode(self, bsc12, degraded_chain):
-        params = CodebookParams(n=6, j_size=2, l_size=2, epsilon=0.3, seed=8)
+        params = CodebookParams(n=6, j_size=2, l_size=2, seed=8)
         cfg = SimConfig(trials=20, params=params, chain=degraded_chain, channel=bsc12,
-                        equiv_mode="mc", mc_samples=400, seed=4)
+                        equiv_mode="mc", mc_samples=400, epsilon=0.3, seed=4)
         rep = run(cfg)
         assert rep.equiv_se is not None and rep.equiv_se > 0
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, math.inf, math.nan])
+    def test_bad_epsilon(self, bsc12, degraded_chain, epsilon):
+        with pytest.raises(ValidationError, match="epsilon"):
+            SimConfig(trials=1, params=CodebookParams(n=4), chain=degraded_chain,
+                      channel=bsc12, epsilon=epsilon)
 
     def test_bad_mode(self, bsc12, degraded_chain):
         with pytest.raises(ValidationError):
