@@ -214,11 +214,8 @@ def cmd_codebook(channel_file, chain_file, blocklength, sizes, delta, seed, out)
     ch, chain, params = _load_code(channel_file, chain_file, blocklength, sizes, seed)
     conditions = rate_check(params, evaluate_chain(chain, ch), delta)
     cb = generate(params, chain, ch)
-    jsonio.dump(cb.to_dict(), out)
-    jsonio.dump(_manifest("codebook",
-                          {"n": blocklength, "sizes": sizes, "delta": delta},
-                          seed, [channel_file, chain_file]),
-                str(out) + ".manifest.json")
+    _emit(jsonio.dumps(cb.to_dict()), out, "codebook", {"n": blocklength, "sizes": sizes, "delta": delta},
+          seed, [channel_file, chain_file])
     click.echo(jsonio.dumps({"rate_conditions": [c.to_dict() for c in conditions]}), nl=False)
 
 

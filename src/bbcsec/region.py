@@ -4,8 +4,9 @@ bidirectional region, all computed by scalarization.
 
 The regions are closed and convex, so support functions characterize them
 exactly. A support direction (wc, we, w1, w2) with wc + we <= w1, which
-includes the whole bidirectional slice, is solved by Blahut-Arimoto and
-certified to within SLACK; so is each point of the bidirectional frontier.
+includes the whole bidirectional slice and so every point of the
+bidirectional frontier, is solved by Blahut-Arimoto and certified to within
+SLACK * max(w1, w2).
 Every other direction is searched over auxiliary chains (random-restart
 coordinate ascent, its budget a SearchParams), which can under-estimate a
 support value but never over-estimates it: "outside" is evidence, not a
@@ -24,7 +25,7 @@ from .channel import BroadcastChannel, marginal
 from .exceptions import ValidationError
 from .probability import CondDist, Dist
 
-SLACK = 1e-9  # constraint slack; also the duality gap that ends a Blahut-Arimoto direction
+SLACK = 1e-9  # constraint slack; per unit of max(w1, w2), the duality gap that ends a Blahut-Arimoto direction
 STEP0 = 0.35  # first-phase perturbation scale of the hill climb
 TOL = 1e-7  # a climb phase also ends once its step is below this with no gain
 BA_MAX_STEPS = 100_000  # step cap of one Blahut-Arimoto direction
@@ -460,9 +461,10 @@ def support_function(ch: BroadcastChannel, w, p: SearchParams = SearchParams()) 
     max_P [max(w1, a) I(X;Y1) + w2 I(X;Y2)] (rc + r1 <= I(X;Y1),
     r2 <= I(X;Y2), re <= rc). In the cone a <= w1 the carrier chain U = V = X
     at the Blahut-Arimoto law attains that bound, so there the value is
-    exact to within SLACK and `p` is only validated. Outside the cone the
-    chain is searched within the budget `p` (restarts, sweeps, seed and the
-    alphabet sizes), which can under-estimate the value.
+    exact to within SLACK * max(w1, w2), at any scale of the weights, and
+    `p` is only validated. Outside the cone the chain is searched within the
+    budget `p` (restarts, sweeps, seed and the alphabet sizes), which can
+    under-estimate the value.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (4,) or not np.all(np.isfinite(w)) or np.any(w < 0.0) or not np.any(w > 0.0):
@@ -529,10 +531,12 @@ def _blahut_arimoto(ch: BroadcastChannel, wr1: float, wr2: float) -> np.ndarray:
     in the law, by Blahut-Arimoto from the uniform law.
 
     With d(x) = wr1 D(W1(.|x)||pW1) + wr2 D(W2(.|x)||pW2), the value is p.d
-    and max_x d(x) bounds the optimum, so a gap of at most SLACK certifies
-    the law; after BA_MAX_STEPS it is still achievable. Both channels sit
-    side by side in one matrix, so d costs one product with the law, one
-    log2 and one product with the weighted matrix.
+    and max_x d(x) bounds the optimum, so a gap of at most
+    SLACK * max(wr1, wr2) certifies the law. Value and gap both scale with
+    the weights, so this rule does not depend on their scale. After
+    BA_MAX_STEPS the law is still achievable. Both channels sit side by side
+    in one matrix, so d costs one product with the law, one log2 and one
+    product with the weighted matrix.
 
     A step of length s multiplies p(x) by 2^(s d(x)). The plain step
     s = 1/(wr1 + wr2) reaches at least log2(sum_x p(x) 2^(s d(x))) / s, which
@@ -547,6 +551,7 @@ def _blahut_arimoto(ch: BroadcastChannel, wr1: float, wr2: float) -> np.ndarray:
     reached = w.any(axis=0)  # an output no input reaches would put log2(0) in every d
     w, weighted = w[:, reached], weighted[:, reached]
     plain = step = 1.0 / (wr1 + wr2)
+    gap = SLACK * max(wr1, wr2)
     px = np.full(ch.x_size, 1.0 / ch.x_size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         row_terms = np.where(w > 0.0, weighted * np.log2(w), 0.0).sum(axis=1)
@@ -558,7 +563,7 @@ def _blahut_arimoto(ch: BroadcastChannel, wr1: float, wr2: float) -> np.ndarray:
         d, value = divergences(px)
         for _ in range(BA_MAX_STEPS):  # every step tried counts, taken or not
             top = d.max()
-            if top - value <= SLACK:
+            if top - value <= gap:
                 break
             cand = px * np.exp2(step * (d - top))
             total = cand.sum()
@@ -578,23 +583,16 @@ def bbc_frontier(ch: BroadcastChannel, count: int) -> list:
     """Upper-right frontier of the plain bidirectional region over `count`
     weight directions (w1, w2) = (cos t, sin t), t evenly spaced in [0, pi/2].
 
-    Each direction maximizes wr1 I(X;Y1) + wr2 I(X;Y2) by `_blahut_arimoto`,
-    each point certified to within SLACK unless its direction hit
-    BA_MAX_STEPS. Each law is evaluated as its `input_chain`; a Pareto/hull
-    closure follows, and time sharing makes the point list represent the
-    hull.
+    The region is the rc = re = 0 slice of the full region, so each point is
+    `full_frontier`'s in the direction (0, 0, w1, w2): inside the cone of
+    `support_function`, certified and carried by the chain U = V = X that
+    achieves it. A Pareto/hull closure follows, and time sharing makes the
+    point list represent the hull.
     """
     if count < 1:
         raise ValidationError(f"bbc_frontier: count must be positive, got {count}")
-    entries = []
-    for k in range(count):
-        theta = (math.pi / 2) * k / max(1, count - 1)
-        wr1, wr2 = math.cos(theta), math.sin(theta)
-        chain = input_chain(_blahut_arimoto(ch, wr1, wr2))
-        iq = evaluate_chain(chain, ch)
-        point = RateTuple(0.0, 0.0, iq.iv1, iq.iv2)
-        entries.append(FrontierEntry((0.0, 0.0, wr1, wr2), point, wr1 * iq.iv1 + wr2 * iq.iv2, chain))
-    return _pareto(_dedupe(entries))
+    thetas = [(math.pi / 2) * k / max(1, count - 1) for k in range(count)]
+    return _pareto(_dedupe(full_frontier(ch, [(0.0, 0.0, math.cos(t), math.sin(t)) for t in thetas])))
 
 
 def _dedupe(entries: list) -> list:

@@ -185,6 +185,15 @@ class TestSupportFunction:
         b = support_function(bsc12, (0.6, 0.2, 0.4, 0.8), FAST)
         assert b.value == pytest.approx(2 * a.value, abs=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-6, 1e6])
+    def test_cone_value_does_not_depend_on_the_weight_scale(self, scale):
+        # value and duality gap both scale with the weights, so the
+        # certificate stops at the same law at every scale
+        ch = BroadcastChannel(np.random.default_rng(7).dirichlet(np.ones(9), size=3).reshape(3, 3, 3))
+        w = np.array([0.0, 0.0, 0.6, 0.8])
+        base = support_function(ch, w).value
+        assert support_function(ch, scale * w).value == pytest.approx(scale * base, rel=1e-9, abs=0.0)
+
     def test_invalid_weights(self, bsc12):
         with pytest.raises(ValidationError):
             support_function(bsc12, (0, 0, 0, 0), FAST)
@@ -334,7 +343,7 @@ class TestBbcFrontierCertified:
         assert len(pts) > 1
         for e in pts:
             _, _, wr1, wr2 = e.weights
-            law = e.chain.pvu.rows[0]
+            law = e.chain.pu.probs @ e.chain.pvu.rows @ e.chain.pxv.rows
             value = wr1 * oracles.mi_against_channel(law, self.W1) + wr2 * oracles.mi_against_channel(law, self.W2)
             assert e.value == pytest.approx(value, abs=1e-9)
             assert e.value >= oracles.duality_bound(law, (self.W1, self.W2), (wr1, wr2)) - 1e-6
@@ -375,6 +384,22 @@ class TestFrontierDirections:
         entries = secrecy_frontier(bsc12, dirs, FAST)
         assert [(wc, w1, w2) for wc, _, w1, w2 in (e.weights for e in entries)] == dirs
         assert astuple(entries[0].point) == pytest.approx(astuple(entries[1].point), abs=1e-9)
+
+
+class TestFrontierChainsAchieveTheirPoints:
+    # every frontier entry's chain is a witness: its terms meet the
+    # constraints at the reported point, in all three modes
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_entry_chain_achieves_its_point(self, seed):
+        rng = np.random.default_rng(seed)
+        ch = random_channel(rng, 2 + seed % 2, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+        entries = (
+            bbc_frontier(ch, 9)
+            + secrecy_frontier(ch, octant_directions(6, 3), FAST)
+            + full_frontier(ch, octant_directions(10, 4), FAST)
+        )
+        for e in entries:
+            assert tuple_satisfied(evaluate_chain(e.chain, ch), e.point), e.weights
 
 
 class TestMembership:
@@ -463,11 +488,12 @@ class TestSearchReturnsScoredTerms:
         iq = evaluate_chain(res.witness, bsc12)
         assert res.best_margin == float(_margin(iq.iu1, iq.iu2, iq.iv1, iq.iv2, t))
 
-    def test_bbc_points_are_the_input_chain_terms(self, bsc12):
+    def test_bbc_points_are_their_chain_terms(self, bsc12):
         pts = bbc_frontier(bsc12, 5)
         for e in pts:
             iq = evaluate_chain(e.chain, bsc12)
-            assert (e.point.r1, e.point.r2) == (iq.iv1, iq.iv2)
+            assert (e.point.r1, e.point.r2) == (iq.iu1, iq.iu2)
+            assert tuple_satisfied(iq, e.point)
 
 
 class TestBinarySecrecyOracle:
