@@ -1,5 +1,5 @@
 """The hot kernel of the region search: the four information terms of a batch
-of auxiliary chains, in numpy.
+of auxiliary chains, in numpy, by the entropy chain rule.
 
 Callers look the kernel up as `_core.chain_info` at call time, so it can be
 wrapped from outside (for example to count calls) without editing them.
@@ -21,28 +21,26 @@ def chain_info(pu, pvu, pxv, w1, w2):
     Returns a (B, 4) array whose row b is (iu1, iu2, iv1, iv2) of chain b,
     where iui = I(U;Yi) and ivi = I(V;Yi|U), evaluated against the per-letter
     effective channel from the second layer (the input-randomization law
-    folded into the physical channel). Each term is summed over the chain's
-    own cells only, so row b equals, bit for bit, the batch-1 call on chain
-    b alone.
+    folded into the physical channel). By the chain rule and U - V - Y,
+    iui = H(Yi) - H(Yi|U) and ivi = H(Yi|U) - H(Yi|V); both channels sit
+    side by side in one output axis, so each entropy is one pass over 3-D
+    arrays. P(y|u) is the product pvu @ P(y|v), never a quotient, so a
+    one-point first layer gives iu = 0 and V = U gives iv = 0 exactly. Each
+    term is summed over the chain's own cells only, so row b equals, bit for
+    bit, the batch-1 call on chain b alone.
     """
-    puv = pu[:, :, None] * pvu
-    out = np.empty((pu.shape[0], 4))
-    # Each term sums p * log2(ratio) over the cells where the log is finite.
-    # That drops the zero-probability cells (0/0, log2(0)) and the cells
-    # whose ratio leaves the floats: a denominator that underflows to 0 under
-    # a positive numerator, or a quotient that overflows. Such a cell holds
-    # a mass below 2e-162, so its term is negligible.
-    # Every other sum is bit for bit that of the mask p > 0: the only cells
-    # kept beyond it add 0 * a finite log.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k, w in enumerate((w1, w2)):
-            wv = pxv @ w            # effective per-letter law, second layer -> output
-            puy = puv @ wv
-            py = puy.sum(axis=1)
-            lr = np.log2(puy / (pu[:, :, None] * py[:, None, :]))
-            out[:, k] = np.where(np.isfinite(lr), puy * lr, 0.0).sum(axis=(1, 2))
+    wv = pxv @ np.hstack([w1, w2])  # P(y|v), (B, nv, ny1 + ny2)
+    q = pvu @ wv                    # P(y|u)
+    pu_row = pu[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hy = _plogp(pu_row @ q)            # -H(Y) per output column, (B, 1, ny1 + ny2)
+        hyu = pu_row @ _plogp(q)           # -H(Y|U)
+        hyv = (pu_row @ pvu) @ _plogp(wv)  # -H(Y|V)
+    cols = np.concatenate([hyu - hy, hyv - hyu], axis=1)  # (B, 2, ny1 + ny2)
+    return np.add.reduceat(cols, [0, w1.shape[1]], axis=2).reshape(len(pu), 4)
 
-            t = puv[:, :, :, None] * wv[:, None, :, :]
-            lr2 = np.log2((wv[:, None, :, :] * pu[:, :, None, None]) / puy[:, :, None, :])
-            out[:, 2 + k] = np.where(np.isfinite(lr2), t * lr2, 0.0).sum(axis=(1, 2, 3))
-    return out
+
+def _plogp(p):
+    """p log2 p per cell, 0 where the log is not finite (the cells p = 0)."""
+    lg = np.log2(p)
+    return np.where(np.isfinite(lg), p * lg, 0.0)

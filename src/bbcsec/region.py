@@ -211,9 +211,7 @@ class MembershipResult:
 def evaluate_chain(chain: AuxChain, ch: BroadcastChannel) -> InfoQuantities:
     """The four mutual-information terms of a chain against a channel."""
     if chain.x_size != ch.x_size:
-        raise ValidationError(
-            f"evaluate_chain: chain emits {chain.x_size} input symbols, channel expects {ch.x_size}"
-        )
+        raise ValidationError(f"evaluate_chain: chain emits {chain.x_size} input symbols, channel expects {ch.x_size}")
     iq = _core.chain_info(
         chain.pu.probs[None], chain.pvu.rows[None], chain.pxv.rows[None],
         marginal(ch, 1).matrix, marginal(ch, 2).matrix,
@@ -271,10 +269,18 @@ def _corner_keys(iu1, iu2, iv1, iv2, w) -> np.ndarray:
     m = np.minimum(iu1, iu2)
     r1 = np.array([zero, iu1, zero, iu1, iu1 - m])
     r2 = np.array([zero, zero, iu2, iu2, iu2 - m])
-    rc = iv1 + np.minimum(iu1 - r1, iu2 - r2)
+    rc = iv1 + np.array([m, zero, zero, zero, m])  # iv1 + min(iu1 - r1, iu2 - r2), so equal corners tie exactly
     re = np.minimum(rc, e)
     val = w[0] * rc + w[1] * re + w[2] * r1 + w[3] * r2
     return np.array([r2, r1, rc, re, val])
+
+
+def _corner_value(iu1, iu2, iv1, iv2, w):
+    """`_corner_keys(...)[4].max(axis=0)` in closed form, for nonnegative
+    weights and terms: corners 1 and 2 are dominated by corner 3, corner 0 by
+    corner 4, and every corner's re is the secrecy term, which is at most iv1."""
+    wc, we, w1, w2 = w
+    return wc * iv1 + we * _secrecy_term(iv1, iv2) + w1 * iu1 + w2 * iu2 + max(0.0, wc - w1 - w2) * np.minimum(iu1, iu2)
 
 
 def _best_corner(iu1, iu2, iv1, iv2, w) -> tuple:
@@ -296,12 +302,13 @@ def _best_corner(iu1, iu2, iv1, iv2, w) -> tuple:
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of v onto the probability simplex."""
-    n = v.shape[1]
+    """Euclidean projection of each row of v onto the probability simplex:
+    max(v - tau, 0), where tau = max_j (a_1 + ... + a_j - 1) / j over the row a
+    sorted in decreasing order (Condat, "Fast projection onto the simplex and
+    the l1 ball", 2016)."""
     a = -np.sort(-v, axis=1)
-    cums = (np.cumsum(a, axis=1) - 1.0) / np.arange(1, n + 1)
-    k = n - 1 - np.argmax((a > cums)[:, ::-1], axis=1)  # the last index with a > cums
-    out = np.maximum(v - cums[np.arange(len(v)), k][:, None], 0.0)
+    tau = ((np.cumsum(a, axis=1) - 1.0) / np.arange(1, v.shape[1] + 1)).max(axis=1)
+    out = np.maximum(v - tau[:, None], 0.0)
     return out / out.sum(axis=1, keepdims=True)  # the largest entry stays positive
 
 
@@ -464,7 +471,7 @@ def support_function(ch: BroadcastChannel, w, p: SearchParams = SearchParams()) 
     exact to within SLACK * max(w1, w2), at any scale of the weights, and
     `p` is only validated. Outside the cone the chain is searched within the
     budget `p` (restarts, sweeps, seed and the alphabet sizes), which can
-    under-estimate the value.
+    under-estimate the value; it scores each chain by `_corner_value`.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (4,) or not np.all(np.isfinite(w)) or np.any(w < 0.0) or not np.any(w > 0.0):
@@ -473,7 +480,7 @@ def support_function(ch: BroadcastChannel, w, p: SearchParams = SearchParams()) 
     p.sizes_for(ch.x_size)  # a malformed budget fails in every direction
 
     def score(iq):
-        return _corner_keys(*iq.T, w)[4].max(axis=0)
+        return _corner_value(*iq.T, w)
 
     wc, we, w1, w2 = w
     if wc + we <= w1:
@@ -632,12 +639,6 @@ def full_frontier(ch: BroadcastChannel, weights: Sequence, p: SearchParams = Sea
     return entries
 
 
-def _entropy_caps(ch: BroadcastChannel) -> tuple:
-    cap1 = min(math.log2(ch.x_size), math.log2(ch.y1_size))
-    cap2 = min(math.log2(ch.x_size), math.log2(ch.y2_size))
-    return cap1, cap2
-
-
 def membership(t: RateTuple, ch: BroadcastChannel, p: SearchParams = SearchParams()) -> MembershipResult:
     """Search verdict for one tuple: inside with a witness chain, outside up
     to the search budget, or boundary (normally unresolvable).
@@ -645,11 +646,11 @@ def membership(t: RateTuple, ch: BroadcastChannel, p: SearchParams = SearchParam
     "outside_up_to" is not a certificate: the support search can
     under-estimate. The verdict records the budget that produced it.
     """
-    cap1, cap2 = _entropy_caps(ch)
-    cap_margin = float(_margin(cap1, cap2, cap1, 0.0, t))
+    cap1, cap2 = (min(math.log2(ch.x_size), math.log2(n)) for n in (ch.y1_size, ch.y2_size))
+    cap_margin = min(float(_margin(cap1, cap2, cap1, 0.0, t)), cap1 - t.rc - t.r1)
     if cap_margin < -SLACK:
-        # the caps outer-bound every chain's quantities, so this is already
-        # a separation certificate
+        # the caps outer-bound every chain's quantities, and rc + r1 <= I(V;Y1)
+        # <= cap1, so this is already a separation certificate
         return MembershipResult(
             "outside_up_to", t, None, cap_margin, p,
             evidence={"kind": "entropy_cap", "caps": [cap1, cap2]},

@@ -3,6 +3,8 @@ full chain joint, on batches, and a chain's row must not depend on the rest
 of its batch."""
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bbcsec import AuxChain, _core
 from bbcsec.channel import marginal
@@ -103,3 +105,50 @@ def test_kernel_handles_zero_support():
     assert np.all(np.isfinite(batch))
     assert np.array_equal(batch[1], out[0])
     assert np.array_equal(batch[0], batch[2])
+
+
+def _marginals(ch):
+    return marginal(ch, 1).matrix, marginal(ch, 2).matrix
+
+
+@given(seed=st.integers(0, 2**32 - 1), nu=st.integers(1, 5), nv=st.integers(1, 8), nx=st.integers(2, 4),
+       zeros=st.booleans(), tiny=st.booleans())
+@example(seed=0, nu=5, nv=8, nx=2, zeros=True, tiny=True)
+@example(seed=1, nu=1, nv=1, nx=3, zeros=False, tiny=True)
+@settings(max_examples=60, deadline=None)
+def test_chain_rule_identity(seed, nu, nv, nx, zeros, tiny):
+    # I(U;Y) + I(V;Y|U) = I(V;Y), the iu of the folded chain: P_V as the first
+    # layer, an identity second layer, the same P_X|V
+    rng = np.random.default_rng(seed)
+    ch = random_channel(rng, nx, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+    chains = [random_chain(rng, nu, nv, nx) for _ in range(4)]
+    pu, pvu, pxv = _batch([_with_zeros(rng, c) for c in chains] if zeros else chains)
+    if tiny:  # a mass of 5e-324, the smallest subnormal, in each block
+        for rows in (pu[0], pvu[1, 0], pxv[2, -1]):
+            rows[-1] = 5e-324
+            rows /= rows.sum()
+    iq = _core.chain_info(pu, pvu, pxv, *_marginals(ch))
+    pv = (pu[:, None, :] @ pvu)[:, 0]
+    folded = _core.chain_info(pv, np.repeat(np.eye(nv)[None], len(pv), axis=0), pxv, *_marginals(ch))
+    assert np.all(np.isfinite(iq))
+    assert np.max(np.abs(iq[:, :2] + iq[:, 2:] - folded[:, :2])) < 1e-12
+
+
+def test_one_point_first_layer_gives_exactly_zero_iu():
+    rng = np.random.default_rng(5)
+    for nu, nv, nx in ((1, 8, 2), (3, 5, 3), (6, 8, 3)):
+        ch = random_channel(rng, nx, nx + 1, 2)
+        chains = _mixed_batch(rng, 12, nu, nv, nx)
+        pu, pvu, pxv = _batch(chains)
+        pu = np.eye(nu)[rng.integers(0, nu, size=len(chains))]  # each chain's U is one point
+        iq = _core.chain_info(pu, pvu, pxv, *_marginals(ch))
+        assert np.all(iq[:, :2] == 0.0)
+
+
+def test_second_layer_equal_to_the_first_gives_exactly_zero_iv():
+    rng = np.random.default_rng(6)
+    for n, nx in ((1, 2), (4, 2), (6, 3)):
+        ch = random_channel(rng, nx, 2, nx + 1)
+        pu, _, pxv = _batch(_mixed_batch(rng, 12, n, n, nx))
+        iq = _core.chain_info(pu, np.repeat(np.eye(n)[None], len(pu), axis=0), pxv, *_marginals(ch))
+        assert np.all(iq[:, 2:] == 0.0)

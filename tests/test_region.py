@@ -29,7 +29,15 @@ from bbcsec import (
     tuple_satisfied,
 )
 from bbcsec import _core
-from bbcsec.region import SearchParams, _best_corner, _margin, frontier_csv
+from bbcsec.region import (
+    SearchParams,
+    _best_corner,
+    _corner_keys,
+    _corner_value,
+    _margin,
+    _project_simplex,
+    frontier_csv,
+)
 
 from . import oracles
 from .conftest import random_channel
@@ -157,6 +165,70 @@ class TestBestCorner:
                 re = min(rc, rng.random() * iq.secrecy_bound)
                 cand = np.dot(w, [rc, re, r1, r2])
                 assert cand <= val + 1e-9
+
+    def test_equal_corners_tie_exactly(self):
+        # in (0.5, 0, 0.5, 0) with iu1 < iu2, corner 0 (r2 = 0) and corner 4
+        # (r2 = iu2 - iu1) have the same value, re, rc and r1; the documented
+        # preference picks the larger r2, also when the terms move by one ulp
+        rng = np.random.default_rng(13)
+        w = (0.5, 0.0, 0.5, 0.0)
+        for _ in range(500):
+            iu1, iu2 = np.sort(rng.random(2))
+            iv1, iv2 = rng.random(2)
+            for d1, d2 in itertools.product((-np.inf, None, np.inf), repeat=2):
+                a = iu1 if d1 is None else np.nextafter(iu1, d1)
+                b = iu2 if d2 is None else np.nextafter(iu2, d2)
+                assert a < b
+                _, (rc, re, r1, r2) = _best_corner(a, b, iv1, iv2, w)
+                assert (rc, r1, r2) == (iv1 + a, 0.0, b - a)
+                assert r2 > 0.0
+
+    def test_closed_form_value_is_the_best_corner(self):
+        rng = np.random.default_rng(14)
+        iq = rng.random((4, 4000))
+        iq[:, :500] = 0.0  # every term zero
+        iq[1, 500:1000] = iq[0, 500:1000]  # iu1 = iu2
+        iq[3, 1000:1500] = iq[2, 1000:1500] + rng.random(500)  # no secrecy gain
+        iq[:, 1500:2000] *= rng.random(500) < 0.5  # scattered zero terms
+        weights = [rng.random(4) * (rng.random(4) < 0.7) for _ in range(60)] + list(np.eye(4))
+        for w in weights:
+            assert np.max(np.abs(_corner_value(*iq, w) - _corner_keys(*iq, w)[4].max(axis=0))) <= 1e-15
+
+
+def _bisection_projection(v):
+    """The simplex projection max(v - tau, 0), tau found by bisection on the
+    decreasing function tau -> sum(max(v - tau, 0)) - 1."""
+    lo, hi = v.min() - 1.0, v.max()
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(v - mid, 0.0).sum() > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return np.maximum(v - 0.5 * (lo + hi), 0.0)
+
+
+class TestProjectSimplex:
+    def test_matches_a_bisection_reference(self):
+        rng = np.random.default_rng(15)
+        rows = [rng.normal(size=n) * s for n in (1, 2, 3, 5, 8, 13) for s in (0.01, 0.3, 1.0, 10.0)]
+        rows += [rng.integers(-3, 4, size=n) / 4.0 for n in (2, 4, 6, 9) for _ in range(5)]  # ties
+        rows += [np.full(4, 0.7), np.array([0.5, 0.5, -1.0]), np.zeros(3), np.array([2.0, 2.0, 0.1])]
+        on_simplex = [rng.dirichlet(np.ones(n)) for n in (1, 2, 3, 8)] + [np.eye(4)[2], np.full(5, 0.2)]
+        for v in rows + on_simplex:
+            out = _project_simplex(v[None])[0]
+            assert np.max(np.abs(out - _bisection_projection(v))) < 1e-12
+            assert out.sum() == pytest.approx(1.0, abs=1e-15)
+        for v in on_simplex:
+            assert np.max(np.abs(_project_simplex(v[None])[0] - v)) < 1e-15
+
+    def test_batch_rows_are_projected_independently(self):
+        rng = np.random.default_rng(16)
+        v = rng.normal(size=(20, 6))
+        v[::3, 1] = v[::3, 0]  # ties
+        out = _project_simplex(v)
+        for row, got in zip(v, out):
+            assert np.array_equal(got, _project_simplex(row[None])[0])
 
 
 class TestSupportFunction:
@@ -411,6 +483,13 @@ class TestMembership:
     def test_entropy_cap_outside(self, bsc12):
         res = membership(RateTuple(10, 10, 10, 10), bsc12, FAST)
         assert res.verdict == "outside_up_to"
+
+    def test_entropy_cap_bounds_rc_plus_r1(self, bsc12):
+        # rc + r1 <= I(V;Y1) <= log2 |X| = 1, so (0.9, 0, 0.9, 0) needs no search
+        res = membership(RateTuple(0.9, 0.0, 0.9, 0.0), bsc12, SearchParams(20, 60, 0))
+        assert res.verdict == "outside_up_to"
+        assert res.evidence == {"kind": "entropy_cap", "caps": [1.0, 1.0]}
+        assert res.best_margin == pytest.approx(-0.8, abs=1e-12)
 
     def test_degraded_point_inside(self, bsc12):
         res = membership(RateTuple(0.25, 0.25, 0, 0), bsc12, FAST)
