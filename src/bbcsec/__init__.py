@@ -26,8 +26,6 @@ from .probability import (  # noqa: F401
     Dist,
     JointDist,
     chain_joint,
-    conditional_mutual_information,
-    entropy,
     marginalize,
 )
 from .region import (  # noqa: F401

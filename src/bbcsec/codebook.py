@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import BroadcastChannel
 from .exceptions import GuardError, ValidationError
-from .probability import JointDist, chain_joint, marginalize
+from .probability import JointDist, _entropy, chain_joint, marginalize
 from .region import AuxChain
 
 MAX_CODEBOOK_SYMBOLS = 1 << 24  # total stored symbols across all sub-codewords
@@ -190,8 +190,7 @@ class TypicalityScorer:
                 ordered = tuple(a for a in joint.axes if a in sub)
                 with np.errstate(divide="ignore"):
                     logp = np.log2(marg.tensor)
-                h = -float(np.sum(marg.tensor[marg.tensor > 0] * logp[marg.tensor > 0]))
-                self._subsets.append((ordered, marg.tensor.shape, logp.reshape(-1), h))
+                self._subsets.append((ordered, marg.tensor.shape, logp.reshape(-1), _entropy(marg.tensor)))
 
     def mask(self, seqs: Mapping[str, np.ndarray]) -> np.ndarray:
         """Typicality of a batch of tuples.

@@ -1,8 +1,11 @@
-"""Exact finite-alphabet probability and information measures.
+"""Finite-alphabet distributions, marginalization, the five-axis chain
+joint, and the package's one scalar entropy.
 
-Everything is base-2: entropies and mutual informations are in bits. The
-types are immutable after construction and validated there (finite, no
+The types are immutable after construction and validated there (finite, no
 negative entries, mass within 1e-9 of one); nothing renormalizes silently.
+Entropies are in bits. Information terms are computed elsewhere: the
+region's in the `_core` kernel, the simulator's reference terms from
+entropies of the chain joint's marginals.
 """
 
 import math
@@ -115,18 +118,12 @@ class JointDist:
         object.__setattr__(self, "tensor", _as_prob_array(self.tensor, len(axes), "JointDist"))
 
 
-def _entropy_of_tensor(arr: np.ndarray) -> float:
-    flat = arr.reshape(-1)
-    pos = flat[flat > 0.0]
-    # fsum keeps the chain-rule identities exact to ~1e-15
-    return -math.fsum((p * math.log2(p) for p in pos.tolist()))
-
-
-def entropy(d) -> float:
-    """Shannon entropy in bits, with 0 log 0 = 0."""
-    if not isinstance(d, Dist):
-        d = Dist(d)
-    return _entropy_of_tensor(d.probs)
+def _entropy(probs: np.ndarray) -> float:
+    """Entropy (bits) of the probabilities in `probs`, any shape, with
+    0 log 0 = 0. The one scalar entropy of the package; it does not
+    validate, so callers pass laws they built or validated."""
+    q = probs[probs > 0.0]
+    return float(-np.dot(q, np.log2(q)))
 
 
 def marginalize(j: JointDist, keep: Iterable[str]) -> JointDist:
@@ -139,34 +136,6 @@ def marginalize(j: JointDist, keep: Iterable[str]) -> JointDist:
     drop = tuple(i for i, a in enumerate(j.axes) if a not in keep)
     tensor = j.tensor.sum(axis=drop) if drop else j.tensor
     return JointDist(kept, tensor)
-
-
-def _subset_entropy(j: JointDist, axes: set) -> float:
-    if not axes:
-        return 0.0
-    return _entropy_of_tensor(marginalize(j, axes).tensor)
-
-
-def conditional_mutual_information(j: JointDist, a, b, c=()) -> float:
-    """I(A;B|C) in bits via H(A,C) + H(B,C) - H(A,B,C) - H(C).
-
-    With empty C this is the plain mutual information I(A;B).
-    """
-    a, b, c = set(a), set(b), set(c)
-    if (a & b) or (a & c) or (b & c):
-        raise ValidationError("conditional_mutual_information: axis sets must be pairwise disjoint")
-    for name, s in (("A", a), ("B", b), ("C", c)):
-        unknown = s - set(j.axes)
-        if unknown:
-            raise ValidationError(f"conditional_mutual_information: {name} has unknown axes {sorted(unknown)}")
-    if not a or not b:
-        raise ValidationError("conditional_mutual_information: A and B must be non-empty")
-    return (
-        _subset_entropy(j, a | c)
-        + _subset_entropy(j, b | c)
-        - _subset_entropy(j, a | b | c)
-        - _subset_entropy(j, c)
-    )
 
 
 def chain_joint(pu: Dist, pvu: CondDist, pxv: CondDist, ch) -> JointDist:

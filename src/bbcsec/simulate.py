@@ -18,7 +18,7 @@ from .channel import BroadcastChannel, marginal
 from .codebook import Codebook, CodebookParams, _sample_rows, generate
 from .coding import MessageSets, Node1Decoder, Node2Decoder, encode, transmit
 from .exceptions import GuardError, ValidationError
-from .probability import chain_joint, conditional_mutual_information, marginalize, _entropy_of_tensor
+from .probability import _entropy, chain_joint
 from .region import AuxChain, evaluate_chain
 
 MAX_EXACT_SEQUENCES = 1 << 20
@@ -77,21 +77,22 @@ class AsymptoticTerms:
 
 
 def asymptotic_terms(chain: AuxChain, ch: BroadcastChannel) -> AsymptoticTerms:
-    """Evaluate the term limits from the chain joint.
+    """Evaluate the term limits from entropies of the chain joint's marginals.
 
     The coding alphabet is the second layer (input randomization folded
-    in), so the output-given-input entropy conditions on it.
+    in), so the output-given-input entropy conditions on it:
+    I(V;Y1|U) = H(U,V) + H(U,Y1) - H(U,V,Y1) - H(U), H(Y2|V) = H(V,Y2) - H(V)
+    and H(Y2|U) = H(U,Y2) - H(U), each marginal an axis sum of the joint.
     """
-    j = chain_joint(chain.pu, chain.pvu, chain.pxv, ch)
-    iv1 = conditional_mutual_information(j, {"V"}, {"Y1"}, {"U"})
-    h_vy2 = _entropy_of_tensor(marginalize(j, {"V", "Y2"}).tensor)
-    h_v = _entropy_of_tensor(marginalize(j, {"V"}).tensor)
-    h_uy2 = _entropy_of_tensor(marginalize(j, {"U", "Y2"}).tensor)
-    h_u = _entropy_of_tensor(marginalize(j, {"U"}).tensor)
+    t = chain_joint(chain.pu, chain.pvu, chain.pxv, ch).tensor  # axes U, V, X, Y1, Y2
+    uvy1 = t.sum(axis=(2, 4))
+    uvy2 = t.sum(axis=(2, 3))
+    uv = uvy1.sum(axis=2)
+    h_u = _entropy(uv.sum(axis=1))
     return AsymptoticTerms(
-        sub_rate_limit=iv1,
-        h_out2_given_code=h_vy2 - h_v,
-        h_out2_given_cloud=h_uy2 - h_u,
+        sub_rate_limit=_entropy(uv) + _entropy(uvy1.sum(axis=1)) - _entropy(uvy1) - h_u,
+        h_out2_given_code=_entropy(uvy2.sum(axis=0)) - _entropy(uv.sum(axis=0)),
+        h_out2_given_cloud=_entropy(uvy2.sum(axis=1)) - h_u,
     )
 
 
@@ -138,12 +139,6 @@ def _suffix_products(steps: list, n_words: int) -> np.ndarray:
     for step in steps:
         out = (out[:, None, :] * step[None, :, :]).reshape(-1, n_words)
     return out
-
-
-def _entropy(probs: np.ndarray) -> float:
-    """Entropy (bits) of the probabilities in `probs`, any shape."""
-    q = probs[probs > 0.0]
-    return float(-np.dot(q, np.log2(q)))
 
 
 def equivocation_exact(cb: Codebook, ms: MessageSets) -> float:
@@ -211,10 +206,13 @@ def equivocation_mc(cb: Codebook, ms: MessageSets, samples: int, rng) -> tuple:
     (episodes x sub-words) stay within _CHUNK_ROWS; within a block the
     likelihoods of the message-grouped words (`_message_order`) multiply
     position by position and each message's posterior mass is the sum of
-    its segment, row by row, so no value depends on the block size.
+    its segment, row by row, so no value depends on the block size. More
+    than MAX_TABLE_ENTRIES samples is a resource-guard error, raised before
+    any draw.
     """
     if samples < 2:
         raise ValidationError("equivocation_mc: need at least 2 samples")
+    _check_table("Monte Carlo draws", samples, 1)
     p = cb.params
     wv2 = _effective_w2(cb)
     cdf_wv2 = np.cumsum(wv2, axis=1)

@@ -29,6 +29,19 @@ def random_chain(rng, nu, nv, nx):
     )
 
 
+def with_zeros(rng, chain):
+    """The chain with about a third of its probabilities set to zero."""
+
+    def sparse(rows):
+        rows = np.where(rng.random(rows.shape) < 0.35, 0.0, rows)
+        rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+        return rows / rows.sum(axis=1, keepdims=True)
+
+    return AuxChain(
+        Dist(sparse(chain.pu.probs[None])[0]), CondDist(sparse(chain.pvu.rows)), CondDist(sparse(chain.pxv.rows))
+    )
+
+
 def random_channel(rng, nx, ny1, ny2):
     tensor = rng.dirichlet(np.ones(ny1 * ny2), size=nx).reshape(nx, ny1, ny2)
     from bbcsec import BroadcastChannel

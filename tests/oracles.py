@@ -39,6 +39,16 @@ def mi_against_channel(px: np.ndarray, w: np.ndarray) -> float:
     return mutual_information_xy(px[:, None] * w)
 
 
+def chain_terms(pu, pvu, pxv, w1, w2) -> tuple:
+    """(I(U;Y1), I(U;Y2), I(V;Y1|U), I(V;Y2|U)) of the chain U -> V -> X ->
+    Yi with P(u) = pu, P(v|u) = pvu, P(x|v) = pxv, P(yi|x) = wi, from the
+    plain sums of mi_against_channel: I(U;Yi) against P(yi|u), and
+    I(V;Yi|U) as the P(u)-average of I(V;Yi | U = u) against P(yi|v)."""
+    iu = [mi_against_channel(pu, pvu @ pxv @ w) for w in (w1, w2)]
+    iv = [sum(pu[u] * mi_against_channel(pvu[u], pxv @ w) for u in range(len(pu))) for w in (w1, w2)]
+    return (*iu, *iv)
+
+
 def grid_max_binary(f, step: float = 1e-4) -> float:
     """Maximize f(p) over the binary input law (p, 1-p) on a fixed grid."""
     best = -math.inf

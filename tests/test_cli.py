@@ -266,13 +266,17 @@ class TestSimulate:
         assert code == 3
         assert "guard" in err.lower() or "limit" in err.lower()
 
-    @pytest.mark.parametrize("equiv, n", [pytest.param("exact", "16", id="exact")])
-    def test_dense_equivocation_table_guard_exit_code(self, capsys, bsc_file, chain_file, equiv, n):
+    @pytest.mark.parametrize("equiv, n, samples", [
         # 65 536 sub-words: at n = 16 the exact mode's table of 8192 suffix
         # output words x sub-words would take 4 GiB
+        pytest.param("exact", "16", "2000", id="exact"),
+        # 10^12 Monte Carlo draws would take 8 TB; the guard fires before any
+        pytest.param("mc", "4", "1000000000000", id="mc"),
+    ])
+    def test_dense_equivocation_table_guard_exit_code(self, capsys, bsc_file, chain_file, equiv, n, samples):
         code, out, err = run_cli(
-            capsys, "simulate", bsc_file, chain_file,
-            "--n", n, "--sizes", "1,1,1,1024,64", "--trials", "2", "--equiv", equiv,
+            capsys, "simulate", bsc_file, chain_file, "--n", n, "--sizes", "1,1,1,1024,64",
+            "--trials", "2", "--equiv", equiv, "--mc-samples", samples,
         )
         assert code == 3
         assert out == ""

@@ -31,7 +31,7 @@ from bbcsec.codebook import decoding_joint
 from bbcsec.coding import Node1Decoder, Node2Decoder
 
 from . import oracles
-from .conftest import random_chain, random_channel
+from .conftest import random_chain, random_channel, with_zeros
 
 
 def _uniform_w2_channel(ny2=2):
@@ -350,13 +350,19 @@ class TestAsymptoticTerms:
         assert terms.combination == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_identity_for_random_chains(self, seed):
+    @given(seed=st.integers(0, 2**32 - 1), nx=st.integers(2, 3), zeros=st.booleans())
+    @example(seed=0, nx=3, zeros=True)
+    @example(seed=1, nx=2, zeros=True)
+    def test_identity_for_random_chains(self, seed, nx, zeros):
+        # |X| = 2 or 3, and chains with about a third of their masses zeroed
         rng = np.random.default_rng(seed)
-        chain = random_chain(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6)), 2)
-        ch = random_channel(rng, 2, 2, int(rng.integers(2, 4)))
+        chain = random_chain(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6)), nx)
+        if zeros:
+            chain = with_zeros(rng, chain)
+        ch = random_channel(rng, nx, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
         terms = asymptotic_terms(chain, ch)
         iq = evaluate_chain(chain, ch)
+        assert abs(terms.sub_rate_limit - iq.iv1) <= 1e-12
         assert abs(terms.combination - (iq.iv1 - iq.iv2)) < 1e-10
         assert abs((terms.h_out2_given_code - terms.h_out2_given_cloud) + iq.iv2) < 1e-10
 
