@@ -24,9 +24,7 @@ from .exceptions import BbcsecError, GuardError, ValidationError  # noqa: F401
 from .probability import (  # noqa: F401
     CondDist,
     Dist,
-    JointDist,
     chain_joint,
-    marginalize,
 )
 from .region import (  # noqa: F401
     AuxChain,

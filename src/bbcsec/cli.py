@@ -68,9 +68,13 @@ def _emit(text: str, out, command: str, params: dict, seed: int, inputs: list) -
     if out is None:
         click.echo(text, nl=False)
         return
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    jsonio.dump(_manifest(command, params, seed, inputs), str(out) + ".manifest.json")
+    manifest = _manifest(command, params, seed, inputs)
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        jsonio.dump(manifest, str(out) + ".manifest.json")
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {out}: {exc}") from exc
 
 
 def _load_code(channel_file, chain_file, blocklength: int, sizes: str, seed: int) -> tuple:

@@ -11,13 +11,12 @@ symbol at transmit time.
 import math
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
-from typing import Mapping
 
 import numpy as np
 
 from .channel import BroadcastChannel
 from .exceptions import GuardError, ValidationError
-from .probability import JointDist, _entropy, chain_joint, marginalize
+from .probability import _entropy, chain_joint
 from .region import AuxChain
 
 MAX_CODEBOOK_SYMBOLS = 1 << 24  # total stored symbols across all sub-codewords
@@ -168,32 +167,29 @@ def rate_check(params: CodebookParams, iq, delta: float) -> list:
 class TypicalityScorer:
     """Weak joint typicality against a joint law, vectorized over candidates.
 
-    A tuple is typical when, for the full tuple and every non-empty subset
-    of its axes, the per-symbol sample log-probability is within epsilon of
-    the corresponding marginal entropy; any zero-probability symbol
-    combination fails regardless of epsilon.
+    `joint` is an array with one axis per sequence, in the order `mask`
+    takes them. A tuple is typical when, for the full tuple and every
+    non-empty subset of its axes, the per-symbol sample log-probability is
+    within epsilon of the corresponding marginal entropy; any
+    zero-probability symbol combination fails regardless of epsilon.
     """
 
-    def __init__(self, joint: JointDist, axes, epsilon: float):
-        self.axes = tuple(axes)
-        unknown = set(self.axes) - set(joint.axes)
-        if unknown:
-            raise ValidationError(f"TypicalityScorer: unknown axes {sorted(unknown)}")
+    def __init__(self, joint: np.ndarray, epsilon: float):
         self.epsilon = float(epsilon)
         if not self.epsilon >= 0.0:
             raise ValidationError(f"TypicalityScorer: epsilon={epsilon} must be nonnegative")
-        self._sizes = dict(zip(joint.axes, joint.tensor.shape))
+        self._sizes = joint.shape
+        axes = range(joint.ndim)
         self._subsets = []
-        for r in range(1, len(self.axes) + 1):
-            for sub in combinations(self.axes, r):
-                marg = marginalize(joint, sub)
-                ordered = tuple(a for a in joint.axes if a in sub)
+        for r in range(1, joint.ndim + 1):
+            for sub in combinations(axes, r):
+                marg = joint.sum(axis=tuple(a for a in axes if a not in sub))
                 with np.errstate(divide="ignore"):
-                    logp = np.log2(marg.tensor)
-                self._subsets.append((ordered, marg.tensor.shape, logp.reshape(-1), _entropy(marg.tensor)))
+                    logp = np.log2(marg)
+                self._subsets.append((sub, marg.shape, logp.reshape(-1), _entropy(marg)))
 
-    def mask(self, seqs: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Typicality of a batch of tuples.
+    def mask(self, *seqs) -> np.ndarray:
+        """Typicality of a batch of tuples, one sequence per axis of the joint.
 
         Each sequence is an integer array (..., n). The leading axes of all
         sequences broadcast against each other, and the result is a bool
@@ -203,27 +199,26 @@ class TypicalityScorer:
         evaluated once for all of that axis; each entry is exactly the
         one-tuple test of its tuple.
         """
-        missing = set(self.axes) - set(seqs)
-        if missing:
-            raise ValidationError(f"TypicalityScorer: missing sequences for {sorted(missing)}")
-        arrays = {a: np.asarray(seqs[a], dtype=np.int64) for a in self.axes}
-        if any(arr.ndim < 1 for arr in arrays.values()):
+        if len(seqs) != len(self._sizes):
+            raise ValidationError(f"TypicalityScorer: {len(seqs)} sequences for a joint of {len(self._sizes)} axes")
+        arrays = [np.asarray(seq, dtype=np.int64) for seq in seqs]
+        if any(arr.ndim < 1 for arr in arrays):
             raise ValidationError("TypicalityScorer: sequences must have a symbol axis")
-        n = max(arr.shape[-1] for arr in arrays.values())
-        for a, arr in arrays.items():
+        n = max(arr.shape[-1] for arr in arrays)
+        for a, (arr, size) in enumerate(zip(arrays, self._sizes)):
             if arr.shape[-1] != n:
-                raise ValidationError(f"TypicalityScorer: sequence for {a} has length {arr.shape[-1]}, expected {n}")
-            if arr.size and (arr.min() < 0 or arr.max() >= self._sizes[a]):
-                raise ValidationError(f"TypicalityScorer: a symbol of {a} is outside [0, {self._sizes[a]})")
+                raise ValidationError(f"TypicalityScorer: sequence {a} has length {arr.shape[-1]}, expected {n}")
+            if arr.size and (arr.min() < 0 or arr.max() >= size):
+                raise ValidationError(f"TypicalityScorer: a symbol of sequence {a} is outside [0, {size})")
         try:
-            batch = np.broadcast_shapes(*(arr.shape[:-1] for arr in arrays.values()))
+            batch = np.broadcast_shapes(*(arr.shape[:-1] for arr in arrays))
         except ValueError as exc:
             raise ValidationError(f"TypicalityScorer: batch shapes do not broadcast: {exc}") from None
 
         ok = np.ones(batch, dtype=bool)
-        for ordered, shape, logp_flat, h in self._subsets:
-            idx = arrays[ordered[0]]
-            for a, size in zip(ordered[1:], shape[1:]):
+        for sub, shape, logp_flat, h in self._subsets:
+            idx = arrays[sub[0]]
+            for a, size in zip(sub[1:], shape[1:]):
                 idx = idx * size + arrays[a]
             sample = -logp_flat[idx].sum(axis=-1) / n
             # log-probabilities are finite except -inf at zero-probability
@@ -232,8 +227,11 @@ class TypicalityScorer:
         return ok
 
 
-def decoding_joint(cb: Codebook, output_axis: str) -> JointDist:
-    """Joint law over (first layer, second layer, one output) with the
-    physical input summed out; the law the decoders test typicality against."""
+def decoding_joint(cb: Codebook, node: int) -> np.ndarray:
+    """Joint law over (first layer, second layer, output of node 1 or 2)
+    with the physical input and the other output summed out; the law the
+    decoders test typicality against."""
+    if node not in (1, 2):
+        raise ValidationError(f"decoding_joint: node must be 1 or 2, got {node}")
     full = chain_joint(cb.chain.pu, cb.chain.pvu, cb.chain.pxv, cb.channel)
-    return marginalize(full, {"U", "V", output_axis})
+    return full.sum(axis=(2, 5 - node))

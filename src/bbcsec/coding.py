@@ -23,7 +23,6 @@ import numpy as np
 from .channel import BroadcastChannel
 from .codebook import Codebook, TypicalityScorer, _sample_rows, decoding_joint
 from .exceptions import GuardError, ValidationError
-from .probability import marginalize
 
 MAX_CANDIDATES = 1 << 20
 
@@ -144,23 +143,24 @@ def _unique_hit(hits: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.where(hits.any(axis=1) & agree, first, -1)
 
 
-def _decode(scorer: TypicalityScorer, y_axis: str, y, own, keys, words_for) -> np.ndarray:
+def _decode(scorer: TypicalityScorer, y, own, keys, words_for) -> np.ndarray:
     """The decoders' shared loop over trials with received words y (T, n)
     and own messages `own` (T,): per trial, the key (of `keys`, one per
     candidate, in the candidates' array shape) that every candidate typical
     with its word shares, or -1 (see _unique_hit).
 
     Trials that share their own message m share one typicality call against
-    words_for(m), the candidates' codewords by axis, each a view of the
-    codebook broadcasting to (keys' shape, n); a term that does not depend
-    on an index axis is computed once for all of it.
+    words_for(m), the candidates' codewords in the scorer's axis order
+    before the received word, each a view of the codebook broadcasting to
+    (keys' shape, n); a term that does not depend on an index axis is
+    computed once for all of it.
     """
     out = np.empty(own.shape, dtype=np.int64)
     flat_keys = keys.reshape(-1)
     for m in sorted(set(own.tolist())):
         rows = np.flatnonzero(own == m)
         y_rows = y[rows].reshape((rows.size,) + (1,) * keys.ndim + y.shape[-1:])
-        hits = scorer.mask({**words_for(m), y_axis: y_rows})
+        hits = scorer.mask(*words_for(m), y_rows)
         out[rows] = _unique_hit(hits.reshape(rows.size, -1), flat_keys)
     return out
 
@@ -182,11 +182,11 @@ class Node1Decoder:
                 f"Node1Decoder: {self.candidates} candidate tuples exceeds the limit {MAX_CANDIDATES}"
             )
         self.cb = cb
-        self.scorer = TypicalityScorer(decoding_joint(cb, "Y1"), ("U", "V", "Y1"), epsilon)
+        self.scorer = TypicalityScorer(decoding_joint(cb, 1), epsilon)
         self._key = ms.cell_mc[..., None] * p.m2_size + np.arange(p.m2_size)  # (j, l, m0, m2)
 
-    def _words_for(self, m1: int) -> dict:
-        return {"U": self.cb.u_words[:, m1], "V": self.cb.v_words[:, :, :, m1]}
+    def _words_for(self, m1: int) -> tuple:
+        return self.cb.u_words[:, m1], self.cb.v_words[:, :, :, m1]
 
     def __call__(self, y1, m1) -> tuple:
         """Decode a batch: received words y1 (T, n), own messages m1 (T,).
@@ -195,7 +195,7 @@ class Node1Decoder:
         decoder erases (no hit, or hits on more than one message).
         """
         y1, m1 = _check_batch("Node1Decoder", y1, m1, self.cb.params.m1_size)
-        key = _decode(self.scorer, "Y1", y1, m1, self._key, self._words_for)
+        key = _decode(self.scorer, y1, m1, self._key, self._words_for)
         mc, m2 = np.divmod(key, self.cb.params.m2_size)
         erased = key < 0
         return np.where(erased, -1, mc), np.where(erased, -1, m2)
@@ -211,12 +211,11 @@ class Node2Decoder:
         p = cb.params
         self.candidates = p.m0_size * p.m1_size
         self.cb = cb
-        joint = marginalize(decoding_joint(cb, "Y2"), {"U", "Y2"})
-        self.scorer = TypicalityScorer(joint, ("U", "Y2"), epsilon)
+        self.scorer = TypicalityScorer(decoding_joint(cb, 2).sum(axis=1), epsilon)
         self._key = np.broadcast_to(np.arange(p.m1_size), (p.m0_size, p.m1_size))  # (m0, m1)
 
-    def _words_for(self, m2: int) -> dict:
-        return {"U": self.cb.u_words[:, :, m2]}
+    def _words_for(self, m2: int) -> tuple:
+        return (self.cb.u_words[:, :, m2],)
 
     def __call__(self, y2, m2) -> np.ndarray:
         """Decode a batch: received words y2 (T, n), own messages m2 (T,).
@@ -225,4 +224,4 @@ class Node2Decoder:
         erases.
         """
         y2, m2 = _check_batch("Node2Decoder", y2, m2, self.cb.params.m2_size)
-        return _decode(self.scorer, "Y2", y2, m2, self._key, self._words_for)
+        return _decode(self.scorer, y2, m2, self._key, self._words_for)

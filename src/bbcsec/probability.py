@@ -1,25 +1,23 @@
-"""Finite-alphabet distributions, marginalization, the five-axis chain
-joint, and the package's one scalar entropy.
+"""Finite-alphabet distributions, the five-axis chain joint, and the
+package's one scalar entropy.
 
 The types are immutable after construction and validated there (finite, no
 negative entries, mass within 1e-9 of one); nothing renormalizes silently.
+The chain joint is a plain read-only array; its marginals are axis sums.
 Entropies are in bits. Information terms are computed elsewhere: the
 region's in the `_core` kernel, the simulator's reference terms from
 entropies of the chain joint's marginals.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .exceptions import ValidationError
 
 MASS_TOL = 1e-9
-
-# Axis names of the full input/output chain, in canonical order.
-CHAIN_AXES = ("U", "V", "X", "Y1", "Y2")
 
 
 def _numeric(values) -> bool:
@@ -103,21 +101,6 @@ class CondDist:
         return self.rows.shape
 
 
-@dataclass(frozen=True, eq=False)
-class JointDist:
-    """Joint distribution over named axes (a subset of U, V, X, Y1, Y2)."""
-
-    axes: tuple
-    tensor: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        axes = tuple(self.axes)
-        if len(set(axes)) != len(axes):
-            raise ValidationError(f"JointDist: duplicate axis names in {axes}")
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "tensor", _as_prob_array(self.tensor, len(axes), "JointDist"))
-
-
 def _entropy(probs: np.ndarray) -> float:
     """Entropy (bits) of the probabilities in `probs`, any shape, with
     0 log 0 = 0. The one scalar entropy of the package; it does not
@@ -126,23 +109,13 @@ def _entropy(probs: np.ndarray) -> float:
     return float(-np.dot(q, np.log2(q)))
 
 
-def marginalize(j: JointDist, keep: Iterable[str]) -> JointDist:
-    """Sum out every axis not in `keep`, preserving axis order and mass."""
-    keep = set(keep)
-    unknown = keep - set(j.axes)
-    if unknown:
-        raise ValidationError(f"marginalize: unknown axes {sorted(unknown)}; joint has {j.axes}")
-    kept = tuple(a for a in j.axes if a in keep)
-    drop = tuple(i for i, a in enumerate(j.axes) if a not in keep)
-    tensor = j.tensor.sum(axis=drop) if drop else j.tensor
-    return JointDist(kept, tensor)
-
-
-def chain_joint(pu: Dist, pvu: CondDist, pxv: CondDist, ch) -> JointDist:
-    """Joint law of the chain U -> V -> X -> (Y1, Y2) over all five axes.
+def chain_joint(pu: Dist, pvu: CondDist, pxv: CondDist, ch) -> np.ndarray:
+    """Joint law of the chain U -> V -> X -> (Y1, Y2), a read-only array with
+    axes (U, V, X, Y1, Y2).
 
     The factorization is exactly P(u) P(v|u) P(x|v) W(y1,y2|x); the Markov
-    structure I(U;Y1,Y2|X) = 0 and I(U;X|V) = 0 holds by construction.
+    structure I(U;Y1,Y2|X) = 0 and I(U;X|V) = 0 holds by construction. It is
+    a product of validated laws, so it is not validated again.
     """
     nu, nv = pvu.dims
     nv2, nx = pxv.dims
@@ -152,5 +125,6 @@ def chain_joint(pu: Dist, pvu: CondDist, pxv: CondDist, ch) -> JointDist:
         raise ValidationError(f"chain_joint: P(v|u) emits {nv} symbols but P(x|v) expects {nv2}")
     if nx != ch.x_size:
         raise ValidationError(f"chain_joint: P(x|v) emits {nx} symbols but channel expects {ch.x_size}")
-    tensor = np.einsum("u,uv,vx,xab->uvxab", pu.probs, pvu.rows, pxv.rows, ch.tensor)
-    return JointDist(CHAIN_AXES, tensor)
+    joint = np.einsum("u,uv,vx,xab->uvxab", pu.probs, pvu.rows, pxv.rows, ch.tensor)
+    joint.flags.writeable = False
+    return joint

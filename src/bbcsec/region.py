@@ -258,27 +258,10 @@ def rc_re_star(iq: InfoQuantities, r1: float, r2: float) -> tuple:
     return rc, iq.secrecy_bound
 
 
-def _corner_keys(iu1, iu2, iv1, iv2, w) -> np.ndarray:
-    """The five candidate corners of each chain's constraint polytope, as a
-    (5, 5, ...) array: r2, r1, rc, re and w . (rc,re,r1,r2), each over the
-    candidates. The information terms are arrays of one shape (one entry per
-    chain). The feasible set is linear in the tuple for fixed quantities, so
-    the maximum of w . (rc,re,r1,r2) sits on one of these vertices."""
-    zero = np.zeros(np.shape(iu1))
-    e = _secrecy_term(iv1, iv2)
-    m = np.minimum(iu1, iu2)
-    r1 = np.array([zero, iu1, zero, iu1, iu1 - m])
-    r2 = np.array([zero, zero, iu2, iu2, iu2 - m])
-    rc = iv1 + np.array([m, zero, zero, zero, m])  # iv1 + min(iu1 - r1, iu2 - r2), so equal corners tie exactly
-    re = np.minimum(rc, e)
-    val = w[0] * rc + w[1] * re + w[2] * r1 + w[3] * r2
-    return np.array([r2, r1, rc, re, val])
-
-
 def _corner_value(iu1, iu2, iv1, iv2, w):
-    """`_corner_keys(...)[4].max(axis=0)` in closed form, for nonnegative
-    weights and terms: corners 1 and 2 are dominated by corner 3, corner 0 by
-    corner 4, and every corner's re is the secrecy term, which is at most iv1."""
+    """The value of `_best_corner` in closed form, for nonnegative weights
+    and terms: every corner's re is the secrecy term, which is at most iv1,
+    and corner 4 scores (wc - w1 - w2) min(iu1, iu2) more than corner 3."""
     wc, we, w1, w2 = w
     return wc * iv1 + we * _secrecy_term(iv1, iv2) + w1 * iu1 + w2 * iu2 + max(0.0, wc - w1 - w2) * np.minimum(iu1, iu2)
 
@@ -286,14 +269,24 @@ def _corner_value(iu1, iu2, iv1, iv2, w):
 def _best_corner(iu1, iu2, iv1, iv2, w) -> tuple:
     """Maximize w . (rc,re,r1,r2) over the constraint polytope of each chain.
 
-    Ties prefer larger re, then rc, then r1, then r2, making the output
-    deterministic. Returns the values and the corners (rc, re, r1, r2), each
-    of the information terms' shape.
+    The feasible set is linear in the tuple for fixed terms, so the maximum
+    sits on a vertex. Of the five, (rc, r1, r2) = (iv1, 0, 0), (iv1, iu1, 0)
+    and (iv1, 0, iu2) are dominated, in value and in the tie order, by
+    corner 3, (iv1, iu1, iu2), or corner 4, (iv1 + m, iu1 - m, iu2 - m) with
+    m = min(iu1, iu2); each has re = min(rc, secrecy term). Ties prefer larger
+    re, then rc, then r1, then r2, so corner 4 wins iff its value is larger,
+    or equal with a larger rc. The information terms are arrays of one shape
+    (one entry per chain); returns the values and the corners
+    (rc, re, r1, r2), each of that shape.
     """
-    keys = _corner_keys(iu1, iu2, iv1, iv2, w)
-    pick = np.lexsort(keys, axis=0)[-1:]  # lexsort's primary key is the last
-    r2, r1, rc, re, val = np.take_along_axis(keys, pick[None], axis=1)[:, 0]
-    return val, (rc, re, r1, r2)
+    m = np.minimum(iu1, iu2)
+    rc = iv1 + np.array([np.zeros(np.shape(m)), m])  # rows: corners 3 and 4
+    re = np.minimum(rc, _secrecy_term(iv1, iv2))
+    r1 = np.array([iu1, iu1 - m])
+    r2 = np.array([iu2, iu2 - m])
+    val = w[0] * rc + w[1] * re + w[2] * r1 + w[3] * r2
+    four = (val[1] > val[0]) | ((val[1] == val[0]) & (rc[1] > rc[0]))
+    return np.where(four, val[1], val[0]), tuple(np.where(four, k[1], k[0]) for k in (rc, re, r1, r2))
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def asymptotic_terms(chain: AuxChain, ch: BroadcastChannel) -> AsymptoticTerms:
     I(V;Y1|U) = H(U,V) + H(U,Y1) - H(U,V,Y1) - H(U), H(Y2|V) = H(V,Y2) - H(V)
     and H(Y2|U) = H(U,Y2) - H(U), each marginal an axis sum of the joint.
     """
-    t = chain_joint(chain.pu, chain.pvu, chain.pxv, ch).tensor  # axes U, V, X, Y1, Y2
+    t = chain_joint(chain.pu, chain.pvu, chain.pxv, ch)  # axes U, V, X, Y1, Y2
     uvy1 = t.sum(axis=(2, 4))
     uvy2 = t.sum(axis=(2, 3))
     uv = uvy1.sum(axis=2)

@@ -49,6 +49,27 @@ def chain_terms(pu, pvu, pxv, w1, w2) -> tuple:
     return (*iu, *iv)
 
 
+def best_corner(iu1, iu2, iv1, iv2, w) -> tuple:
+    """Maximum of w . (rc, re, r1, r2) over the rate polytope of each set of
+    information terms (arrays of one shape), by enumerating its five
+    vertices: with m = min(iu1, iu2), (r1, r2) is (0, 0), (iu1, 0), (0, iu2),
+    (iu1, iu2) or (iu1 - m, iu2 - m), rc = iv1 + min(iu1 - r1, iu2 - r2)
+    (written as iv1 plus m or 0) and re = min(rc, max(0, iv1 - iv2)). Ties
+    go to the larger re, then rc, r1, r2. Returns the values and the
+    corners (rc, re, r1, r2)."""
+    zero = np.zeros(np.shape(iu1))
+    m = np.minimum(iu1, iu2)
+    r1 = np.array([zero, iu1, zero, iu1, iu1 - m])
+    r2 = np.array([zero, zero, iu2, iu2, iu2 - m])
+    rc = iv1 + np.array([m, zero, zero, zero, m])
+    re = np.minimum(rc, np.maximum(0.0, iv1 - iv2))
+    val = w[0] * rc + w[1] * re + w[2] * r1 + w[3] * r2
+    keys = np.array([r2, r1, rc, re, val])
+    pick = np.lexsort(keys, axis=0)[-1:]  # lexsort's primary key is the last
+    r2, r1, rc, re, val = np.take_along_axis(keys, pick[None], axis=1)[:, 0]
+    return val, (rc, re, r1, r2)
+
+
 def grid_max_binary(f, step: float = 1e-4) -> float:
     """Maximize f(p) over the binary input law (p, 1-p) on a fixed grid."""
     best = -math.inf

@@ -20,7 +20,7 @@ from bbcsec import (
 )
 from bbcsec.channel import load_chain_file, save_chain_file
 from bbcsec.cli import main
-from bbcsec.probability import CondDist, Dist, JointDist
+from bbcsec.probability import CondDist, Dist
 
 
 class TestMarginal:
@@ -120,7 +120,6 @@ def _marginals_file(tmp_path, w1):
 INPUTS = {
     "Dist": ([0.25, 0.75], lambda d, tmp: Dist(d)),
     "CondDist": (W, lambda d, tmp: CondDist(d)),
-    "JointDist": ([[0.25, 0.25], [0.25, 0.25]], lambda d, tmp: JointDist(("X", "Y1"), d)),
     "BroadcastChannel": ([[[0.5, 0.5]], [[0.25, 0.75]]], lambda d, tmp: BroadcastChannel(d)),
     "MarginalChannel": (W, lambda d, tmp: MarginalChannel(d)),
     "load_channel_joint": ([[[0.5, 0.5]], [[0.25, 0.75]]], lambda d, tmp: load_channel(

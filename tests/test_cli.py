@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bbcsec
 from bbcsec import binary_symmetric, jsonio
 from bbcsec.cli import main
 
@@ -445,6 +450,42 @@ def test_negative_seed_or_empty_alphabet_exits_2(capsys, bsc_file, chain_file, t
     assert out == ""
     assert "validation error" in err
     assert not (tmp_path / "cb.json").exists()
+
+
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["region", "{bsc}", "--mode", "bbc", "--weights", "3"],
+    ["member", "{bsc}", "--tuple", "0,0,0,0", *FAST],
+    ["simulate", "{bsc}", "{chain}", "--n", "4", "--trials", "4", "--equiv", "none"],
+    ["codebook", "{bsc}", "{chain}", "--n", "4"],
+])
+def test_unwritable_out_exits_2(capsys, bsc_file, chain_file, tmp_path, argv, target):
+    # the output is computed first; failing to write it is a validation error
+    out = tmp_path / "no-such-dir" / "x" if target == "missing_directory" else tmp_path
+    argv = [a.format(bsc=bsc_file, chain=chain_file) for a in argv]
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"validation error: cannot write output file {out}")
+
+
+def test_output_does_not_depend_on_the_hash_seed(bsc_file, chain_file):
+    # set and dict iteration order varies with PYTHONHASHSEED across
+    # processes, which no in-process test sees
+    commands = [
+        ["simulate", bsc_file, chain_file, "--n", "4", "--sizes", "1,2,2,2,2", "--trials", "40",
+         "--equiv", "mc", "--mc-samples", "200", "--seed", "3"],
+        ["member", bsc_file, "--tuple", "0.3,0.1,0.2,0.1", "--restarts", "3", "--iterations", "20"],
+    ]
+    src = str(Path(bbcsec.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    for argv in commands:
+        procs = [subprocess.Popen([sys.executable, "-m", "bbcsec.cli", *argv], stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+                 for seed in ("0", "1")]
+        outputs = [proc.communicate(timeout=60) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0], outputs
+        assert outputs[0][0] == outputs[1][0] != b""
 
 
 @pytest.mark.parametrize("which", ["channel", "chain"])

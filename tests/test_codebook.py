@@ -18,7 +18,7 @@ from bbcsec import (
     run,
 )
 from bbcsec.codebook import TypicalityScorer
-from bbcsec.probability import JointDist, chain_joint, marginalize
+from bbcsec.probability import chain_joint
 
 from . import oracles
 
@@ -108,39 +108,33 @@ class TestRateCheck:
 
 class TestIsTypical:
     def test_deterministic_joint_any_epsilon(self):
-        j = JointDist(("U", "Y1"), np.array([[1.0, 0.0], [0.0, 0.0]]))
-        seqs = {"U": np.zeros(8, dtype=int), "Y1": np.zeros(8, dtype=int)}
-        assert TypicalityScorer(j, ("U", "Y1"), 1e-12).mask(seqs)
+        j = np.array([[1.0, 0.0], [0.0, 0.0]])
+        assert TypicalityScorer(j, 1e-12).mask(np.zeros(8, dtype=int), np.zeros(8, dtype=int))
 
     def test_zero_probability_symbol(self):
-        j = JointDist(("U", "Y1"), np.array([[1.0, 0.0], [0.0, 0.0]]))
-        seqs = {"U": np.array([0, 1]), "Y1": np.array([0, 0])}
-        assert not TypicalityScorer(j, ("U", "Y1"), math.inf).mask(seqs)
+        j = np.array([[1.0, 0.0], [0.0, 0.0]])
+        assert not TypicalityScorer(j, math.inf).mask(np.array([0, 1]), np.array([0, 0]))
 
     def test_uniform_pair(self):
-        j = JointDist(("U", "Y1"), np.full((2, 2), 0.25))
-        seqs = {"U": np.zeros(16, dtype=int), "Y1": np.zeros(16, dtype=int)}
+        j = np.full((2, 2), 0.25)
         # sample log-probability is exactly the joint entropy here
-        assert TypicalityScorer(j, ("U", "Y1"), 0.1).mask(seqs)
+        assert TypicalityScorer(j, 0.1).mask(np.zeros(16, dtype=int), np.zeros(16, dtype=int))
 
     def test_epsilon_zero_exact_match_only(self):
-        j = JointDist(("U", "Y1"), np.array([[0.4, 0.1], [0.1, 0.4]]))
-        balanced = {"U": np.array([0, 0, 1, 1]), "Y1": np.array([0, 1, 0, 1])}
-        assert not TypicalityScorer(j, ("U", "Y1"), 0.0).mask(balanced)
-        uniform_j = JointDist(("U", "Y1"), np.full((2, 2), 0.25))
-        assert TypicalityScorer(uniform_j, ("U", "Y1"), 0.0).mask(balanced)
+        balanced = (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
+        assert not TypicalityScorer(np.array([[0.4, 0.1], [0.1, 0.4]]), 0.0).mask(*balanced)
+        assert TypicalityScorer(np.full((2, 2), 0.25), 0.0).mask(*balanced)
 
     def test_epsilon_infinity_accepts_positive_probability(self):
         rng = np.random.default_rng(5)
-        j = JointDist(("U", "Y1"), rng.dirichlet(np.ones(4)).reshape(2, 2))
-        seqs = {"U": rng.integers(2, size=12), "Y1": rng.integers(2, size=12)}
-        if np.all(j.tensor > 0):
-            assert TypicalityScorer(j, ("U", "Y1"), math.inf).mask(seqs)
+        j = rng.dirichlet(np.ones(4)).reshape(2, 2)
+        seqs = rng.integers(2, size=12), rng.integers(2, size=12)
+        if np.all(j > 0):
+            assert TypicalityScorer(j, math.inf).mask(*seqs)
 
     def test_matches_independent_oracle(self, bsc12, degraded_chain):
-        j = marginalize(chain_joint(
-            degraded_chain.pu, degraded_chain.pvu, degraded_chain.pxv, bsc12
-        ), {"V", "Y1"})
+        # the (V, Y1) law: U, X and Y2 summed out of the chain joint
+        j = chain_joint(degraded_chain.pu, degraded_chain.pvu, degraded_chain.pxv, bsc12).sum(axis=(0, 2, 4))
         rng = np.random.default_rng(9)
         for _ in range(100):
             eps = float(rng.choice([0.05, 0.15, 0.4]))
@@ -148,8 +142,8 @@ class TestIsTypical:
                 "V": rng.integers(2, size=10),
                 "Y1": rng.integers(2, size=10),
             }
-            expected = oracles.sample_entropy_check(seqs, j.tensor, ("V", "Y1"), eps)
-            assert TypicalityScorer(j, ("V", "Y1"), eps).mask(seqs) == expected
+            expected = oracles.sample_entropy_check(seqs, j, ("V", "Y1"), eps)
+            assert TypicalityScorer(j, eps).mask(seqs["V"], seqs["Y1"]) == expected
 
     @pytest.mark.parametrize("epsilon", [1.0, math.inf])
     def test_batch_matches_row_by_row(self, epsilon):
@@ -158,33 +152,32 @@ class TestIsTypical:
         rng = np.random.default_rng(31)
         tensor = rng.dirichlet(np.ones(12)).reshape(2, 2, 3)
         tensor[0, 1, 2] = tensor[1, 0, 0] = 0.0
-        j = JointDist(("U", "V", "Y1"), tensor / tensor.sum())
-        scorer = TypicalityScorer(j, ("U", "V", "Y1"), epsilon)
+        scorer = TypicalityScorer(tensor / tensor.sum(), epsilon)
         t, c, n = 5, 7, 6
         u, v = rng.integers(2, size=(t, c, n)), rng.integers(2, size=(t, c, n))
         y = rng.integers(3, size=(t, 1, n))
-        batch = scorer.mask({"U": u, "V": v, "Y1": y})
-        rows = np.array([[scorer.mask({"U": u[a, b], "V": v[a, b], "Y1": y[a, 0]}) for b in range(c)]
-                         for a in range(t)])
+        batch = scorer.mask(u, v, y)
+        rows = np.array([[scorer.mask(u[a, b], v[a, b], y[a, 0]) for b in range(c)] for a in range(t)])
         assert batch.shape == (t, c)
         assert np.array_equal(batch, rows)
         assert 0 < rows.sum() < rows.size  # both outcomes occur
         # codewords (C, n) shared by every received word broadcast the same way
-        shared = scorer.mask({"U": u[0], "V": v[0], "Y1": y})
-        assert np.array_equal(shared, [[scorer.mask({"U": u[0, b], "V": v[0, b], "Y1": y[a, 0]})
-                                         for b in range(c)] for a in range(t)])
+        shared = scorer.mask(u[0], v[0], y)
+        assert np.array_equal(shared, [[scorer.mask(u[0, b], v[0, b], y[a, 0]) for b in range(c)] for a in range(t)])
 
     def test_batch_shape_and_symbol_checks(self):
-        j = JointDist(("U", "Y1"), np.full((2, 2), 0.25))
-        scorer = TypicalityScorer(j, ("U", "Y1"), 0.1)
+        scorer = TypicalityScorer(np.full((2, 2), 0.25), 0.1)
         with pytest.raises(ValidationError):
-            scorer.mask({"U": np.zeros((3, 4), dtype=int), "Y1": np.zeros((2, 4), dtype=int)})
+            scorer.mask(np.zeros((3, 4), dtype=int), np.zeros((2, 4), dtype=int))
         with pytest.raises(ValidationError):
-            scorer.mask({"U": np.array([0, 2]), "Y1": np.array([0, 0])})
+            scorer.mask(np.array([0, 2]), np.array([0, 0]))
         with pytest.raises(ValidationError):
-            TypicalityScorer(j, ("U", "Y1"), math.nan)
+            TypicalityScorer(np.full((2, 2), 0.25), math.nan)
+        # one sequence per axis of the joint, no more and no fewer
+        for seqs in ((np.zeros(4, dtype=int),), (np.zeros(4, dtype=int),) * 3):
+            with pytest.raises(ValidationError, match="2 axes"):
+                scorer.mask(*seqs)
 
     def test_length_mismatch(self):
-        j = JointDist(("U", "Y1"), np.full((2, 2), 0.25))
         with pytest.raises(ValidationError):
-            TypicalityScorer(j, ("U", "Y1"), 0.1).mask({"U": np.zeros(4, dtype=int), "Y1": np.zeros(5, dtype=int)})
+            TypicalityScorer(np.full((2, 2), 0.25), 0.1).mask(np.zeros(4, dtype=int), np.zeros(5, dtype=int))

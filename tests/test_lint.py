@@ -1,8 +1,9 @@
 """Static checks with the standard library's `ast`, so they need no linter.
 
 Every module imports only names it uses (`__init__.py` files are exempt:
-their imports are the package's exports), and every private module-level
-name of the package is used somewhere in the package.
+their imports are the package's exports), every private module-level name
+of the package is used somewhere in the package, and the test oracles and
+the package never import each other.
 """
 
 import ast
@@ -24,6 +25,19 @@ def _unused_imports(path: Path) -> list:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def _imported_modules(path: Path) -> list:
+    """(module, line) of each import in a file; a relative import is named
+    by its leading dots and module, such as ".conftest"."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.extend((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.append(("." * node.level + (node.module or ""), node.lineno))
+    return out
 
 
 def _private_definitions(tree: ast.Module) -> dict:
@@ -63,3 +77,15 @@ def test_no_unreferenced_private_names():
                     for p, t in trees.items() for name, line in _private_definitions(t).items()
                     if name not in referenced]
     assert unreferenced == []
+
+
+def test_oracles_and_package_stay_independent():
+    # the oracles import neither the package nor, through a relative import,
+    # a test module that does; the package imports nothing from the tests
+    oracles = ROOT / "tests" / "oracles.py"
+    assert [f"oracles.py:{line}: {mod}" for mod, line in _imported_modules(oracles)
+            if mod.split(".")[0] == "bbcsec" or mod.startswith(".")] == []
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    assert [f"{p.relative_to(ROOT)}:{line}: {mod}" for p in files for mod, line in _imported_modules(p)
+            if mod.split(".")[0] == "tests"] == []

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbcsec import (
+    BroadcastChannel,
     CondDist,
     Dist,
-    JointDist,
     ValidationError,
     chain_joint,
-    marginalize,
 )
-from bbcsec.channel import binary_symmetric
+from bbcsec.channel import binary_symmetric, marginal
 from bbcsec.probability import _entropy
 
 from .oracles import binary_entropy, mutual_information_xy
@@ -70,39 +70,32 @@ class TestEntropy:
 
 
 class TestMarginalize:
-    def _product_joint(self):
+    """Marginals of the chain joint are axis sums of its (U, V, X, Y1, Y2)
+    array."""
+
+    def test_identity(self, bsc12):
+        # U = V = X: summing out U and V leaves P(x) W(y1, y2 | x)
         px = np.array([0.3, 0.7])
-        py = np.array([0.6, 0.4])
-        return JointDist(("X", "Y1"), px[:, None] * py[None, :]), px, py
-
-    def test_independence(self):
-        j, px, _ = self._product_joint()
-        m = marginalize(j, {"X"})
-        assert m.axes == ("X",)
-        assert np.allclose(m.tensor, px)
-
-    def test_identity(self):
-        j, _, _ = self._product_joint()
-        m = marginalize(j, {"X", "Y1"})
-        assert np.array_equal(m.tensor, j.tensor)
+        j = chain_joint(Dist(px), CondDist(np.eye(2)), CondDist(np.eye(2)), bsc12)
+        assert np.allclose(j.sum(axis=(0, 1)), px[:, None, None] * bsc12.tensor, rtol=0, atol=1e-15)
+        assert np.count_nonzero(j.sum(axis=(3, 4))) == 2  # mass only where u = v = x
 
     def test_chain_output_law(self, bsc12):
         # direct tensor contraction is the oracle
         chain = chain_joint(
             Dist.uniform(2), CondDist(np.eye(2)), CondDist(np.eye(2)), bsc12
         )
-        m = marginalize(chain, {"Y1"})
-        direct = np.einsum("uvxab->a", chain.tensor)
-        assert np.allclose(m.tensor, direct, atol=1e-15)
+        direct = np.einsum("uvxab->a", chain)
+        assert np.allclose(chain.sum(axis=(0, 1, 2, 4)), direct, atol=1e-15)
+        assert np.allclose(direct, np.full(2, 0.5) @ marginal(bsc12, 1).matrix, atol=1e-15)
 
-    def test_unknown_axis(self):
-        j, _, _ = self._product_joint()
-        with pytest.raises(ValidationError):
-            marginalize(j, {"Z"})
-
-    def test_mass_preserved(self):
-        j, _, _ = self._product_joint()
-        assert marginalize(j, {"Y1"}).tensor.sum() == pytest.approx(1.0, abs=1e-12)
+    def test_mass_preserved(self, bsc12):
+        rng = np.random.default_rng(4)
+        j = chain_joint(Dist(rng.dirichlet(np.ones(2))), CondDist(rng.dirichlet(np.ones(3), size=2)),
+                        CondDist(rng.dirichlet(np.ones(2), size=3)), bsc12)
+        for r in range(5):
+            for drop in itertools.combinations(range(5), r):
+                assert j.sum(axis=drop).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestConditionalMutualInformation:
@@ -126,11 +119,11 @@ class TestChainJoint:
         j = chain_joint(Dist([1.0]), CondDist([[1.0]]), CondDist([[0.3, 0.7]]), bsc12)
         px = np.array([0.3, 0.7])
         expected = np.einsum("x,xab->xab", px, bsc12.tensor)
-        assert np.allclose(marginalize(j, {"X", "Y1", "Y2"}).tensor, expected, atol=1e-15)
+        assert np.allclose(j.sum(axis=(0, 1)), expected, atol=1e-15)
 
     def test_identity_chain(self, noiseless2):
         j = chain_joint(Dist.uniform(2), CondDist(np.eye(2)), CondDist(np.eye(2)), noiseless2)
-        assert mutual_information_xy(j.tensor.sum(axis=(1, 2, 4))) == pytest.approx(1.0, abs=1e-12)
+        assert mutual_information_xy(j.sum(axis=(1, 2, 4))) == pytest.approx(1.0, abs=1e-12)
 
     def test_markov_property(self, bsc12):
         rng = np.random.default_rng(2)
@@ -142,12 +135,18 @@ class TestChainJoint:
                 bsc12,
             )
             # A - B - C holds exactly when P(a, b, c) P(b) = P(a, b) P(b, c)
-            uxy = j.tensor.sum(axis=1)  # U - X - (Y1, Y2)
+            uxy = j.sum(axis=1)  # U - X - (Y1, Y2)
             ux, xy = uxy.sum(axis=(2, 3)), uxy.sum(axis=0)
             assert np.allclose(uxy * ux.sum(axis=0)[:, None, None], ux[:, :, None, None] * xy, rtol=0, atol=1e-12)
-            uvx = j.tensor.sum(axis=(3, 4))  # U - V - X
+            uvx = j.sum(axis=(3, 4))  # U - V - X
             uv, vx = uvx.sum(axis=2), uvx.sum(axis=0)
             assert np.allclose(uvx * uv.sum(axis=0)[:, None], uv[:, :, None] * vx, rtol=0, atol=1e-12)
+
+    def test_read_only_array(self, bsc12):
+        j = chain_joint(Dist([1.0]), CondDist([[1.0]]), CondDist([[0.3, 0.7]]), bsc12)
+        assert type(j) is np.ndarray and j.shape == (1, 1, 2, 2, 2)
+        with pytest.raises(ValueError):
+            j[0, 0, 0, 0, 0] = 1.0
 
     def test_dimension_mismatch(self, bsc12):
         with pytest.raises(ValidationError):
@@ -161,30 +160,30 @@ def random_joints(draw):
     nb = draw(st.integers(2, 5))
     rng = np.random.default_rng(seed)
     t = rng.dirichlet(np.ones(na * nb)).reshape(na, nb)
-    return JointDist(("X", "Y1"), t)
+    return t
 
 
 class TestInvariants:
     @settings(max_examples=60, deadline=None)
     @given(random_joints())
     def test_chain_rule(self, j):
-        h_ab = -sum(p * math.log2(p) for p in j.tensor.reshape(-1) if p > 0)
-        h_a = _entropy(j.tensor.sum(axis=1))
+        h_ab = -sum(p * math.log2(p) for p in j.reshape(-1) if p > 0)
+        h_a = _entropy(j.sum(axis=1))
         h_b_given_a = h_ab - h_a
         assert abs(h_ab - (h_a + h_b_given_a)) <= 1e-10
-        assert abs(_entropy(j.tensor) - h_ab) <= 1e-10
+        assert abs(_entropy(j) - h_ab) <= 1e-10
 
     @settings(max_examples=60, deadline=None)
     @given(random_joints())
     def test_mi_nonnegative(self, j):
-        assert _mutual_information(j.tensor) >= -1e-10
+        assert _mutual_information(j) >= -1e-10
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_marginal_of_marginal(self, seed):
         rng = np.random.default_rng(seed)
-        t = rng.dirichlet(np.ones(24)).reshape(2, 3, 4)
-        j = JointDist(("U", "X", "Y1"), t)
-        two_step = marginalize(marginalize(j, {"U", "Y1"}), {"Y1"})
-        direct = marginalize(j, {"Y1"})
-        assert np.allclose(two_step.tensor, direct.tensor, atol=1e-15)
+        ch = BroadcastChannel(rng.dirichlet(np.ones(4), size=2).reshape(2, 2, 2))
+        j = chain_joint(Dist(rng.dirichlet(np.ones(2))), CondDist(rng.dirichlet(np.ones(3), size=2)),
+                        CondDist(rng.dirichlet(np.ones(2), size=3)), ch)
+        two_step = j.sum(axis=(1, 2)).sum(axis=(0, 2))  # (U, Y1, Y2), then Y1
+        assert np.allclose(two_step, j.sum(axis=(0, 1, 2, 4)), atol=1e-15)

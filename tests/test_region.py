@@ -32,7 +32,6 @@ from bbcsec import _core
 from bbcsec.region import (
     SearchParams,
     _best_corner,
-    _corner_keys,
     _corner_value,
     _margin,
     _project_simplex,
@@ -183,7 +182,10 @@ class TestBestCorner:
                 assert (rc, r1, r2) == (iv1 + a, 0.0, b - a)
                 assert r2 > 0.0
 
-    def test_closed_form_value_is_the_best_corner(self):
+    @staticmethod
+    def _cases():
+        """4000 term sets (all zero, iu1 = iu2, iv2 > iv1, scattered zeros)
+        and 64 weight vectors."""
         rng = np.random.default_rng(14)
         iq = rng.random((4, 4000))
         iq[:, :500] = 0.0  # every term zero
@@ -191,8 +193,27 @@ class TestBestCorner:
         iq[3, 1000:1500] = iq[2, 1000:1500] + rng.random(500)  # no secrecy gain
         iq[:, 1500:2000] *= rng.random(500) < 0.5  # scattered zero terms
         weights = [rng.random(4) * (rng.random(4) < 0.7) for _ in range(60)] + list(np.eye(4))
+        return iq, weights
+
+    def test_matches_the_five_corner_enumeration(self):
+        iq, weights = self._cases()
+        rng = np.random.default_rng(15)
+        ties = rng.random((4, 1000))
+        ties[1] = np.nextafter(ties[0], rng.choice([-np.inf, np.inf], 1000))  # iu2 one ulp off iu1
+        ties[2, :100] = 1e17  # iv1 + min(iu1, iu2) rounds to iv1
+        iq = np.concatenate([iq, ties], axis=1)
+        weights += [np.array(w) for w in ((0.5, 0, 0.5, 0), (0.5, 0, 0, 0.5), (1, 0, 0.5, 0.5), (1e-300, 0, 0, 1))]
         for w in weights:
-            assert np.max(np.abs(_corner_value(*iq, w) - _corner_keys(*iq, w)[4].max(axis=0))) <= 1e-15
+            val, corner = _best_corner(*iq, w)
+            ref_val, ref_corner = oracles.best_corner(*iq, w)
+            assert np.array_equal(val, ref_val)
+            for got, ref in zip(corner, ref_corner):
+                assert np.array_equal(got, ref)
+
+    def test_closed_form_value_is_the_best_corner(self):
+        iq, weights = self._cases()
+        for w in weights:
+            assert np.max(np.abs(_corner_value(*iq, w) - oracles.best_corner(*iq, w)[0])) <= 1e-15
 
 
 def _bisection_projection(v):

@@ -275,7 +275,8 @@ class TestDecodersMatchTheDefinition:
     """Both decoders equal a decoder written from the typicality definition:
     every candidate of the codebook tested alone with
     oracles.sample_entropy_check against decoding_joint (summed over V for
-    node 2), then the one message shared by all hits, or an erasure."""
+    node 2), under the test's own axis names, then the one message shared
+    by all hits, or an erasure."""
 
     @staticmethod
     def _words(cfg, cb, ms, rng):
@@ -298,22 +299,21 @@ class TestDecodersMatchTheDefinition:
 
     def _node1(self, cfg, cb, y1, m1):
         p = cfg.params
-        joint = decoding_joint(cb, "Y1")
+        joint = decoding_joint(cb, 1)
         hits = set()
         for j, l, m0, m2 in itertools.product(*(range(s) for s in (p.j_size, p.l_size, p.m0_size, p.m2_size))):
             seqs = {"U": cb.u_words[m0, m1, m2], "V": cb.v_words[j, l, m0, m1, m2], "Y1": y1}
-            if oracles.sample_entropy_check(seqs, joint.tensor, joint.axes, cfg.epsilon):
+            if oracles.sample_entropy_check(seqs, joint, ("U", "V", "Y1"), cfg.epsilon):
                 hits.add((self._message(cfg, j, l, m0), m2))
         return hits.pop() if len(hits) == 1 else (-1, -1)
 
     @staticmethod
     def _node2(cfg, cb, y2, m2):
         p = cfg.params
-        joint = decoding_joint(cb, "Y2")
-        names = tuple(a for a in joint.axes if a != "V")
-        tensor = joint.tensor.sum(axis=joint.axes.index("V"))
+        joint = decoding_joint(cb, 2).sum(axis=1)  # axes U, Y2
         hits = {m1 for m0, m1 in itertools.product(range(p.m0_size), range(p.m1_size))
-                if oracles.sample_entropy_check({"U": cb.u_words[m0, m1, m2], "Y2": y2}, tensor, names, cfg.epsilon)}
+                if oracles.sample_entropy_check({"U": cb.u_words[m0, m1, m2], "Y2": y2}, joint, ("U", "Y2"),
+                                                cfg.epsilon)}
         return hits.pop() if len(hits) == 1 else -1
 
     def test_both_decoders_on_both_constructions(self):
