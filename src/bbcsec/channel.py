@@ -54,10 +54,6 @@ class MarginalChannel:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _as_prob_array(self.matrix, 2, "MarginalChannel", row_axis="x"))
 
-    @property
-    def x_size(self) -> int:
-        return self.matrix.shape[0]
-
 
 def marginal(ch: BroadcastChannel, node: int) -> MarginalChannel:
     """Per-node transition matrix, the other node's outputs summed out; built
@@ -153,10 +149,3 @@ def load_chain_file(path):
     """Read an auxiliary-chain file: fields p_u, p_v_given_u, p_x_given_v."""
     raw = _read_json(path, "chain", ("p_u", "p_v_given_u", "p_x_given_v"))
     return Dist(raw["p_u"]), CondDist(raw["p_v_given_u"]), CondDist(raw["p_x_given_v"])
-
-
-def save_chain_file(pu, pvu, pxv, path) -> None:
-    jsonio.dump(
-        {"p_u": pu.probs, "p_v_given_u": pvu.rows, "p_x_given_v": pxv.rows},
-        path,
-    )

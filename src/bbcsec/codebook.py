@@ -233,5 +233,5 @@ def decoding_joint(cb: Codebook, node: int) -> np.ndarray:
     decoders test typicality against."""
     if node not in (1, 2):
         raise ValidationError(f"decoding_joint: node must be 1 or 2, got {node}")
-    full = chain_joint(cb.chain.pu, cb.chain.pvu, cb.chain.pxv, cb.channel)
+    full = chain_joint(cb.chain, cb.channel)
     return full.sum(axis=(2, 5 - node))

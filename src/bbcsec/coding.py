@@ -1,13 +1,13 @@
 """Encoder and decoders for the confidential-message broadcast code.
 
-Two constructions share the two-layer codebook. When the confidential
-rate needs the whole sub-codebook plus part of the first layer (case A),
-the confidential index is the triple (column, row, common) and the encoder
-is deterministic. When it needs less than the sub-codebook (case B), the
-columns fall into k near-equal classes (column j in class j mod k), and a
-stochastic encoder spreads each confidential message over the columns of
-its class, forcing the non-legitimated node to spend its full rate on the
-column index.
+One construction serves both rate cases of the two-layer codebook: the
+columns fall into k near-equal classes (column j in class j mod k), and
+the confidential message is (class, row, common). Below the sub-codebook
+rate (case B) a stochastic encoder spreads each message over the columns
+of its class, forcing the non-legitimated node to spend its full rate on
+the column index. When the rate needs the whole sub-codebook plus part of
+the first layer (case A), k is the number of columns: each class is one
+column and the encoder is deterministic.
 
 Decoders are exhaustive weak-typicality searches returning the unique
 message-level hit, or the in-band erasure -1 on zero or multiple hits. The
@@ -36,30 +36,26 @@ def make_partition(j_size: int, k_size: int) -> np.ndarray:
 
 
 class MessageSets:
-    """Message index sets for one of the two constructions, and the map from
-    codeword cells (column, row, common) to confidential messages.
+    """Message index sets and the map from codeword cells (column, row,
+    common) to confidential messages.
 
-    Case A (k_size None): the confidential set is (column, row, common),
-    encoder deterministic: each message owns one cell. Case B: the
-    confidential set is (class, row) with the columns split into k_size
-    classes by `column_class`; the common set is the single sentinel 0, and
-    each message owns the cells of its class's columns, among which the
-    encoder picks uniformly.
+    The columns fall into k_size classes by `column_class` (make_partition),
+    and the confidential message is the triple (class, row, common); it owns
+    the cells of its class's columns, among which the encoder picks
+    uniformly. Case A (k_size None) is the partition with one column per
+    class, so each message owns one cell and the encoder is deterministic.
+    Case B (k_size given) bins the columns and uses the single sentinel
+    common message 0.
     """
 
     def __init__(self, params, k_size: Optional[int] = None):
-        self.params = params
-        if k_size is None:
-            self.column_class = None
-            self.mc_shape = (params.j_size, params.l_size, params.m0_size)
-            self.cell_mc = np.arange(np.prod(self.mc_shape)).reshape(self.mc_shape)
-        else:
-            self.column_class = make_partition(params.j_size, k_size)
-            if params.m0_size != 1:
-                raise ValidationError("MessageSets: case B uses the single sentinel common message")
-            self.mc_shape = (k_size, params.l_size)
-            rows = np.ix_(self.column_class, np.arange(params.l_size))
-            self.cell_mc = np.ravel_multi_index(rows, self.mc_shape)[:, :, None]
+        k = params.j_size if k_size is None else k_size
+        self.column_class = make_partition(params.j_size, k)
+        if k_size is not None and params.m0_size != 1:
+            raise ValidationError("MessageSets: case B uses the single sentinel common message")
+        self.mc_shape = (k, params.l_size, params.m0_size)
+        cells = np.ix_(self.column_class, np.arange(params.l_size), np.arange(params.m0_size))
+        self.cell_mc = np.ravel_multi_index(cells, self.mc_shape)
         self.mc_size = int(np.prod(self.mc_shape))
         self.cells_per_mc = np.bincount(self.cell_mc.reshape(-1), minlength=self.mc_size)
 
@@ -67,22 +63,17 @@ class MessageSets:
     def case_b(cls, params, k_size: int) -> "MessageSets":
         return cls(params, k_size)
 
-    @property
-    def case(self) -> str:
-        return "A" if self.column_class is None else "B"
-
     def cell(self, mc: int, rng) -> tuple:
         """Codeword cell (column, row, common) carrying message mc, uniform
-        among its cells in ascending order; a single-cell message draws no
-        random state."""
+        among its cells in ascending order: the i-th column of class c is
+        c + k i. A single-cell message draws no random state."""
         if not 0 <= mc < self.mc_size:
             raise ValidationError(f"MessageSets: confidential index {mc} outside [0, {self.mc_size})")
         i = int(rng.integers(self.cells_per_mc[mc]))
-        if self.column_class is None:  # mc is the cell itself, in digits (column, row, common)
-            jl, m0 = divmod(int(mc), self.params.m0_size)
-            return (*divmod(jl, self.params.l_size), m0)
-        c, l = divmod(int(mc), self.params.l_size)  # the i-th column of class c is c + k i
-        return (c + self.mc_shape[0] * i, l, 0)
+        k, l_size, m0_size = self.mc_shape
+        cl, m0 = divmod(int(mc), m0_size)  # mc in digits (class, row, common)
+        c, l = divmod(cl, l_size)
+        return (c + k * i, l, m0)
 
 
 def encode(cells, m1, m2, cb: Codebook, uniforms) -> np.ndarray:

@@ -78,10 +78,6 @@ class Dist:
     def __post_init__(self):
         object.__setattr__(self, "probs", _as_prob_array(self.probs, 1, "Dist"))
 
-    @classmethod
-    def uniform(cls, size: int) -> "Dist":
-        return cls(np.full(size, 1.0 / size))
-
     @property
     def size(self) -> int:
         return self.probs.shape[0]
@@ -109,22 +105,17 @@ def _entropy(probs: np.ndarray) -> float:
     return float(-np.dot(q, np.log2(q)))
 
 
-def chain_joint(pu: Dist, pvu: CondDist, pxv: CondDist, ch) -> np.ndarray:
-    """Joint law of the chain U -> V -> X -> (Y1, Y2), a read-only array with
-    axes (U, V, X, Y1, Y2).
+def chain_joint(chain, ch) -> np.ndarray:
+    """Joint law of the chain U -> V -> X -> (Y1, Y2) of an `AuxChain` and a
+    channel, a read-only array with axes (U, V, X, Y1, Y2).
 
     The factorization is exactly P(u) P(v|u) P(x|v) W(y1,y2|x); the Markov
     structure I(U;Y1,Y2|X) = 0 and I(U;X|V) = 0 holds by construction. It is
-    a product of validated laws, so it is not validated again.
+    a product of validated laws whose |U| and |V| the chain has checked, so
+    only the input alphabet is checked against the channel here.
     """
-    nu, nv = pvu.dims
-    nv2, nx = pxv.dims
-    if pu.size != nu:
-        raise ValidationError(f"chain_joint: first layer has {pu.size} symbols but P(v|u) expects {nu}")
-    if nv != nv2:
-        raise ValidationError(f"chain_joint: P(v|u) emits {nv} symbols but P(x|v) expects {nv2}")
-    if nx != ch.x_size:
-        raise ValidationError(f"chain_joint: P(x|v) emits {nx} symbols but channel expects {ch.x_size}")
-    joint = np.einsum("u,uv,vx,xab->uvxab", pu.probs, pvu.rows, pxv.rows, ch.tensor)
+    if chain.x_size != ch.x_size:
+        raise ValidationError(f"chain_joint: P(x|v) emits {chain.x_size} symbols but channel expects {ch.x_size}")
+    joint = np.einsum("u,uv,vx,xab->uvxab", chain.pu.probs, chain.pvu.rows, chain.pxv.rows, ch.tensor)
     joint.flags.writeable = False
     return joint

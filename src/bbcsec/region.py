@@ -61,14 +61,6 @@ class AuxChain:
             raise ValidationError(f"AuxChain: |V|={nv} exceeds the bound {max_v_size(nx)}")
 
     @property
-    def u_size(self) -> int:
-        return self.pu.size
-
-    @property
-    def v_size(self) -> int:
-        return self.pvu.dims[1]
-
-    @property
     def x_size(self) -> int:
         return self.pxv.dims[1]
 

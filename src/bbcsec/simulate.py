@@ -84,7 +84,7 @@ def asymptotic_terms(chain: AuxChain, ch: BroadcastChannel) -> AsymptoticTerms:
     I(V;Y1|U) = H(U,V) + H(U,Y1) - H(U,V,Y1) - H(U), H(Y2|V) = H(V,Y2) - H(V)
     and H(Y2|U) = H(U,Y2) - H(U), each marginal an axis sum of the joint.
     """
-    t = chain_joint(chain.pu, chain.pvu, chain.pxv, ch)  # axes U, V, X, Y1, Y2
+    t = chain_joint(chain, ch)  # axes U, V, X, Y1, Y2
     uvy1 = t.sum(axis=(2, 4))
     uvy2 = t.sum(axis=(2, 3))
     uv = uvy1.sum(axis=2)
@@ -127,6 +127,23 @@ def _check_table(what: str, rows: int, cols: int) -> None:
         raise GuardError(f"equivocation: {what} of {rows} x {cols} entries exceeds the limit {MAX_TABLE_ENTRIES}")
 
 
+def _exact_split(p: CodebookParams, ny2: int) -> int:
+    """The prefix length of equivocation_exact's output-word tables, after
+    its resource guards: at most MAX_EXACT_SEQUENCES output words, and the
+    prefix and chunk tables within MAX_TABLE_ENTRIES entries."""
+    if p.n * math.log2(ny2) > math.log2(MAX_EXACT_SEQUENCES) + 1e-12:
+        raise GuardError(
+            f"equivocation_exact: {ny2}^{p.n} output words exceeds the limit {MAX_EXACT_SEQUENCES}"
+        )
+    suffix_len = p.n
+    while ny2 ** suffix_len > _CHUNK_ROWS and suffix_len > 1:
+        suffix_len -= 1
+    n_words = p.j_size * p.l_size * p.m0_size * p.m1_size
+    _check_table("output-word chunk", ny2 ** suffix_len, n_words)
+    _check_table("output-word prefix", ny2 ** (p.n - suffix_len), n_words)
+    return p.n - suffix_len
+
+
 def _step_tables(v_seqs: np.ndarray, wv2: np.ndarray) -> list:
     """Per-position likelihood factors: step[k][y, word] = P(y | word symbol k)."""
     return [wv2[v_seqs[:, k], :].T.copy() for k in range(v_seqs.shape[1])]
@@ -156,25 +173,12 @@ def equivocation_exact(cb: Codebook, ms: MessageSets) -> float:
     quantity's exact range, so round-off never leaves it.
     """
     p = cb.params
-    ny2 = cb.channel.y2_size
-    if p.n * math.log2(ny2) > math.log2(MAX_EXACT_SEQUENCES) + 1e-12:
-        raise GuardError(
-            f"equivocation_exact: {ny2}^{p.n} output words exceeds the limit {MAX_EXACT_SEQUENCES}"
-        )
+    prefix_len = _exact_split(p, cb.channel.y2_size)
     wv2 = _effective_w2(cb)
     h_rows = np.array([_entropy(row) for row in wv2])  # H(Y2 | V = v) per letter
 
-    suffix_len = p.n
-    while ny2 ** suffix_len > _CHUNK_ROWS and suffix_len > 1:
-        suffix_len -= 1
-    prefix_len = p.n - suffix_len
-    prefix_rows, suffix_rows = ny2 ** prefix_len, ny2 ** suffix_len
-    n_words = p.j_size * p.l_size * p.m0_size * p.m1_size
-    _check_table("output-word chunk", suffix_rows, n_words)
-    _check_table("output-word prefix", prefix_rows, n_words)
-    _check_table("output law", prefix_rows, suffix_rows)
-
     order, counts, starts, weights = _message_order(cb, ms)
+    n_words = order.size
     h_mc = math.log2(ms.mc_size)
 
     total = 0.0
@@ -271,7 +275,7 @@ class SimConfig:
     mc_samples: int = 2000
     epsilon: float = 0.15
     seed: int = 0
-    k_size: Optional[int] = None  # None selects the triple construction (case A)
+    k_size: Optional[int] = None  # column classes; None gives one column per class (case A)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -284,9 +288,6 @@ class SimConfig:
             raise ValidationError("SimConfig: epsilon must be positive and finite")
         if self.seed < 0:
             raise ValidationError("SimConfig: seed must be nonnegative")
-
-    def message_sets(self) -> MessageSets:
-        return MessageSets(self.params, self.k_size)
 
     def to_dict(self) -> dict:
         return {
@@ -377,10 +378,15 @@ def _run_trials(cfg: SimConfig, cb: Codebook, ms: MessageSets) -> tuple:
 
 
 def run(cfg: SimConfig) -> SimReport:
-    """Generate the codebook, run the trials, measure equivocation."""
-    ms = cfg.message_sets()  # validates k_size before the codebook is built
+    """Generate the codebook, run the trials, measure equivocation; the
+    equivocation's resource guards are raised before the first trial."""
+    ms = MessageSets(cfg.params, cfg.k_size)  # validates k_size before the codebook is built
     cb = generate(cfg.params, cfg.chain, cfg.channel)
     iq = evaluate_chain(cfg.chain, cfg.channel)
+    if cfg.equiv_mode == "exact":
+        _exact_split(cfg.params, cfg.channel.y2_size)
+    elif cfg.equiv_mode == "mc":
+        _check_table("Monte Carlo draws", cfg.mc_samples, 1)
 
     n1, n2 = _run_trials(cfg, cb, ms)
     e1 = _binomial_ci(n1, cfg.trials)

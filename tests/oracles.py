@@ -144,6 +144,27 @@ def bsc(p: float) -> np.ndarray:
     return np.array([[1.0 - p, p], [p, 1.0 - p]])
 
 
+def message_map(j_size: int, l_size: int, m0_size: int, k_size) -> tuple:
+    """The confidential message of every codeword cell, by the two
+    constructions' definitions: (cell_mc (j, l, m0), mc_size, cells_per_mc).
+
+    k_size None (case A): message (j, l, m0) in index digits, one cell each.
+    Otherwise (case B, m0_size 1): message (j mod k, l) in index digits,
+    owning the columns of its class.
+    """
+    cell_mc = np.empty((j_size, l_size, m0_size), dtype=np.int64)
+    for j, l, m0 in itertools.product(range(j_size), range(l_size), range(m0_size)):
+        if k_size is None:
+            cell_mc[j, l, m0] = (j * l_size + l) * m0_size + m0
+        else:
+            cell_mc[j, l, m0] = (j % k_size) * l_size + l
+    mc_size = j_size * l_size * m0_size if k_size is None else k_size * l_size
+    cells_per_mc = [0] * mc_size
+    for mc in cell_mc.reshape(-1).tolist():
+        cells_per_mc[mc] += 1
+    return cell_mc, mc_size, cells_per_mc
+
+
 def brute_force_equivocation(v_words, sizes, m2: int, k_size, wv2) -> float:
     """H(Mc | Y2-word) given node 2's message m2, by full enumeration.
 

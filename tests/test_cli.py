@@ -287,6 +287,24 @@ class TestSimulate:
         assert out == ""
         assert "limit" in err
 
+    @pytest.mark.parametrize("equiv, n, samples, message", [
+        pytest.param("exact", "40", "2000", "2^40 output words exceeds the limit", id="exact"),
+        pytest.param("mc", "4", "1000000000000", "draws of 1000000000000 x 1 entries exceeds the limit", id="mc"),
+    ])
+    def test_equivocation_guards_fire_before_the_trials(self, capsys, monkeypatch, bsc_file, chain_file,
+                                                        equiv, n, samples, message):
+        def no_trials(*args):
+            raise AssertionError("a trial ran before the equivocation guard")
+
+        monkeypatch.setattr("bbcsec.simulate._run_trials", no_trials)
+        code, out, err = run_cli(
+            capsys, "simulate", bsc_file, chain_file, "--n", n, "--sizes", "1,1,1,2,2",
+            "--trials", "20000", "--equiv", equiv, "--mc-samples", samples,
+        )
+        assert code == 3
+        assert out == ""
+        assert message in err
+
     def test_exact_equivocation_of_65536_messages(self, capsys, bsc_file, chain_file):
         # one word per message: the exact mode builds no words x messages
         # table, and log2|Mc| - n log2|Y2| <= H(Mc|Y2) <= log2|Mc| bounds the

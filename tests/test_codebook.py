@@ -51,7 +51,7 @@ class TestGenerate:
         assert np.all(cb.u_words == 0)
 
     def test_deterministic_second_layer_copies_first(self, noiseless2):
-        chain = AuxChain(Dist.uniform(2), CondDist(np.eye(2)), CondDist(np.eye(2)))
+        chain = AuxChain(Dist([0.5, 0.5]), CondDist(np.eye(2)), CondDist(np.eye(2)))
         params = CodebookParams(n=5, m1_size=2, m2_size=2, seed=2)
         cb = generate(params, chain, noiseless2)
         expected = np.broadcast_to(cb.u_words, cb.v_words.shape)
@@ -134,7 +134,7 @@ class TestIsTypical:
 
     def test_matches_independent_oracle(self, bsc12, degraded_chain):
         # the (V, Y1) law: U, X and Y2 summed out of the chain joint
-        j = chain_joint(degraded_chain.pu, degraded_chain.pvu, degraded_chain.pxv, bsc12).sum(axis=(0, 2, 4))
+        j = chain_joint(degraded_chain, bsc12).sum(axis=(0, 2, 4))
         rng = np.random.default_rng(9)
         for _ in range(100):
             eps = float(rng.choice([0.05, 0.15, 0.4]))

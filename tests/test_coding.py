@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bbcsec import (
     AuxChain,
@@ -51,7 +53,7 @@ def _decode2(y2, m2, cb, epsilon):
 def carrier_chain():
     """First layer carries data over a 4-letter alphabet, second layer
     deterministic, identity input map (noiseless-friendly)."""
-    return AuxChain(Dist.uniform(4), CondDist(np.eye(4)), CondDist(np.eye(4)))
+    return AuxChain(Dist(np.full(4, 1 / 4)), CondDist(np.eye(4)), CondDist(np.eye(4)))
 
 
 @pytest.fixture(scope="module")
@@ -86,11 +88,20 @@ class TestPartition:
                 make_partition(j, k)
 
 
+@st.composite
+def _message_sizes(draw) -> tuple:
+    """(j, l, m0, k): case A (k None) with any m0, or case B with k in
+    [1, j] and the single common message."""
+    j, l = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    k = draw(st.one_of(st.none(), st.integers(1, j)))
+    return j, l, draw(st.integers(1, 3)) if k is None else 1, k
+
+
 class TestMessageCells:
     def test_case_a_cell_is_the_index_digits_and_draws_nothing(self):
         params = CodebookParams(n=2, m0_size=2, j_size=3, l_size=2)
         ms = MessageSets(params)
-        assert ms.case == "A" and ms.column_class is None
+        assert ms.column_class.tolist() == [0, 1, 2]  # one column per class
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
         for mc in range(ms.mc_size):
@@ -102,8 +113,8 @@ class TestMessageCells:
         params = CodebookParams(n=2, j_size=7, l_size=2)
         ms = MessageSets.case_b(params, 3)
         sizes = np.bincount(ms.column_class)
-        assert ms.case == "B"
-        assert np.array_equal(ms.cells_per_mc.reshape(ms.mc_shape), np.repeat(sizes[:, None], 2, axis=1))
+        assert ms.mc_shape == (3, 2, 1)
+        assert np.array_equal(ms.cells_per_mc.reshape(3, 2), np.repeat(sizes[:, None], 2, axis=1))
         rng = np.random.default_rng(4)
         for mc in range(ms.mc_size):
             k, l = divmod(mc, params.l_size)
@@ -113,17 +124,23 @@ class TestMessageCells:
             assert all(ms.cell_mc[c] == mc for c in seen)
             assert len(seen) == sizes[k]
 
-    @pytest.mark.parametrize("k_size,sizes", [(None, dict(m0_size=2, j_size=3, l_size=2)),
-                                              (3, dict(j_size=7, l_size=2))])
-    def test_cell_is_the_drawn_cell_of_an_enumeration(self, k_size, sizes):
-        # the i-th cell of message mc in ascending order, i drawn as the
-        # encoder draws it, for every message of a case-A code with m0 > 1
-        # and a case-B code with k not dividing j
-        ms = MessageSets(CodebookParams(n=2, **sizes), k_size)
+    @settings(max_examples=80, deadline=None)
+    @given(_message_sizes())
+    @example((3, 2, 2, None))  # case A with m0 > 1
+    @example((7, 2, 1, 3))  # case B with k not dividing j
+    def test_cell_is_the_drawn_cell_of_an_enumeration(self, sizes):
+        # the maps equal the oracle's, and the cell is the i-th of the
+        # message's cells in ascending order, i drawn as the encoder draws it
+        j, l, m0, k = sizes
+        ms = MessageSets(CodebookParams(n=2, m0_size=m0, j_size=j, l_size=l), k)
+        cell_mc, mc_size, cells_per_mc = oracles.message_map(j, l, m0, k)
+        assert np.array_equal(ms.cell_mc, cell_mc)
+        assert ms.mc_size == mc_size
+        assert ms.cells_per_mc.tolist() == cells_per_mc
         rng, ref = np.random.default_rng(8), np.random.default_rng(8)
-        for _ in range(5):
-            for mc in range(ms.mc_size):
-                cells = np.argwhere(ms.cell_mc == mc)
+        for _ in range(3):
+            for mc in range(mc_size):
+                cells = np.argwhere(cell_mc == mc)
                 expected = tuple(int(v) for v in cells[ref.integers(len(cells))])
                 assert ms.cell(mc, rng) == expected
         assert rng.bit_generator.state == ref.bit_generator.state

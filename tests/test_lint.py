@@ -2,8 +2,9 @@
 
 Every module imports only names it uses (`__init__.py` files are exempt:
 their imports are the package's exports), every private module-level name
-of the package is used somewhere in the package, and the test oracles and
-the package never import each other.
+of the package is used somewhere in the package, every public function or
+class is exported or used by the package or the benchmark, and the test
+oracles and the package never import each other.
 """
 
 import ast
@@ -56,6 +57,15 @@ def _private_definitions(tree: ast.Module) -> dict:
     return out
 
 
+def _public_undecorated(tree: ast.Module) -> dict:
+    """Module-level functions and classes with public names and no
+    decorator, by name -> line; a decorator (a click command) registers
+    its function, so that function needs no other reader."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and not node.decorator_list}
+
+
 def _references(tree: ast.Module) -> set:
     """Names read anywhere in a module, as bare names or as attributes."""
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
@@ -77,6 +87,19 @@ def test_no_unreferenced_private_names():
                     for p, t in trees.items() for name, line in _private_definitions(t).items()
                     if name not in referenced]
     assert unreferenced == []
+
+
+def test_no_orphan_public_definitions():
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.rglob("*.py"))}
+    assert trees
+    exported = {alias.asname or alias.name for p, t in trees.items() if p.name == "__init__.py"
+                for node in ast.walk(t) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    bench = [ast.parse(p.read_text(), filename=str(p)) for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    referenced = set().union(*(_references(t) for t in [*trees.values(), *bench]))
+    orphans = [f"{p.relative_to(ROOT)}:{line}: {name}"
+               for p, t in trees.items() for name, line in _public_undecorated(t).items()
+               if name not in exported and name not in referenced]
+    assert orphans == []
 
 
 def test_oracles_and_package_stay_independent():

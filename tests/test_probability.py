@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbcsec import (
+    AuxChain,
     BroadcastChannel,
     CondDist,
     Dist,
@@ -16,6 +17,7 @@ from bbcsec import (
 from bbcsec.channel import binary_symmetric, marginal
 from bbcsec.probability import _entropy
 
+from .conftest import random_chain
 from .oracles import binary_entropy, mutual_information_xy
 
 
@@ -76,23 +78,20 @@ class TestMarginalize:
     def test_identity(self, bsc12):
         # U = V = X: summing out U and V leaves P(x) W(y1, y2 | x)
         px = np.array([0.3, 0.7])
-        j = chain_joint(Dist(px), CondDist(np.eye(2)), CondDist(np.eye(2)), bsc12)
+        j = chain_joint(AuxChain(Dist(px), CondDist(np.eye(2)), CondDist(np.eye(2))), bsc12)
         assert np.allclose(j.sum(axis=(0, 1)), px[:, None, None] * bsc12.tensor, rtol=0, atol=1e-15)
         assert np.count_nonzero(j.sum(axis=(3, 4))) == 2  # mass only where u = v = x
 
     def test_chain_output_law(self, bsc12):
         # direct tensor contraction is the oracle
-        chain = chain_joint(
-            Dist.uniform(2), CondDist(np.eye(2)), CondDist(np.eye(2)), bsc12
-        )
+        chain = chain_joint(AuxChain(Dist([0.5, 0.5]), CondDist(np.eye(2)), CondDist(np.eye(2))), bsc12)
         direct = np.einsum("uvxab->a", chain)
         assert np.allclose(chain.sum(axis=(0, 1, 2, 4)), direct, atol=1e-15)
         assert np.allclose(direct, np.full(2, 0.5) @ marginal(bsc12, 1).matrix, atol=1e-15)
 
     def test_mass_preserved(self, bsc12):
         rng = np.random.default_rng(4)
-        j = chain_joint(Dist(rng.dirichlet(np.ones(2))), CondDist(rng.dirichlet(np.ones(3), size=2)),
-                        CondDist(rng.dirichlet(np.ones(2), size=3)), bsc12)
+        j = chain_joint(random_chain(rng, 2, 3, 2), bsc12)
         for r in range(5):
             for drop in itertools.combinations(range(5), r):
                 assert j.sum(axis=drop).sum() == pytest.approx(1.0, abs=1e-12)
@@ -116,24 +115,19 @@ class TestConditionalMutualInformation:
 
 class TestChainJoint:
     def test_degenerate_aux(self, bsc12):
-        j = chain_joint(Dist([1.0]), CondDist([[1.0]]), CondDist([[0.3, 0.7]]), bsc12)
+        j = chain_joint(AuxChain(Dist([1.0]), CondDist([[1.0]]), CondDist([[0.3, 0.7]])), bsc12)
         px = np.array([0.3, 0.7])
         expected = np.einsum("x,xab->xab", px, bsc12.tensor)
         assert np.allclose(j.sum(axis=(0, 1)), expected, atol=1e-15)
 
     def test_identity_chain(self, noiseless2):
-        j = chain_joint(Dist.uniform(2), CondDist(np.eye(2)), CondDist(np.eye(2)), noiseless2)
+        j = chain_joint(AuxChain(Dist([0.5, 0.5]), CondDist(np.eye(2)), CondDist(np.eye(2))), noiseless2)
         assert mutual_information_xy(j.sum(axis=(1, 2, 4))) == pytest.approx(1.0, abs=1e-12)
 
     def test_markov_property(self, bsc12):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            j = chain_joint(
-                Dist(rng.dirichlet(np.ones(3))),
-                CondDist(rng.dirichlet(np.ones(4), size=3)),
-                CondDist(rng.dirichlet(np.ones(2), size=4)),
-                bsc12,
-            )
+            j = chain_joint(random_chain(rng, 3, 4, 2), bsc12)
             # A - B - C holds exactly when P(a, b, c) P(b) = P(a, b) P(b, c)
             uxy = j.sum(axis=1)  # U - X - (Y1, Y2)
             ux, xy = uxy.sum(axis=(2, 3)), uxy.sum(axis=0)
@@ -143,14 +137,14 @@ class TestChainJoint:
             assert np.allclose(uvx * uv.sum(axis=0)[:, None], uv[:, :, None] * vx, rtol=0, atol=1e-12)
 
     def test_read_only_array(self, bsc12):
-        j = chain_joint(Dist([1.0]), CondDist([[1.0]]), CondDist([[0.3, 0.7]]), bsc12)
+        j = chain_joint(AuxChain(Dist([1.0]), CondDist([[1.0]]), CondDist([[0.3, 0.7]])), bsc12)
         assert type(j) is np.ndarray and j.shape == (1, 1, 2, 2, 2)
         with pytest.raises(ValueError):
             j[0, 0, 0, 0, 0] = 1.0
 
     def test_dimension_mismatch(self, bsc12):
         with pytest.raises(ValidationError):
-            chain_joint(Dist([1.0]), CondDist([[1.0]]), CondDist([[0.2, 0.3, 0.5]]), bsc12)
+            chain_joint(AuxChain(Dist([1.0]), CondDist([[1.0]]), CondDist([[0.2, 0.3, 0.5]])), bsc12)
 
 
 @st.composite
@@ -183,7 +177,6 @@ class TestInvariants:
     def test_marginal_of_marginal(self, seed):
         rng = np.random.default_rng(seed)
         ch = BroadcastChannel(rng.dirichlet(np.ones(4), size=2).reshape(2, 2, 2))
-        j = chain_joint(Dist(rng.dirichlet(np.ones(2))), CondDist(rng.dirichlet(np.ones(3), size=2)),
-                        CondDist(rng.dirichlet(np.ones(2), size=3)), ch)
+        j = chain_joint(random_chain(rng, 2, 3, 2), ch)
         two_step = j.sum(axis=(1, 2)).sum(axis=(0, 2))  # (U, Y1, Y2), then Y1
         assert np.allclose(two_step, j.sum(axis=(0, 1, 2, 4)), atol=1e-15)

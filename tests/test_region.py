@@ -303,7 +303,7 @@ class TestSupportFunction:
     def test_set_alphabet_sizes_shape_the_chain(self, bsc12):
         p = SearchParams(u_size=1, v_size=2, restarts=2, iterations=10)
         res = support_function(bsc12, (0.3, 0.1, 0.2, 0.4), p)
-        assert (res.chain.u_size, res.chain.v_size) == (1, 2)
+        assert (res.chain.pu.size, res.chain.pvu.dims[1]) == (1, 2)
 
     @pytest.mark.parametrize("w", [(0, 0, 1, 0), (1, 0, 0, 0)])
     def test_bad_alphabet_size_rejected_in_and_outside_the_cone(self, bsc12, w):

@@ -234,7 +234,7 @@ def _two_case_configs():
     for k_size, sizes in cases:
         params = CodebookParams(n=12, seed=3, **sizes)
         cfg = SimConfig(trials=60, params=params, chain=chain, channel=ch, epsilon=0.3, seed=5, k_size=k_size)
-        yield cfg, generate(params, chain, ch), cfg.message_sets()
+        yield cfg, generate(params, chain, ch), MessageSets(params, k_size)
 
 
 class TestBatchedTrials:
