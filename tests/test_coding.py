@@ -124,11 +124,26 @@ class TestMessageCells:
             assert all(ms.cell_mc[c] == mc for c in seen)
             assert len(seen) == sizes[k]
 
+    @pytest.mark.parametrize("k_size,sizes", [(None, dict(m0_size=2, j_size=3, l_size=2)),
+                                              (3, dict(j_size=7, l_size=2))])
+    def test_cell_is_the_drawn_cell_of_an_enumeration(self, k_size, sizes):
+        # the i-th cell of message mc in ascending order, i drawn as the
+        # encoder draws it, for every message of a case-A code with m0 > 1
+        # and a case-B code with k not dividing j
+        ms = MessageSets(CodebookParams(n=2, **sizes), k_size)
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(5):
+            for mc in range(ms.mc_size):
+                cells = np.argwhere(ms.cell_mc == mc)
+                expected = tuple(int(v) for v in cells[ref.integers(len(cells))])
+                assert ms.cell(mc, rng) == expected
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     @settings(max_examples=80, deadline=None)
     @given(_message_sizes())
     @example((3, 2, 2, None))  # case A with m0 > 1
     @example((7, 2, 1, 3))  # case B with k not dividing j
-    def test_cell_is_the_drawn_cell_of_an_enumeration(self, sizes):
+    def test_maps_and_drawn_cells_match_the_oracle(self, sizes):
         # the maps equal the oracle's, and the cell is the i-th of the
         # message's cells in ascending order, i drawn as the encoder draws it
         j, l, m0, k = sizes
