@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .channel import BroadcastChannel
-from .exceptions import GuardError, ValidationError
+from .exceptions import ValidationError, _guard
 from .probability import _entropy, chain_joint
 from .region import AuxChain
 
@@ -96,15 +96,17 @@ def _sample_rows(cdf_rows: np.ndarray, cond_idx: np.ndarray, uniforms: np.ndarra
     return np.minimum(out, cdf_rows.shape[1] - 1)
 
 
-def generate(params: CodebookParams, chain: AuxChain, ch: BroadcastChannel) -> Codebook:
-    """Draw the two-layer codebook; a pure function of (params, chain, channel)."""
+def _check_code(params: CodebookParams, chain: AuxChain, ch: BroadcastChannel) -> None:
+    """generate's checks: one input alphabet, at most MAX_CODEBOOK_SYMBOLS stored symbols."""
     if chain.x_size != ch.x_size:
         raise ValidationError("generate: chain and channel disagree on the input alphabet")
     total = params.word_count * params.n
-    if total > MAX_CODEBOOK_SYMBOLS:
-        raise GuardError(
-            f"generate: {total} stored symbols exceeds the limit {MAX_CODEBOOK_SYMBOLS}"
-        )
+    _guard(total, MAX_CODEBOOK_SYMBOLS, f"generate: {total} stored symbols")
+
+
+def generate(params: CodebookParams, chain: AuxChain, ch: BroadcastChannel) -> Codebook:
+    """Draw the two-layer codebook; a pure function of (params, chain, channel)."""
+    _check_code(params, chain, ch)
     rng = np.random.default_rng(params.seed)
 
     cdf_u = np.cumsum(chain.pu.probs)[None, :]

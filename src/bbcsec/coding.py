@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import BroadcastChannel
 from .codebook import Codebook, TypicalityScorer, _sample_rows, decoding_joint
-from .exceptions import GuardError, ValidationError
+from .exceptions import ValidationError, _guard
 
 MAX_CANDIDATES = 1 << 20
 
@@ -156,6 +156,13 @@ def _decode(scorer: TypicalityScorer, y, own, keys, words_for) -> np.ndarray:
     return out
 
 
+def _node1_candidates(params) -> int:
+    """Node1Decoder's candidate count, after its guard: at most MAX_CANDIDATES."""
+    count = params.m0_size * params.m2_size * params.j_size * params.l_size
+    _guard(count, MAX_CANDIDATES, f"Node1Decoder: {count} candidate tuples")
+    return count
+
+
 class Node1Decoder:
     """Exhaustive typicality decoder at the legitimate node.
 
@@ -167,11 +174,7 @@ class Node1Decoder:
 
     def __init__(self, cb: Codebook, ms: MessageSets, epsilon: float):
         p = cb.params
-        self.candidates = p.m0_size * p.m2_size * p.j_size * p.l_size
-        if self.candidates > MAX_CANDIDATES:
-            raise GuardError(
-                f"Node1Decoder: {self.candidates} candidate tuples exceeds the limit {MAX_CANDIDATES}"
-            )
+        self.candidates = _node1_candidates(p)
         self.cb = cb
         self.scorer = TypicalityScorer(decoding_joint(cb, 1), epsilon)
         self._key = ms.cell_mc[..., None] * p.m2_size + np.arange(p.m2_size)  # (j, l, m0, m2)

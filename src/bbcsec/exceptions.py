@@ -13,3 +13,9 @@ class ValidationError(BbcsecError, ValueError):
 class GuardError(BbcsecError, RuntimeError):
     """A resource guard tripped: the requested instance is too large for the
     exhaustive desk-scale algorithms. The message names the limit."""
+
+
+def _guard(size, limit, what: str) -> None:
+    """The one resource-guard raise, when `size` exceeds `limit`."""
+    if size > limit:
+        raise GuardError(f"{what} exceeds the limit {limit}")

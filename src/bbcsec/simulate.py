@@ -15,9 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .channel import BroadcastChannel, marginal
-from .codebook import Codebook, CodebookParams, _sample_rows, generate
-from .coding import MessageSets, Node1Decoder, Node2Decoder, encode, transmit
-from .exceptions import GuardError, ValidationError
+from .codebook import Codebook, CodebookParams, _check_code, _sample_rows, generate
+from .coding import MessageSets, Node1Decoder, Node2Decoder, _node1_candidates, encode, transmit
+from .exceptions import ValidationError, _guard
 from .probability import _entropy, chain_joint
 from .region import AuxChain, evaluate_chain
 
@@ -123,18 +123,16 @@ def _message_order(cb: Codebook, ms: MessageSets) -> tuple:
 
 
 def _check_table(what: str, rows: int, cols: int) -> None:
-    if rows * cols > MAX_TABLE_ENTRIES:
-        raise GuardError(f"equivocation: {what} of {rows} x {cols} entries exceeds the limit {MAX_TABLE_ENTRIES}")
+    _guard(rows * cols, MAX_TABLE_ENTRIES, f"equivocation: {what} of {rows} x {cols} entries")
 
 
 def _exact_split(p: CodebookParams, ny2: int) -> int:
     """The prefix length of equivocation_exact's output-word tables, after
     its resource guards: at most MAX_EXACT_SEQUENCES output words, and the
     prefix and chunk tables within MAX_TABLE_ENTRIES entries."""
-    if p.n * math.log2(ny2) > math.log2(MAX_EXACT_SEQUENCES) + 1e-12:
-        raise GuardError(
-            f"equivocation_exact: {ny2}^{p.n} output words exceeds the limit {MAX_EXACT_SEQUENCES}"
-        )
+    # compared in logs first, so a huge n builds no huge integer
+    words = ny2 ** p.n if p.n * math.log2(ny2) <= math.log2(MAX_EXACT_SEQUENCES) + 1e-12 else math.inf
+    _guard(words, MAX_EXACT_SEQUENCES, f"equivocation_exact: {ny2}^{p.n} output words")
     suffix_len = p.n
     while ny2 ** suffix_len > _CHUNK_ROWS and suffix_len > 1:
         suffix_len -= 1
@@ -142,6 +140,12 @@ def _exact_split(p: CodebookParams, ny2: int) -> int:
     _check_table("output-word chunk", ny2 ** suffix_len, n_words)
     _check_table("output-word prefix", ny2 ** (p.n - suffix_len), n_words)
     return p.n - suffix_len
+
+
+def _check_mc(p: CodebookParams, ny2: int, samples: int) -> None:
+    """equivocation_mc's guards: draws, and likelihood tables of |Y2| entries per stored symbol."""
+    _check_table("Monte Carlo draws", samples, 1)
+    _check_table("Monte Carlo likelihood tables", ny2, p.word_count * p.n)
 
 
 def _step_tables(v_seqs: np.ndarray, wv2: np.ndarray) -> list:
@@ -210,14 +214,13 @@ def equivocation_mc(cb: Codebook, ms: MessageSets, samples: int, rng) -> tuple:
     (episodes x sub-words) stay within _CHUNK_ROWS; within a block the
     likelihoods of the message-grouped words (`_message_order`) multiply
     position by position and each message's posterior mass is the sum of
-    its segment, row by row, so no value depends on the block size. More
-    than MAX_TABLE_ENTRIES samples is a resource-guard error, raised before
-    any draw.
+    its segment, row by row, so no value depends on the block size. Its
+    resource guards (`_check_mc`) are raised before any draw.
     """
     if samples < 2:
         raise ValidationError("equivocation_mc: need at least 2 samples")
-    _check_table("Monte Carlo draws", samples, 1)
     p = cb.params
+    _check_mc(p, cb.channel.y2_size, samples)
     wv2 = _effective_w2(cb)
     cdf_wv2 = np.cumsum(wv2, axis=1)
 
@@ -293,13 +296,7 @@ class SimConfig:
         return {
             "trials": self.trials,
             "n": self.params.n,
-            "sizes": {
-                "m0": self.params.m0_size,
-                "m1": self.params.m1_size,
-                "m2": self.params.m2_size,
-                "j": self.params.j_size,
-                "l": self.params.l_size,
-            },
+            "sizes": {k: getattr(self.params, f"{k}_size") for k in ("m0", "m1", "m2", "j", "l")},
             "epsilon": self.epsilon,
             "codebook_seed": self.params.seed,
             "equiv_mode": self.equiv_mode,
@@ -378,21 +375,26 @@ def _run_trials(cfg: SimConfig, cb: Codebook, ms: MessageSets) -> tuple:
 
 
 def run(cfg: SimConfig) -> SimReport:
-    """Generate the codebook, run the trials, measure equivocation; the
-    equivocation's resource guards are raised before the first trial."""
-    ms = MessageSets(cfg.params, cfg.k_size)  # validates k_size before the codebook is built
-    cb = generate(cfg.params, cfg.chain, cfg.channel)
-    iq = evaluate_chain(cfg.chain, cfg.channel)
-    if cfg.equiv_mode == "exact":
-        _exact_split(cfg.params, cfg.channel.y2_size)
-    elif cfg.equiv_mode == "mc":
-        _check_table("Monte Carlo draws", cfg.mc_samples, 1)
+    """Generate the codebook, run the trials, measure equivocation.
 
+    Before anything is built, one plan checks the input alphabet and raises
+    the resource guards in order: codebook size, the equivocation mode's,
+    node-1 candidates. An invalid k_size is found only after them."""
+    p, ny2 = cfg.params, cfg.channel.y2_size
+    _check_code(p, cfg.chain, cfg.channel)
+    if cfg.equiv_mode == "exact":
+        _exact_split(p, ny2)
+    elif cfg.equiv_mode == "mc":
+        _check_mc(p, ny2, cfg.mc_samples)
+    _node1_candidates(p)
+    iq = evaluate_chain(cfg.chain, cfg.channel)
+    ms = MessageSets(p, cfg.k_size)
+    cb = generate(p, cfg.chain, cfg.channel)
     n1, n2 = _run_trials(cfg, cb, ms)
     e1 = _binomial_ci(n1, cfg.trials)
     e2 = _binomial_ci(n2, cfg.trials)
 
-    n = cfg.params.n
+    n = p.n
     confidential_rate = math.log2(ms.mc_size) / n
     equiv_rate = equiv_se = leakage = None
     if cfg.equiv_mode == "exact":

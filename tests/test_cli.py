@@ -48,6 +48,19 @@ def chain_file(tmp_path):
     return str(path)
 
 
+def _uniform_y2_channel(path, y2_size):
+    """A channel file: BSC(0.1) to node 1, every output equally likely at
+    node 2."""
+    jsonio.dump(
+        {
+            "x_size": 2, "y1_size": 2, "y2_size": y2_size,
+            "marginals": {"w1": binary_symmetric(0.1), "w2": np.full((2, y2_size), 1.0 / y2_size)},
+        },
+        path,
+    )
+    return str(path)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -287,20 +300,39 @@ class TestSimulate:
         assert out == ""
         assert "limit" in err
 
-    @pytest.mark.parametrize("equiv, n, samples, message", [
-        pytest.param("exact", "40", "2000", "2^40 output words exceeds the limit", id="exact"),
-        pytest.param("mc", "4", "1000000000000", "draws of 1000000000000 x 1 entries exceeds the limit", id="mc"),
+    @pytest.mark.parametrize("y2_size, args, message", [
+        pytest.param(2, ["--n", "17", "--sizes", "1,1,1,1024,1024", "--equiv", "none"],
+                     "generate: 17825792 stored symbols exceeds the limit 16777216", id="symbols"),
+        # 2^40 message cells: the message sets alone would take 8 TiB
+        pytest.param(2, ["--n", "1", "--sizes", "1,1,1,1048576,1048576", "--equiv", "none"],
+                     "generate: 1099511627776 stored symbols exceeds the limit 16777216", id="cells"),
+        pytest.param(2, ["--n", "1", "--sizes", "1,1,1,4096,1024", "--equiv", "none"],
+                     "Node1Decoder: 4194304 candidate tuples exceeds the limit 1048576", id="candidates"),
+        pytest.param(2, ["--n", "40", "--sizes", "1,1,1,2,2"], "2^40 output words exceeds the limit", id="exact"),
+        pytest.param(2, ["--n", "16", "--sizes", "1,1,1,1024,64"],
+                     "equivocation: output-word chunk of 8192 x 65536 entries exceeds the limit 268435456",
+                     id="chunk"),
+        # |Y2| = 100 at n = 3: one suffix position, so the prefix is the larger table
+        pytest.param(100, ["--n", "3", "--sizes", "1,1,1,256,128"],
+                     "equivocation: output-word prefix of 10000 x 32768 entries exceeds the limit 268435456",
+                     id="prefix"),
+        pytest.param(2, ["--n", "4", "--sizes", "1,1,1,2,2", "--equiv", "mc", "--mc-samples", "1000000000000"],
+                     "draws of 1000000000000 x 1 entries exceeds the limit", id="mc"),
+        # 2^24 stored symbols and 2^20 candidates, both at their limits; the
+        # likelihood tables would take 8 GiB
+        pytest.param(64, ["--n", "16", "--sizes", "1,1,1,65536,16", "--equiv", "mc", "--mc-samples", "2"],
+                     "equivocation: Monte Carlo likelihood tables of 64 x 16777216 entries exceeds the limit "
+                     "268435456", id="mc-tables"),
     ])
-    def test_equivocation_guards_fire_before_the_trials(self, capsys, monkeypatch, bsc_file, chain_file,
-                                                        equiv, n, samples, message):
-        def no_trials(*args):
-            raise AssertionError("a trial ran before the equivocation guard")
+    def test_guards_fire_before_anything_is_built(self, capsys, monkeypatch, tmp_path, chain_file,
+                                                  y2_size, args, message):
+        def built(*args, **kwargs):
+            raise AssertionError("something was built before the resource guards")
 
-        monkeypatch.setattr("bbcsec.simulate._run_trials", no_trials)
-        code, out, err = run_cli(
-            capsys, "simulate", bsc_file, chain_file, "--n", n, "--sizes", "1,1,1,2,2",
-            "--trials", "20000", "--equiv", equiv, "--mc-samples", samples,
-        )
+        for name in ("MessageSets", "generate", "_run_trials"):
+            monkeypatch.setattr(f"bbcsec.simulate.{name}", built)
+        channel = _uniform_y2_channel(tmp_path / "channel.json", y2_size)
+        code, out, err = run_cli(capsys, "simulate", channel, chain_file, "--trials", "20000", *args)
         assert code == 3
         assert out == ""
         assert message in err
@@ -504,6 +536,35 @@ def test_output_does_not_depend_on_the_hash_seed(bsc_file, chain_file):
         outputs = [proc.communicate(timeout=60) for proc in procs]
         assert [proc.returncode for proc in procs] == [0, 0], outputs
         assert outputs[0][0] == outputs[1][0] != b""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+def test_oversized_runs_exit_3_in_a_400_mb_address_space(tmp_path, bsc_file, chain_file):
+    # each run would allocate far more than the cap (a 464 MB codebook, the
+    # 4194304-candidate decoder, 8 TiB of message cells, 8 GiB of Monte
+    # Carlo likelihood tables) if its guard fired late; an allocation failure
+    # would end the child with exit 1
+    wide = _uniform_y2_channel(tmp_path / "wide.json", 64)
+    runs = [
+        ["simulate", bsc_file, chain_file, "--n", "21", "--sizes", "1,1,1,512,1024", "--trials", "1",
+         "--equiv", "exact"],
+        ["simulate", bsc_file, chain_file, "--n", "1", "--sizes", "1,1,1,4096,1024", "--equiv", "none"],
+        ["simulate", bsc_file, chain_file, "--n", "1", "--sizes", "1,1,1,1048576,1048576", "--equiv", "none"],
+        ["simulate", wide, chain_file, "--n", "16", "--sizes", "1,1,1,65536,16", "--equiv", "mc",
+         "--mc-samples", "2"],
+    ]
+    script = (
+        "import json, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from bbcsec.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    src = str(Path(bbcsec.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [3, 3, 3, 3], proc.stderr
 
 
 @pytest.mark.parametrize("which", ["channel", "chain"])

@@ -3,8 +3,9 @@
 Every module imports only names it uses (`__init__.py` files are exempt:
 their imports are the package's exports), every private module-level name
 of the package is used somewhere in the package, every public function or
-class is exported or used by the package or the benchmark, and the test
-oracles and the package never import each other.
+class is exported or used by the package or the benchmark, the test
+oracles and the package never import each other, and a resource-guard
+error is constructed only by the one helper in `exceptions.py`.
 """
 
 import ast
@@ -112,3 +113,13 @@ def test_oracles_and_package_stay_independent():
     assert files
     assert [f"{p.relative_to(ROOT)}:{line}: {mod}" for p in files for mod, line in _imported_modules(p)
             if mod.split(".")[0] == "tests"] == []
+
+
+def test_guard_errors_are_built_in_one_place():
+    # every resource guard raises through exceptions._guard, so a GuardError
+    # is constructed at exactly one site of the package
+    sites = [f"{p.relative_to(ROOT)}:{node.lineno}" for p in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+             if isinstance(node, ast.Call) and "GuardError" in (getattr(node.func, "id", None),
+                                                                getattr(node.func, "attr", None))]
+    assert len(sites) == 1 and sites[0].startswith("src/bbcsec/exceptions.py:"), sites

@@ -237,6 +237,55 @@ def _two_case_configs():
         yield cfg, generate(params, chain, ch), MessageSets(params, k_size)
 
 
+def _leakage(cb, ms) -> float:
+    """I(Mc; Y2^n | m2) in bits, by the chain rule from the exact equivocation."""
+    return math.log2(ms.mc_size) - equivocation_exact(cb, ms)
+
+
+class TestSecrecyLaws:
+    """Two exact laws of every codebook, checked without an oracle of the
+    equivocation itself."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nx=st.integers(2, 3), ny2=st.integers(2, 3), n=st.integers(3, 8),
+           sizes=st.tuples(*(st.integers(1, 2) for _ in range(3)), st.integers(1, 4), st.integers(1, 3)),
+           binned=st.booleans(), data=st.data())
+    def test_leakage_is_capped_by_the_capacity_to_node_2(self, seed, nx, ny2, n, sizes, binned, data):
+        # I(Mc; Y2^n | m2) <= I(X^n; Y2^n | m2) <= n C2, and the duality
+        # bound at any input law is at least C2
+        m0, m1, m2, j, l = sizes
+        k_size = data.draw(st.integers(1, j), label="k_size") if binned else None
+        rng = np.random.default_rng(seed)
+        ch = random_channel(rng, nx, 2, ny2)
+        chain = random_chain(rng, 2, 3, nx)
+        params = CodebookParams(n=n, m0_size=1 if binned else m0, m1_size=m1, m2_size=m2, j_size=j, l_size=l,
+                                seed=seed)
+        cb = generate(params, chain, ch)
+        px = chain.pu.probs @ chain.pvu.rows @ chain.pxv.rows
+        cap = oracles.duality_bound(px, [marginal(ch, 2).matrix], [1.0])
+        assert _leakage(cb, MessageSets(params, k_size)) / n <= cap + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nx=st.integers(2, 3), ny2=st.integers(2, 3), n=st.integers(3, 6),
+           coarse=st.integers(1, 3), factors=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+           sizes=st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3)))
+    def test_binning_never_leaks_more(self, seed, nx, ny2, n, coarse, factors, sizes):
+        # with k' | k | j the column classes have equal sizes, so the column
+        # is uniform under every encoder and each binned message is a
+        # function of the finer one: k' classes leak at most k classes, which
+        # leak at most the plain (column, row) message
+        k = coarse * factors[0]
+        j = k * factors[1]
+        m1, m2, l = sizes
+        rng = np.random.default_rng(seed)
+        ch = random_channel(rng, nx, 2, ny2)
+        params = CodebookParams(n=n, m1_size=m1, m2_size=m2, j_size=j, l_size=l, seed=seed)
+        cb = generate(params, random_chain(rng, 2, 3, nx), ch)
+        plain, binned, coarser = (_leakage(cb, MessageSets(params, size)) for size in (None, k, coarse))
+        assert binned <= plain + 1e-12
+        assert coarser <= binned + 1e-12
+
+
 class TestBatchedTrials:
     def test_block_size_invariance(self, monkeypatch):
         import bbcsec.simulate as sim
