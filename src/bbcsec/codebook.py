@@ -96,6 +96,11 @@ def _sample_rows(cdf_rows: np.ndarray, cond_idx: np.ndarray, uniforms: np.ndarra
     return np.minimum(out, cdf_rows.shape[1] - 1)
 
 
+def _uniform_index(uniforms, size):
+    """Inverse-CDF draws from the uniform law on [0, size), `size` broadcast: min(floor(u size), size - 1)."""
+    return np.minimum(np.floor(uniforms * size).astype(np.int64), size - 1)
+
+
 def _check_code(params: CodebookParams, chain: AuxChain, ch: BroadcastChannel) -> None:
     """generate's checks: one input alphabet, at most MAX_CODEBOOK_SYMBOLS stored symbols."""
     if chain.x_size != ch.x_size:

@@ -12,8 +12,8 @@ column and the encoder is deterministic.
 Decoders are exhaustive weak-typicality searches returning the unique
 message-level hit, or the in-band erasure -1 on zero or multiple hits. The
 encoder, the channel sampler and the decoders work on arrays of blocks;
-the randomness (codeword cells, uniforms) is drawn by the caller, so each
-block's draws can come from its own stream.
+the caller passes the uniforms that pick codeword cells, input symbols and
+outputs, so one stream, read as a matrix of uniforms, serves any block size.
 """
 
 from typing import Optional
@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import BroadcastChannel
-from .codebook import Codebook, TypicalityScorer, _sample_rows, decoding_joint
+from .codebook import Codebook, TypicalityScorer, _sample_rows, _uniform_index, decoding_joint
 from .exceptions import ValidationError, _guard
 
 MAX_CANDIDATES = 1 << 20
@@ -63,25 +63,25 @@ class MessageSets:
     def case_b(cls, params, k_size: int) -> "MessageSets":
         return cls(params, k_size)
 
-    def cell(self, mc: int, rng) -> tuple:
-        """Codeword cell (column, row, common) carrying message mc, uniform
-        among its cells in ascending order: the i-th column of class c is
-        c + k i. A single-cell message draws no random state."""
-        if not 0 <= mc < self.mc_size:
-            raise ValidationError(f"MessageSets: confidential index {mc} outside [0, {self.mc_size})")
-        i = int(rng.integers(self.cells_per_mc[mc]))
-        k, l_size, m0_size = self.mc_shape
-        cl, m0 = divmod(int(mc), m0_size)  # mc in digits (class, row, common)
-        c, l = divmod(cl, l_size)
-        return (c + k * i, l, m0)
+    def cell(self, mc, u) -> np.ndarray:
+        """Codeword cells (column, row, common), int64 (..., 3), of messages
+        mc (...): the floor(u count)-th of mc's cells in ascending order, per
+        uniform u in [0, 1) (broadcast against mc). The i-th column of class
+        c is c + k i; a single-cell message has one cell for every u."""
+        mc = np.asarray(mc, dtype=np.int64)
+        if np.any((mc < 0) | (mc >= self.mc_size)):
+            raise ValidationError(f"MessageSets: a confidential index is outside [0, {self.mc_size})")
+        c, l, m0 = np.unravel_index(mc, self.mc_shape)  # mc in digits (class, row, common)
+        i = _uniform_index(u, self.cells_per_mc[mc])
+        return np.stack(np.broadcast_arrays(c + self.mc_shape[0] * i, l, m0), axis=-1)
 
 
 def encode(cells, m1, m2, cb: Codebook, uniforms) -> np.ndarray:
     """Map a batch of codeword cells and messages to input words (..., n).
 
     `cells` (..., 3) holds each block's (column, row, common) cell, as
-    `MessageSets.cell` draws it for the confidential message (the
-    stochastic part of the case-B encoder); `m1`, `m2` (...) are the two
+    `MessageSets.cell` picks it from a uniform for the confidential message
+    (the stochastic part of the case-B encoder); `m1`, `m2` (...) are the two
     bidirectional messages and `uniforms` (..., n) the uniforms in [0, 1)
     that sample the input word symbol by symbol from P(x|v).
     """

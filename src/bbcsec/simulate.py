@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import BroadcastChannel, marginal
-from .codebook import Codebook, CodebookParams, _check_code, _sample_rows, generate
+from .codebook import Codebook, CodebookParams, _check_code, _sample_rows, _uniform_index, generate
 from .coding import MessageSets, Node1Decoder, Node2Decoder, _node1_candidates, encode, transmit
 from .exceptions import ValidationError, _guard
 from .probability import _entropy, chain_joint
@@ -162,19 +162,26 @@ def _suffix_products(steps: list, n_words: int) -> np.ndarray:
     return out
 
 
+def _law_entropy(prefix: np.ndarray, suffix: np.ndarray) -> float:
+    """Entropy (bits) of the law prefix @ suffix.T, formed in blocks of prefix rows of at most _CHUNK_ROWS entries."""
+    rows = max(1, _CHUNK_ROWS // suffix.shape[0])
+    return sum(_entropy(prefix[i:i + rows] @ suffix.T) for i in range(0, prefix.shape[0], rows))
+
+
 def equivocation_exact(cb: Codebook, ms: MessageSets) -> float:
     """Exact conditional entropy (bits) of the confidential message given
     the non-legitimated node's full output word and its side information.
 
     The message is uniform and independent of m2, so by the chain rule
     H(Mc | Y2, m2) = log2|Mc| + H(Y2 | Mc, m2) - H(Y2 | m2). The law of all
-    |Y2|^n output words given m2 is one product of the prefix and suffix
-    likelihood tables, weighted by the word probabilities. A message with a
-    single word (case A with m1 = 1) has H(Y2 | mc, m2) in closed form, the
-    sum over positions of the entropy of the word symbol's output row; a
-    message with several words has its mixture law enumerated by the same
-    product over its columns. Each term is clamped to [0, log2|Mc|], the
-    quantity's exact range, so round-off never leaves it.
+    |Y2|^n output words given m2 is the product of the prefix and suffix
+    likelihood tables, weighted by the word probabilities, reduced in blocks
+    of prefix rows (`_law_entropy`). A message with a single word (case A
+    with m1 = 1) has H(Y2 | mc, m2) in closed form, the sum over positions of
+    the entropy of the word symbol's output row; a message with several
+    words has its mixture law reduced the same way over its columns. Each
+    term is clamped to [0, log2|Mc|], the quantity's exact range, so
+    round-off never leaves it.
     """
     p = cb.params
     prefix_len = _exact_split(p, cb.channel.y2_size)
@@ -192,13 +199,19 @@ def equivocation_exact(cb: Codebook, ms: MessageSets) -> float:
         prefix = _suffix_products(steps[:prefix_len], n_words)
         suffix = _suffix_products(steps[prefix_len:], n_words)
 
-        h_out = _entropy((prefix * (weights / ms.mc_size)) @ suffix.T)  # H(Y2 | m2)
+        h_out = _law_entropy(prefix * (weights / ms.mc_size), suffix)  # H(Y2 | m2)
         h_msg = h_rows[v_seqs[starts]].sum(axis=1)  # H(Y2 | mc, m2) of one-word messages
         for m in np.flatnonzero(counts > 1).tolist():
             cols = slice(starts[m], starts[m] + counts[m])
-            h_msg[m] = _entropy((prefix[:, cols] * weights[cols]) @ suffix[:, cols].T)
+            h_msg[m] = _law_entropy(prefix[:, cols] * weights[cols], suffix[:, cols])
         total += min(max(h_mc + float(h_msg.sum()) / ms.mc_size - h_out, 0.0), h_mc) / p.m2_size
     return total
+
+
+def _read_messages(u: np.ndarray, ms: MessageSets, p: CodebookParams) -> tuple:
+    """(mc, m1, m2, cells (rows, 3)) picked by the first four columns of rows of uniforms (`_uniform_index`)."""
+    mc, m1, m2 = (_uniform_index(u[:, c], size) for c, size in enumerate((ms.mc_size, p.m1_size, p.m2_size)))
+    return mc, m1, m2, ms.cell(mc, u[:, 3])
 
 
 def equivocation_mc(cb: Codebook, ms: MessageSets, samples: int, rng) -> tuple:
@@ -209,13 +222,14 @@ def equivocation_mc(cb: Codebook, ms: MessageSets, samples: int, rng) -> tuple:
     average of -log2(posterior at the true message). Returns (estimate,
     standard error) in bits.
 
-    `rng` draws the messages of all episodes, then each episode's codeword
-    cell and channel uniforms in turn. Episodes run in blocks whose rows
-    (episodes x sub-words) stay within _CHUNK_ROWS; within a block the
-    likelihoods of the message-grouped words (`_message_order`) multiply
-    position by position and each message's posterior mass is the sum of
-    its segment, row by row, so no value depends on the block size. Its
-    resource guards (`_check_mc`) are raised before any draw.
+    Episode e reads row e of a matrix of uniforms of width 4 + n, drawn from
+    `rng` block by block: mc, m1, m2, the codeword cell (`_read_messages`)
+    and the n uniforms of the output word. Blocks keep their rows (episodes
+    x sub-words) within _CHUNK_ROWS; within a block the likelihoods of the
+    message-grouped words (`_message_order`) multiply position by position
+    and each message's posterior mass is the sum of its segment, row by row,
+    so no value depends on the block size. Its resource guards (`_check_mc`)
+    are raised before any draw.
     """
     if samples < 2:
         raise ValidationError("equivocation_mc: need at least 2 samples")
@@ -226,27 +240,17 @@ def equivocation_mc(cb: Codebook, ms: MessageSets, samples: int, rng) -> tuple:
 
     order, _, starts, weights = _message_order(cb, ms)
     steps = [_step_tables(cb.v_words[:, :, :, :, m2].reshape(-1, p.n)[order], wv2) for m2 in range(p.m2_size)]
-    n_words = order.size
-
-    mc_draw = rng.integers(ms.mc_size, size=samples)
-    m1_draw = rng.integers(p.m1_size, size=samples)
-    m2_draw = rng.integers(p.m2_size, size=samples)
 
     vals = np.empty(samples)
-    block = max(1, _CHUNK_ROWS // n_words)
+    block = max(1, _CHUNK_ROWS // order.size)
     for start in range(0, samples, block):
-        mc, m1, m2 = (d[start:start + block] for d in (mc_draw, m1_draw, m2_draw))
-        cells = np.empty((mc.size, 3), dtype=np.int64)
-        uniforms = np.empty((mc.size, p.n))
-        for e, m in enumerate(mc.tolist()):
-            cells[e] = ms.cell(m, rng)
-            uniforms[e] = rng.random(p.n)
-        j, l, m0 = cells.T
-        y2 = _sample_rows(cdf_wv2, cb.v_words[j, l, m0, m1, m2], uniforms)
+        u = rng.random((min(block, samples - start), 4 + p.n))
+        mc, m1, m2, cells = _read_messages(u, ms, p)
+        y2 = _sample_rows(cdf_wv2, cb.v_words[(*cells.T, m1, m2)], u[:, 4:])
 
         for m in sorted(set(m2.tolist())):
             rows = np.flatnonzero(m2 == m)
-            lik = np.ones((rows.size, n_words))
+            lik = np.ones((rows.size, order.size))
             for k_pos in range(p.n):
                 lik *= steps[m][k_pos][y2[rows, k_pos]]
             # one segment per message; none is empty, since make_partition keeps k <= j
@@ -256,8 +260,8 @@ def equivocation_mc(cb: Codebook, ms: MessageSets, samples: int, rng) -> tuple:
             vals[start + rows] = [-math.log2(x) for x in true_post.tolist()]
 
     est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(samples))
-    return est, se
+    np.square(np.subtract(vals, est, out=vals), out=vals)  # vals.std(ddof=1)'s arithmetic, without its copy
+    return est, math.sqrt(float(vals.sum()) / (samples - 1)) / math.sqrt(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -340,34 +344,25 @@ class SimReport:
 def _run_trials(cfg: SimConfig, cb: Codebook, ms: MessageSets) -> tuple:
     """Error counts (node 1, node 2) over `cfg.trials` trials.
 
-    Trial t draws from its own generator default_rng((seed, 0, t)), in this
-    order: mc, m1, m2, its codeword cell, the n encoder uniforms, the n
-    channel uniforms. Encoding, transmission and both decoders then run on
-    arrays of trials, in blocks whose candidate rows (trials x the larger
-    decoder's candidates) stay within _CHUNK_ROWS, so the counts do not
-    depend on the block size. An erasure counts as an error.
+    Trial t reads row t of a matrix of uniforms of width 4 + 2n from one
+    generator, default_rng((seed, 0)): mc, m1, m2, the codeword cell
+    (`_read_messages`), the n encoder and the n channel uniforms. Encoding,
+    transmission and both decoders run on arrays of trials, in blocks whose
+    candidate rows (trials x the larger decoder's candidates) stay within
+    _CHUNK_ROWS, each drawing its own rows of the matrix, so the counts do
+    not depend on the block size. An erasure counts as an error.
     """
     dec1 = Node1Decoder(cb, ms, cfg.epsilon)
     dec2 = Node2Decoder(cb, cfg.epsilon)
     p = cfg.params
-    n = p.n
     block = max(1, _CHUNK_ROWS // max(dec1.candidates, dec2.candidates))
 
+    rng = np.random.default_rng((cfg.seed, 0))
     n1 = n2 = 0
     for start in range(0, cfg.trials, block):
-        trials = range(start, min(start + block, cfg.trials))
-        msgs = np.empty((len(trials), 3), dtype=np.int64)
-        cells = np.empty((len(trials), 3), dtype=np.int64)
-        u_enc, u_ch = np.empty((len(trials), n)), np.empty((len(trials), n))
-        for i, t in enumerate(trials):
-            rng = np.random.Generator(np.random.PCG64((cfg.seed, 0, t)))  # default_rng's stream, built faster
-            mc = int(rng.integers(ms.mc_size))
-            msgs[i] = mc, rng.integers(p.m1_size), rng.integers(p.m2_size)
-            cells[i] = ms.cell(mc, rng)
-            u_enc[i] = rng.random(n)
-            u_ch[i] = rng.random(n)
-        mc, m1, m2 = msgs.T
-        y1, y2 = transmit(encode(cells, m1, m2, cb, u_enc), cfg.channel, u_ch)
+        u = rng.random((min(block, cfg.trials - start), 4 + 2 * p.n))
+        mc, m1, m2, cells = _read_messages(u, ms, p)
+        y1, y2 = transmit(encode(cells, m1, m2, cb, u[:, 4:4 + p.n]), cfg.channel, u[:, 4 + p.n:])
         mc_hat, m2_hat = dec1(y1, m1)
         n1 += int(np.count_nonzero((mc_hat != mc) | (m2_hat != m2)))
         n2 += int(np.count_nonzero(dec2(y2, m2) != m1))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,10 +29,10 @@ CHI2_99 = {1: 6.635, 2: 9.210, 3: 11.345}
 
 
 def _encode(mc, m1, m2, cb, ms, rng):
-    """One block, its cell and input uniforms drawn from rng in the
-    simulator's order; returns the cell (column, row, common) and the input
-    word."""
-    cell = ms.cell(mc, rng)
+    """One block, the uniforms of its cell and input word drawn from rng in
+    the simulator's order; returns the cell (column, row, common) and the
+    input word."""
+    cell = tuple(ms.cell(mc, rng.random()).tolist())
     return cell, encode(cell, m1, m2, cb, rng.random(cb.params.n))
 
 
@@ -99,14 +101,15 @@ def _message_sizes(draw) -> tuple:
 
 class TestMessageCells:
     def test_case_a_cell_is_the_index_digits_and_draws_nothing(self):
+        # one cell per message, so the uniform has nothing to pick: the
+        # smallest and the largest uniform below 1 give the same cell
         params = CodebookParams(n=2, m0_size=2, j_size=3, l_size=2)
         ms = MessageSets(params)
         assert ms.column_class.tolist() == [0, 1, 2]  # one column per class
-        rng = np.random.default_rng(3)
-        state = rng.bit_generator.state
         for mc in range(ms.mc_size):
-            assert ms.cell(mc, rng) == tuple(int(i) for i in np.unravel_index(mc, ms.mc_shape))
-        assert rng.bit_generator.state == state
+            digits = [int(i) for i in np.unravel_index(mc, ms.mc_shape)]
+            for u in (0.0, np.nextafter(1.0, 0.0)):
+                assert ms.cell(mc, u).tolist() == digits
         assert ms.cells_per_mc.tolist() == [1] * ms.mc_size
 
     def test_case_b_cells_lie_in_the_class(self):
@@ -118,26 +121,40 @@ class TestMessageCells:
         rng = np.random.default_rng(4)
         for mc in range(ms.mc_size):
             k, l = divmod(mc, params.l_size)
-            seen = {ms.cell(mc, rng) for _ in range(60)}
+            seen = {tuple(c) for c in ms.cell(np.full(60, mc), rng.random(60)).tolist()}
             assert {c[1:] for c in seen} == {(l, 0)}
             assert all(ms.column_class[j] == k for j, _, _ in seen)
             assert all(ms.cell_mc[c] == mc for c in seen)
             assert len(seen) == sizes[k]
 
+    def test_midpoint_grid_hits_every_cell_of_a_class_equally(self):
+        # case B with k not dividing j (classes of 3, 2 and 2 columns): the
+        # midpoints of 60 equal bins of [0, 1) pick each cell of a class
+        # 60 / (class size) times
+        params = CodebookParams(n=2, j_size=7, l_size=2)
+        ms = MessageSets(params, 3)
+        grid = (np.arange(60) + 0.5) / 60
+        for mc in range(ms.mc_size):
+            cells = ms.cell(np.full(grid.size, mc), grid)
+            _, counts = np.unique(cells, axis=0, return_counts=True)
+            size = ms.cells_per_mc[mc]
+            assert counts.tolist() == [60 // size] * size
+            assert (ms.cell_mc[tuple(cells.T)] == mc).all()
+
     @pytest.mark.parametrize("k_size,sizes", [(None, dict(m0_size=2, j_size=3, l_size=2)),
                                               (3, dict(j_size=7, l_size=2))])
     def test_cell_is_the_drawn_cell_of_an_enumeration(self, k_size, sizes):
-        # the i-th cell of message mc in ascending order, i drawn as the
-        # encoder draws it, for every message of a case-A code with m0 > 1
-        # and a case-B code with k not dividing j
+        # the i-th cell of message mc in ascending order, with
+        # i = floor(u count), for every message of a case-A code with m0 > 1
+        # and a case-B code with k not dividing j, one message at a time and
+        # as one array
         ms = MessageSets(CodebookParams(n=2, **sizes), k_size)
-        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
-        for _ in range(5):
-            for mc in range(ms.mc_size):
-                cells = np.argwhere(ms.cell_mc == mc)
-                expected = tuple(int(v) for v in cells[ref.integers(len(cells))])
-                assert ms.cell(mc, rng) == expected
-        assert rng.bit_generator.state == ref.bit_generator.state
+        mc = np.tile(np.arange(ms.mc_size), 5)
+        u = np.random.default_rng(8).random(mc.size)
+        expected = [np.argwhere(ms.cell_mc == m)[math.floor(x * ms.cells_per_mc[m])].tolist()
+                    for m, x in zip(mc.tolist(), u.tolist())]
+        assert [ms.cell(m, x).tolist() for m, x in zip(mc.tolist(), u.tolist())] == expected
+        assert ms.cell(mc, u).tolist() == expected
 
     @settings(max_examples=80, deadline=None)
     @given(_message_sizes())
@@ -145,26 +162,24 @@ class TestMessageCells:
     @example((7, 2, 1, 3))  # case B with k not dividing j
     def test_maps_and_drawn_cells_match_the_oracle(self, sizes):
         # the maps equal the oracle's, and the cell is the i-th of the
-        # message's cells in ascending order, i drawn as the encoder draws it
+        # message's cells in ascending order, i = floor(u count)
         j, l, m0, k = sizes
         ms = MessageSets(CodebookParams(n=2, m0_size=m0, j_size=j, l_size=l), k)
         cell_mc, mc_size, cells_per_mc = oracles.message_map(j, l, m0, k)
         assert np.array_equal(ms.cell_mc, cell_mc)
         assert ms.mc_size == mc_size
         assert ms.cells_per_mc.tolist() == cells_per_mc
-        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
-        for _ in range(3):
-            for mc in range(mc_size):
-                cells = np.argwhere(cell_mc == mc)
-                expected = tuple(int(v) for v in cells[ref.integers(len(cells))])
-                assert ms.cell(mc, rng) == expected
-        assert rng.bit_generator.state == ref.bit_generator.state
+        u = np.random.default_rng(8).random((3, mc_size))
+        for mc in range(mc_size):
+            cells = np.argwhere(cell_mc == mc)
+            for x in u[:, mc].tolist():
+                assert ms.cell(mc, x).tolist() == cells[math.floor(x * len(cells))].tolist()
 
     def test_out_of_range(self):
         ms = MessageSets.case_b(CodebookParams(n=2, j_size=4, l_size=2), 2)
         for mc in (-1, ms.mc_size):
             with pytest.raises(ValidationError):
-                ms.cell(mc, np.random.default_rng(0))
+                ms.cell(mc, 0.5)
 
 
 class TestEncode:

@@ -4,8 +4,9 @@ Every module imports only names it uses (`__init__.py` files are exempt:
 their imports are the package's exports), every private module-level name
 of the package is used somewhere in the package, every public function or
 class is exported or used by the package or the benchmark, the test
-oracles and the package never import each other, and a resource-guard
-error is constructed only by the one helper in `exceptions.py`.
+oracles and the package never import each other, a resource-guard
+error is constructed only by the one helper in `exceptions.py`, and the
+simulator builds no random generator inside a loop.
 """
 
 import ast
@@ -123,3 +124,20 @@ def test_guard_errors_are_built_in_one_place():
              if isinstance(node, ast.Call) and "GuardError" in (getattr(node.func, "id", None),
                                                                 getattr(node.func, "attr", None))]
     assert len(sites) == 1 and sites[0].startswith("src/bbcsec/exceptions.py:"), sites
+
+
+def test_no_generator_built_in_a_loop():
+    # the trials and Monte Carlo episodes read rows of one stream's uniform
+    # matrix; a generator built per trial or per block would cost more than
+    # its draws and tie results to the block size
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    builders = {"default_rng", "Generator", "PCG64"}
+    sites = set()  # a call inside nested loops is found once per loop
+    for name in ("simulate.py", "coding.py"):
+        path = SRC / "bbcsec" / name
+        for loop in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(loop, loops):
+                sites.update(f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(loop)
+                             if isinstance(node, ast.Call)
+                             and builders & {getattr(node.func, "id", None), getattr(node.func, "attr", None)})
+    assert sorted(sites) == []

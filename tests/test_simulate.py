@@ -153,10 +153,10 @@ class TestEquivocationExact:
 
     def test_peak_memory_of_the_benchmark_instance(self, bsc12, degraded_chain):
         # 2^18 output words over 64 one-word messages: the suffix likelihood
-        # table (8192 output words x 64 sub-words) is 4 MiB, the output law
-        # (32 prefix x 8192 suffix output words) and the positive entries and
-        # logs taken of it 2 MiB each, so the peak stays below five
-        # 8192 x 64 arrays
+        # table (8192 output words x 64 sub-words) is 4 MiB, and it is built
+        # from the 2 MiB table of one position fewer; the output law is
+        # formed one prefix row of 8192 entries (64 KiB) at a time, so the
+        # peak stays below two 8192 x 64 arrays
         import tracemalloc
 
         params = CodebookParams(n=18, j_size=8, l_size=8, seed=0)
@@ -168,7 +168,7 @@ class TestEquivocationExact:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 8192 * 64 * 8
+        assert peak < 2 * 8192 * 64 * 8
 
     def test_guard(self, bsc12, degraded_chain):
         params = CodebookParams(n=21, j_size=2, seed=0)
@@ -205,6 +205,24 @@ class TestEquivocationMc:
         assert est == 0.0
         assert se == 0.0
 
+    def test_peak_memory_per_sample(self, bsc12, degraded_chain):
+        # the per-episode values are the one array of `samples` entries (8
+        # bytes each; the standard error's deviations overwrite them), and
+        # the uniforms and likelihoods of a block are a few hundred KiB
+        import tracemalloc
+
+        params = CodebookParams(n=8, j_size=2, l_size=2, seed=0)
+        cb = generate(params, degraded_chain, bsc12)
+        ms = MessageSets(params)
+        samples = 200_000
+        tracemalloc.start()
+        try:
+            equivocation_mc(cb, ms, samples, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * samples
+
     def test_cross_validates_exact(self, bsc12):
         # case A, then case B with k < j and m1 > 1: each message's words form
         # one segment of several words, of unequal lengths when k does not
@@ -240,6 +258,26 @@ def _two_case_configs():
 def _leakage(cb, ms) -> float:
     """I(Mc; Y2^n | m2) in bits, by the chain rule from the exact equivocation."""
     return math.log2(ms.mc_size) - equivocation_exact(cb, ms)
+
+
+def _mc_cap_cases(chain):
+    """(channel, chain, params, k_size) of the Monte Carlo cap check: eight
+    instances drawn as in the capacity-cap property test, from
+    default_rng(seed), and three plain or binned codes on the uniform binary
+    `chain` whose rate exceeds the capacity to node 2, where the cap is
+    tightest."""
+    for seed, nx, ny2, n, (m0, m1, m2, j, l), k_size in (
+            (1, 2, 2, 4, (1, 1, 1, 4, 2), None), (2, 2, 3, 5, (1, 2, 1, 4, 2), 2),
+            (3, 3, 2, 6, (2, 1, 2, 2, 2), None), (4, 3, 3, 4, (1, 1, 2, 6, 1), 3),
+            (5, 2, 2, 8, (1, 1, 1, 8, 4), None), (6, 3, 3, 6, (1, 2, 1, 3, 3), 1),
+            (7, 2, 3, 3, (1, 1, 1, 8, 2), None), (8, 3, 2, 5, (1, 1, 1, 5, 2), 2)):
+        rng = np.random.default_rng(seed)
+        ch = random_channel(rng, nx, 2, ny2)
+        params = CodebookParams(n=n, m0_size=m0, m1_size=m1, m2_size=m2, j_size=j, l_size=l, seed=seed)
+        yield ch, random_chain(rng, 2, 3, nx), params, k_size
+    for crossover, n, j, l, k_size in ((0.02, 4, 16, 1, None), (0.05, 6, 32, 2, None), (0.02, 5, 16, 2, 8)):
+        ch = from_marginals(binary_symmetric(0.1), binary_symmetric(crossover))
+        yield ch, chain, CodebookParams(n=n, j_size=j, l_size=l, seed=9), k_size
 
 
 class TestSecrecyLaws:
@@ -285,6 +323,17 @@ class TestSecrecyLaws:
         assert binned <= plain + 1e-12
         assert coarser <= binned + 1e-12
 
+    def test_monte_carlo_leakage_is_capped_within_three_se(self, degraded_chain):
+        # the cap above, on equivocation_mc's estimate: its leakage rate is
+        # at most the duality bound plus three of its standard errors
+        for ch, chain, params, k_size in _mc_cap_cases(degraded_chain):
+            n = params.n
+            ms = MessageSets(params, k_size)
+            est, se = equivocation_mc(generate(params, chain, ch), ms, 2000, np.random.default_rng((params.seed, 1)))
+            px = chain.pu.probs @ chain.pvu.rows @ chain.pxv.rows
+            cap = oracles.duality_bound(px, [marginal(ch, 2).matrix], [1.0])
+            assert (math.log2(ms.mc_size) - est) / n <= cap + 3 * se / n
+
 
 class TestBatchedTrials:
     def test_block_size_invariance(self, monkeypatch):
@@ -301,19 +350,21 @@ class TestBatchedTrials:
             assert 0 < n1 < cfg.trials and 0 < n2 < cfg.trials
 
     def test_batch_equals_one_shot_replay(self):
-        # each trial replayed alone, as a batch of one, with the draws in
-        # the documented order
+        # each trial replayed alone, as a batch of one, from its row of the
+        # documented matrix of uniforms: mc, m1, m2, the cell, the encoder's
+        # n, the channel's n
         from bbcsec.simulate import _run_trials
 
         for cfg, cb, ms in _two_case_configs():
             n = cfg.params.n
             dec1, dec2 = Node1Decoder(cb, ms, cfg.epsilon), Node2Decoder(cb, cfg.epsilon)
+            uniforms = np.random.default_rng((cfg.seed, 0)).random((cfg.trials, 4 + 2 * n))
             n1 = n2 = 0
-            for t in range(cfg.trials):
-                rng = np.random.default_rng((cfg.seed, 0, t))
-                mc, m1, m2 = (int(rng.integers(size)) for size in (ms.mc_size, cfg.params.m1_size, cfg.params.m2_size))
-                x = encode(ms.cell(mc, rng), m1, m2, cb, rng.random(n))
-                y1, y2 = transmit(x, cfg.channel, rng.random(n))
+            for u in uniforms:
+                mc, m1, m2 = (min(math.floor(x * size), size - 1) for x, size in
+                              zip(u[:3].tolist(), (ms.mc_size, cfg.params.m1_size, cfg.params.m2_size)))
+                x = encode(ms.cell(mc, u[3]), m1, m2, cb, u[4:4 + n])
+                y1, y2 = transmit(x, cfg.channel, u[4 + n:])
                 mc_hat, m2_hat = dec1(y1[None], [m1])
                 n1 += (int(mc_hat[0]), int(m2_hat[0])) != (mc, m2)
                 n2 += int(dec2(y2[None], [m2])[0]) != m1
@@ -332,7 +383,7 @@ class TestDecodersMatchTheDefinition:
         # 100 received words from codewords and 100 drawn uniformly, per node
         p, ch = cfg.params, cfg.channel
         mc, m1, m2 = (rng.integers(size, size=200) for size in (ms.mc_size, p.m1_size, p.m2_size))
-        cells = [ms.cell(m, rng) for m in mc[:100].tolist()]
+        cells = ms.cell(mc[:100], rng.random(100))
         y1, y2 = transmit(encode(cells, m1[:100], m2[:100], cb, rng.random((100, p.n))), ch,
                           rng.random((100, p.n)))
         y1 = np.concatenate([y1, rng.integers(ch.y1_size, size=(100, p.n))])
