@@ -27,7 +27,8 @@ def chain_info(pu, pvu, pxv, w1, w2):
     arrays. P(y|u) is the product pvu @ P(y|v), never a quotient, so a
     one-point first layer gives iu = 0 and V = U gives iv = 0 exactly. Each
     term is summed over the chain's own cells only, so row b equals, bit for
-    bit, the batch-1 call on chain b alone.
+    bit, the batch-1 call on chain b alone. Every term is clamped at zero
+    here, since the sums can leave an exact 0 as low as -6e-16.
     """
     wv = pxv @ np.hstack([w1, w2])  # P(y|v), (B, nv, ny1 + ny2)
     q = pvu @ wv                    # P(y|u)
@@ -37,7 +38,8 @@ def chain_info(pu, pvu, pxv, w1, w2):
         hyu = pu_row @ _plogp(q)           # -H(Y|U)
         hyv = (pu_row @ pvu) @ _plogp(wv)  # -H(Y|V)
     cols = np.concatenate([hyu - hy, hyv - hyu], axis=1)  # (B, 2, ny1 + ny2)
-    return np.add.reduceat(cols, [0, w1.shape[1]], axis=2).reshape(len(pu), 4)
+    terms = np.add.reduceat(cols, [0, w1.shape[1]], axis=2).reshape(len(pu), 4)
+    return np.maximum(terms, 0.0)
 
 
 def _plogp(p):

@@ -72,22 +72,10 @@ class AuxChain:
         }
 
 
-_INFO_NAMES = ("iu1", "iu2", "iv1", "iv2")
-
-
-def _checked_info(iq: np.ndarray) -> np.ndarray:
-    """The information terms of a batch of chains (one (iu1, iu2, iv1, iv2)
-    row each), clamped at zero; a term below -1e-9 or not finite raises."""
-    ok = (iq >= -1e-9) & (iq < math.inf)
-    if not ok.all():
-        b, k = np.argwhere(~ok)[0]
-        raise ValidationError(f"InfoQuantities: {_INFO_NAMES[k]}={iq[b, k]} is negative or not finite")
-    return np.maximum(0.0, iq)
-
-
 @dataclass(frozen=True)
 class InfoQuantities:
-    """The four information terms the region constraints are built from."""
+    """The four information terms the region constraints are built from,
+    stored as floats clamped at zero; one below -1e-9 or not finite raises."""
 
     iu1: float
     iu2: float
@@ -95,9 +83,11 @@ class InfoQuantities:
     iv2: float
 
     def __post_init__(self):
-        values = _checked_info(np.array([[self.iu1, self.iu2, self.iv1, self.iv2]]))
-        for name, v in zip(_INFO_NAMES, values[0].tolist()):
-            object.__setattr__(self, name, v)
+        for name in ("iu1", "iu2", "iv1", "iv2"):
+            v = float(getattr(self, name))
+            if not -1e-9 <= v < math.inf:
+                raise ValidationError(f"InfoQuantities: {name}={v} is negative or not finite")
+            object.__setattr__(self, name, max(v, 0.0))
 
     @property
     def secrecy_bound(self) -> float:
@@ -339,8 +329,9 @@ def _search_chain(
 ) -> tuple:
     """Maximize score_fn over auxiliary chains by p.restarts hill climbs run
     in lockstep; score_fn maps a (B, 4) array of information terms (iu1,
-    iu2, iv1, iv2 of each chain) to B values. Returns the best value, the
-    best chain and the information terms it was scored with.
+    iu2, iv1, iv2 of each chain, clamped at zero by the kernel) to B values.
+    Returns the best value, the best chain and the terms it was scored
+    with, which are the terms reported.
 
     Restart i draws its random stream from (seed, i) and climbs from
     structured start i (the first STRUCTURED_STARTS restarts) or a random
@@ -359,7 +350,8 @@ def _search_chain(
     i. Ties across restarts resolve to the lowest restart index; with
     stop_at, the lowest restart that reaches it wins and the restarts above
     it are dropped as soon as it does. Restart 0 is scored alone first, so a
-    search its start already ends builds no other restart.
+    search its start already ends builds no other restart; it still retires
+    through the loop, and every search builds its winner in one place.
     """
     nx = ch.x_size
     nu, nv = p.sizes_for(nx)
@@ -370,10 +362,7 @@ def _search_chain(
     blocks = [blk[None] for blk in _structured_init(0, nu, nv, nx)]
     terms = _core.chain_info(blocks[0][:, 0], blocks[1], blocks[2], w1, w2)
     best = score_fn(terms)
-    if best[0] >= stop:
-        chain = AuxChain(Dist(blocks[0][0, 0]), CondDist(blocks[1][0]), CondDist(blocks[2][0]))
-        return float(best[0]), chain, InfoQuantities(*terms[0].tolist())
-    if p.restarts > 1:
+    if best[0] < stop and p.restarts > 1:
         rngs += [np.random.Generator(np.random.PCG64((p.seed, i))) for i in range(1, p.restarts)]
         more = [np.stack(b) for b in zip(*(
             _structured_init(i, nu, nv, nx) if i < STRUCTURED_STARTS else _random_init(nu, nv, nx, rngs[i])
@@ -642,7 +631,7 @@ def membership(t: RateTuple, ch: BroadcastChannel, p: SearchParams = SearchParam
         )
 
     def score(iq):
-        return _margin(*_checked_info(iq).T, t)
+        return _margin(*iq.T, t)
 
     best_margin, chain, _ = _search_chain(ch, score, p, stop_at=0.0)
     if best_margin >= -SLACK:

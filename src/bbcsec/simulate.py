@@ -60,8 +60,8 @@ class AsymptoticTerms:
     the first-layer index (the sub-codebook rate); `h_out2_given_code` and
     `h_out2_given_cloud` condition the non-legitimated output on the coding
     symbol and on the cloud center. The Fano residual vanishes in the limit,
-    so it is not a term. Their combination reproduces the secrecy bound
-    exactly.
+    so it is not a term. Their combination is iv1 - iv2, the secrecy bound
+    before its clamp at zero.
     """
 
     sub_rate_limit: float

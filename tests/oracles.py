@@ -7,6 +7,7 @@ under test, so the tests compare two unrelated computation paths.
 
 import itertools
 import math
+from statistics import NormalDist
 
 import numpy as np
 
@@ -138,6 +139,23 @@ def duality_bound(px, ws, weights) -> float:
                     total += wk * w[x, y] * math.log2(w[x, y] / q)
         best = max(best, total)
     return best
+
+
+def binomial_ci(errors: int, trials: int) -> tuple:
+    """(low, high) of the 95% interval of an error frequency, clipped to
+    [0, 1]: Wilson's score interval when fewer than 10 errors or 10 successes
+    were seen, the normal interval otherwise. Wilson's ends are taken as the
+    roots of its score equation (p_hat - p)^2 = z^2 p (1 - p) / trials."""
+    z = NormalDist().inv_cdf(0.975)
+    p_hat = errors / trials
+    if min(errors, trials - errors) < 10:
+        a, b, c = 1 + z * z / trials, -(2 * p_hat + z * z / trials), p_hat * p_hat
+        root = math.sqrt(b * b - 4 * a * c)
+        low, high = (-b - root) / (2 * a), (-b + root) / (2 * a)
+    else:
+        half = z * math.sqrt(p_hat * (1 - p_hat) / trials)
+        low, high = p_hat - half, p_hat + half
+    return min(max(low, 0.0), 1.0), min(max(high, 0.0), 1.0)
 
 
 def bsc(p: float) -> np.ndarray:

@@ -133,3 +133,22 @@ def test_second_layer_equal_to_the_first_gives_exactly_zero_iv():
         pu, _, pxv = _batch(_mixed_batch(rng, 12, n, n, nx))
         iq = _core.chain_info(pu, np.repeat(np.eye(n)[None], len(pu), axis=0), pxv, *_marginals(ch))
         assert np.all(iq[:, 2:] == 0.0)
+
+
+def test_terms_are_clamped_at_zero():
+    # when every second-layer symbol has the same input law, I(V;Yi|U) is
+    # exactly 0 but the entropy sums leave round-off of either sign; the
+    # kernel returns no negative term, and a row still equals its batch-1 call
+    rng = np.random.default_rng(0)
+    for nu, nv, nx in ((2, 3, 3), (1, 4, 2), (3, 8, 3)):
+        ch = random_channel(rng, nx, 3, 3)
+        equal = [random_chain(rng, nu, nv, nx) for _ in range(200)]
+        equal = [AuxChain(c.pu, c.pvu, CondDist(np.repeat(c.pxv.rows[:1], nv, axis=0))) for c in equal]
+        zeros = [with_zeros(rng, random_chain(rng, nu, nv, nx)) for _ in range(200)]
+        for chains in (equal, zeros):
+            iq = _core.chain_info(*_batch(chains), *_marginals(ch))
+            assert np.all(iq >= 0.0)
+            for row, chain in zip(iq, chains):
+                assert np.array_equal(row, _core.chain_info(*_batch([chain]), *_marginals(ch))[0])
+            if chains is equal:
+                assert np.all(iq[:, 2:] < 1e-14)

@@ -626,6 +626,43 @@ class TestBinarySecrecyOracle:
             assert value <= oracles.binary_secrecy_capacity(ch.tensor, 100_001) + 1e-9
 
 
+class TestDataProcessing:
+    # the region's constraints read the channel only through I(.;Y1) and
+    # I(.;Y2) (ROADMAP item 4). Passing Y1 through a channel K can only shrink
+    # the region, and passing Y2 through K can only raise the secrecy support
+    # max (iv1 - iv2)+, so a degraded channel whose search value beats the
+    # original's exposes an under-estimate of the original's. Relabeling the
+    # symbols is not checked: the search does not yet reach the same optimum
+    # under every labeling.
+    DIRECTIONS = ((0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (0.5, 0.5, 0.2, 0.2), (1, 0.5, 0.3, 0.1),
+                  (0.3, 1, 0, 0.5), (0, 1, 0.3, 0.3), (2, 1, 0.5, 0.5))
+    BUDGET = SearchParams(restarts=8, iterations=30, seed=0)
+
+    @staticmethod
+    def _channels():
+        # three seeded 3x3x3 joints, each followed by its K = 0.85 I + 0.15 (a
+        # random stochastic matrix): 54 searches, about 2.5 s on a 2-vCPU
+        # machine; a fourth joint would add 18 more (about 1 s)
+        rng = np.random.default_rng(123)
+        for _ in range(3):
+            joint = rng.dirichlet(0.6 * np.ones(9), size=3).reshape(3, 3, 3)
+            yield joint, 0.85 * np.eye(3) + 0.15 * rng.dirichlet(np.ones(3), size=3)
+
+    def _value(self, tensor, w):
+        return support_function(BroadcastChannel(tensor), w, self.BUDGET).value
+
+    def test_degrading_node_1_never_raises_a_support_value(self):
+        for joint, k in self._channels():
+            degraded = np.einsum("xab,ac->xcb", joint, k)
+            for w in self.DIRECTIONS:
+                assert self._value(degraded, w) <= self._value(joint, w) + 1e-9
+
+    def test_degrading_node_2_never_lowers_the_secrecy_support(self):
+        for joint, k in self._channels():
+            degraded = np.einsum("xab,bc->xac", joint, k)
+            assert self._value(degraded, (0, 1, 0, 0)) >= self._value(joint, (0, 1, 0, 0)) - 1e-9
+
+
 class TestDegradedCollapse:
     def test_composed_degradation(self):
         # node 2 sees node 1's output through a further BSC

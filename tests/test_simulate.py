@@ -29,6 +29,7 @@ from bbcsec import (
 from bbcsec.channel import marginal
 from bbcsec.codebook import decoding_joint
 from bbcsec.coding import Node1Decoder, Node2Decoder
+from bbcsec.simulate import _binomial_ci
 
 from . import oracles
 from .conftest import random_chain, random_channel, with_zeros
@@ -429,6 +430,20 @@ class TestDecodersMatchTheDefinition:
                 assert 0 < np.count_nonzero(decoded >= 0) < decoded.size
 
 
+class TestBinomialCi:
+    # the reported interval, against the reference: Wilson on both sides of
+    # the switch at 10 errors or 10 successes, the normal interval, and the
+    # clipped ends at 0 and 1
+    @pytest.mark.parametrize("errors, trials", [(0, 200), (3, 200), (9, 200), (10, 200), (100, 200), (200, 200), (1, 1)])
+    def test_matches_the_reference_interval(self, errors, trials):
+        est = _binomial_ci(errors, trials)
+        low, high = oracles.binomial_ci(errors, trials)
+        assert (est.rate, est.errors, est.trials) == (errors / trials, errors, trials)
+        assert est.ci_low == pytest.approx(low, abs=1e-12)
+        assert est.ci_high == pytest.approx(high, abs=1e-12)
+        assert 0.0 <= est.ci_low <= est.ci_high <= 1.0
+
+
 class TestAsymptoticTerms:
     def test_trivial_chain_all_zero(self):
         ch = from_marginals(np.eye(2), np.eye(2))
@@ -448,6 +463,16 @@ class TestAsymptoticTerms:
         terms = asymptotic_terms(degraded_chain, bsc12)
         expected = oracles.binary_entropy(0.2) - oracles.binary_entropy(0.1)
         assert terms.combination == pytest.approx(expected, abs=1e-12)
+
+    def test_combination_is_the_secrecy_bound_before_its_clamp(self, degraded_chain):
+        # node 1 is the noisier one, so iv1 < iv2: the combination is
+        # negative while the secrecy bound is clamped at zero
+        ch = from_marginals(binary_symmetric(0.2), binary_symmetric(0.1))
+        terms = asymptotic_terms(degraded_chain, ch)
+        expected = oracles.binary_entropy(0.1) - oracles.binary_entropy(0.2)
+        assert expected < -0.25
+        assert terms.combination == pytest.approx(expected, abs=1e-12)
+        assert evaluate_chain(degraded_chain, ch).secrecy_bound == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), nx=st.integers(2, 3), zeros=st.booleans())
