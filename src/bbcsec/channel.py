@@ -1,9 +1,9 @@
 """Discrete memoryless broadcast channel W(y1,y2|x) and its file format.
 
 The channel spec file is JSON with fields `x_size`, `y1_size`, `y2_size`
-and exactly one of `joint` (nested array indexed [x][y1][y2]) and
-`marginals` {`w1`, `w2`}, which implies the conditionally independent
-product coupling.
+(JSON integers, at least 1) and exactly one of `joint` (nested array
+indexed [x][y1][y2]) and `marginals` {`w1`, `w2`}, which implies the
+conditionally independent product coupling.
 Validation is strict at load; nothing is renormalized.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import jsonio
 from .exceptions import ValidationError
-from .probability import CondDist, Dist, _as_prob_array
+from .probability import CondDist, Dist, _as_count, _as_prob_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,11 +107,7 @@ def _read_json(path, what: str, fields: tuple) -> dict:
 def load_channel(path) -> BroadcastChannel:
     names = ("x_size", "y1_size", "y2_size")
     raw = _read_json(path, "channel", names)
-    for name in names:
-        # bool is an int subclass; 2.0 and "2" are not JSON integers
-        if type(raw[name]) is not int:
-            raise ValidationError(f"{path}: {name} must be a JSON integer, got {raw[name]!r}")
-    shape = tuple(raw[name] for name in names)
+    shape = tuple(_as_count(f"{path}: {name}", raw[name]) for name in names)
 
     if "joint" in raw and "marginals" in raw:
         raise ValidationError(f"{path}: give only one of 'joint' and 'marginals'")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import BroadcastChannel
 from .exceptions import ValidationError, _guard
-from .probability import _entropy, chain_joint
+from .probability import _as_count, _as_indices, _entropy, chain_joint
 from .region import AuxChain
 
 MAX_CODEBOOK_SYMBOLS = 1 << 24  # total stored symbols across all sub-codewords
@@ -24,7 +24,7 @@ MAX_CODEBOOK_SYMBOLS = 1 << 24  # total stored symbols across all sub-codewords
 
 @dataclass(frozen=True)
 class CodebookParams:
-    """Blocklength, index-set sizes and the seed."""
+    """Blocklength and index-set sizes (>= 1) and the seed (>= 0), Python ints."""
 
     n: int
     m0_size: int = 1
@@ -35,13 +35,9 @@ class CodebookParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("CodebookParams: blocklength must be >= 1")
-        for name in ("m0_size", "m1_size", "m2_size", "j_size", "l_size"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"CodebookParams: {name} must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("CodebookParams: seed must be nonnegative")
+        for name in ("n", "m0_size", "m1_size", "m2_size", "j_size", "l_size", "seed"):
+            value, low = getattr(self, name), 0 if name == "seed" else 1
+            object.__setattr__(self, name, _as_count(f"CodebookParams: {name}", value, low))
 
     @property
     def mprime_shape(self) -> tuple:
@@ -198,9 +194,10 @@ class TypicalityScorer:
     def mask(self, *seqs) -> np.ndarray:
         """Typicality of a batch of tuples, one sequence per axis of the joint.
 
-        Each sequence is an integer array (..., n). The leading axes of all
-        sequences broadcast against each other, and the result is a bool
-        array of that broadcast shape (0-d for one tuple of 1-D sequences).
+        Each sequence is an array (..., n) of integer symbols within its
+        axis's alphabet. The leading axes of all sequences broadcast against
+        each other, and the result is a bool array of that broadcast shape
+        (0-d for one tuple of 1-D sequences).
         Each subset's terms are computed over the leading axes of its own
         sequences only, so a term that does not depend on an axis is
         evaluated once for all of that axis; each entry is exactly the
@@ -208,15 +205,14 @@ class TypicalityScorer:
         """
         if len(seqs) != len(self._sizes):
             raise ValidationError(f"TypicalityScorer: {len(seqs)} sequences for a joint of {len(self._sizes)} axes")
-        arrays = [np.asarray(seq, dtype=np.int64) for seq in seqs]
+        arrays = [np.asarray(seq) for seq in seqs]
         if any(arr.ndim < 1 for arr in arrays):
             raise ValidationError("TypicalityScorer: sequences must have a symbol axis")
         n = max(arr.shape[-1] for arr in arrays)
         for a, (arr, size) in enumerate(zip(arrays, self._sizes)):
             if arr.shape[-1] != n:
                 raise ValidationError(f"TypicalityScorer: sequence {a} has length {arr.shape[-1]}, expected {n}")
-            if arr.size and (arr.min() < 0 or arr.max() >= size):
-                raise ValidationError(f"TypicalityScorer: a symbol of sequence {a} is outside [0, {size})")
+            arrays[a] = _as_indices(f"TypicalityScorer: a symbol of sequence {a}", arr, size)
         try:
             batch = np.broadcast_shapes(*(arr.shape[:-1] for arr in arrays))
         except ValueError as exc:

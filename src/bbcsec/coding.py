@@ -23,14 +23,15 @@ import numpy as np
 from .channel import BroadcastChannel
 from .codebook import Codebook, TypicalityScorer, _sample_rows, _uniform_index, decoding_joint
 from .exceptions import ValidationError, _guard
+from .probability import _as_count, _as_indices
 
 MAX_CANDIDATES = 1 << 20
 
 
 def make_partition(j_size: int, k_size: int) -> np.ndarray:
-    """The column classes h(j) = j mod k_size, an array (j_size,); class
-    sizes differ by at most one, so max <= 2 * min."""
-    if not 1 <= k_size <= j_size:
+    """The column classes h(j) = j mod k_size, an array (j_size,), for an integer
+    k_size in [1, j_size]; class sizes differ by at most one, so max <= 2 * min."""
+    if _as_count("make_partition: k_size", k_size) > j_size:
         raise ValidationError(f"make_partition: need 1 <= k_size <= j_size, got {k_size}, {j_size}")
     return np.arange(j_size) % k_size
 
@@ -66,11 +67,9 @@ class MessageSets:
     def cell(self, mc, u) -> np.ndarray:
         """Codeword cells (column, row, common), int64 (..., 3), of messages
         mc (...): the floor(u count)-th of mc's cells in ascending order, per
-        uniform u in [0, 1) (broadcast against mc). The i-th column of class
-        c is c + k i; a single-cell message has one cell for every u."""
-        mc = np.asarray(mc, dtype=np.int64)
-        if np.any((mc < 0) | (mc >= self.mc_size)):
-            raise ValidationError(f"MessageSets: a confidential index is outside [0, {self.mc_size})")
+        uniform u in [0, 1) (broadcast against mc), for integers mc. The i-th
+        column of class c is c + k i; a single-cell message has one cell for every u."""
+        mc = _as_indices("MessageSets: a confidential index", mc, self.mc_size)
         c, l, m0 = np.unravel_index(mc, self.mc_shape)  # mc in digits (class, row, common)
         i = _uniform_index(u, self.cells_per_mc[mc])
         return np.stack(np.broadcast_arrays(c + self.mc_shape[0] * i, l, m0), axis=-1)
@@ -83,15 +82,12 @@ def encode(cells, m1, m2, cb: Codebook, uniforms) -> np.ndarray:
     `MessageSets.cell` picks it from a uniform for the confidential message
     (the stochastic part of the case-B encoder); `m1`, `m2` (...) are the two
     bidirectional messages and `uniforms` (..., n) the uniforms in [0, 1)
-    that sample the input word symbol by symbol from P(x|v).
+    that sample the input word symbol by symbol from P(x|v). Indices are integers.
     """
     p = cb.params
-    j, l, m0 = np.moveaxis(np.asarray(cells, dtype=np.int64), -1, 0)
-    m1, m2 = np.asarray(m1, dtype=np.int64), np.asarray(m2, dtype=np.int64)
-    for name, idx, size in (("j", j, p.j_size), ("l", l, p.l_size), ("m0", m0, p.m0_size),
-                            ("m1", m1, p.m1_size), ("m2", m2, p.m2_size)):
-        if np.any((idx < 0) | (idx >= size)):
-            raise ValidationError(f"encode: {name} index outside [0, {size})")
+    j, l, m0, m1, m2 = (_as_indices(f"encode: {name} index", idx, size) for name, idx, size in
+                        zip(("j", "l", "m0", "m1", "m2"), (*np.moveaxis(np.asarray(cells), -1, 0), m1, m2),
+                            (p.j_size, p.l_size, p.m0_size, p.m1_size, p.m2_size)))
     uniforms = np.asarray(uniforms, dtype=np.float64)
     if uniforms.shape[-1:] != (p.n,):
         raise ValidationError(f"encode: uniforms of shape {uniforms.shape} do not end in the blocklength {p.n}")
@@ -100,14 +96,12 @@ def encode(cells, m1, m2, cb: Codebook, uniforms) -> np.ndarray:
 
 
 def transmit(x_words, ch: BroadcastChannel, uniforms) -> tuple:
-    """Pass a batch of input words x_words (..., n) through the memoryless
-    channel, one symbol per uniform of `uniforms` (..., n); returns (y1, y2)."""
-    x_words = np.asarray(x_words, dtype=np.int64)
+    """Pass a batch of input words x_words (..., n), integer symbols in [0, |X|), through
+    the memoryless channel, one symbol per uniform of `uniforms` (..., n); returns (y1, y2)."""
     uniforms = np.asarray(uniforms, dtype=np.float64)
-    if uniforms.shape != x_words.shape:
-        raise ValidationError(f"transmit: uniforms of shape {uniforms.shape}, input words {x_words.shape}")
-    if np.any((x_words < 0) | (x_words >= ch.x_size)):
-        raise ValidationError(f"transmit: an input symbol is outside [0, {ch.x_size})")
+    if uniforms.shape != np.shape(x_words):
+        raise ValidationError(f"transmit: uniforms of shape {uniforms.shape}, input words {np.shape(x_words)}")
+    x_words = _as_indices("transmit: an input symbol", x_words, ch.x_size)
     flat = ch.tensor.reshape(ch.x_size, -1)
     cdf = np.cumsum(flat, axis=1)
     pairs = _sample_rows(cdf, x_words, uniforms)
@@ -117,13 +111,11 @@ def transmit(x_words, ch: BroadcastChannel, uniforms) -> tuple:
 
 def _check_batch(who: str, y, known, size: int) -> tuple:
     """Validate a decoder's batch, received words (T, n) and the decoding
-    node's own messages (T,); returns both as arrays."""
-    y, known = np.asarray(y), np.asarray(known, dtype=np.int64)
+    node's own messages (T,), integers in [0, size); returns both as arrays."""
+    y, known = np.asarray(y), np.asarray(known)
     if y.ndim != 2 or known.shape != y.shape[:1]:
         raise ValidationError(f"{who}: need words (T, n) and messages (T,), got {y.shape} and {known.shape}")
-    if np.any((known < 0) | (known >= size)):
-        raise ValidationError(f"{who}: own message outside [0, {size})")
-    return y, known
+    return y, _as_indices(f"{who}: own message", known, size)
 
 
 def _unique_hit(hits: np.ndarray, keys: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ package's one scalar entropy.
 
 The types are immutable after construction and validated there (finite, no
 negative entries, mass within 1e-9 of one); nothing renormalizes silently.
+Every count and index the package accepts is checked here, as an integer.
 The chain joint is a plain read-only array; its marginals are axis sums.
 Entropies are in bits. Information terms are computed elsewhere: the
 region's in the `_core` kernel, the simulator's reference terms from
@@ -67,6 +68,25 @@ def _as_prob_array(values, ndim: int, what: str, row_axis: Optional[str] = None)
             raise ValidationError(f"{what}: mass {total!r}{where} differs from 1 by more than {MASS_TOL}")
     arr.flags.writeable = False
     return arr
+
+
+def _as_count(what: str, value, low: int = 1) -> int:
+    """`value` as a Python int: an int or numpy integer, not a bool, at least `low`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{what} must be >= {low}, got {value}")
+    return int(value)
+
+
+def _as_indices(what: str, values, size: int) -> np.ndarray:
+    """`values` as an int64 array whose entries are all integers in [0, size); an empty array passes."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValidationError(f"{what} must be an integer, got dtype {arr.dtype}")
+    if arr.size and (arr.min() < 0 or arr.max() >= size):
+        raise ValidationError(f"{what} outside [0, {size})")
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)

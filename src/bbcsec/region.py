@@ -23,7 +23,7 @@ import numpy as np
 from . import _core
 from .channel import BroadcastChannel, marginal
 from .exceptions import ValidationError
-from .probability import CondDist, Dist
+from .probability import CondDist, Dist, _as_count
 
 SLACK = 1e-9  # constraint slack; per unit of max(w1, w2), the duality gap that ends a Blahut-Arimoto direction
 STEP0 = 0.35  # first-phase perturbation scale of the hill climb
@@ -119,7 +119,7 @@ class RateTuple:
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Budget and reproducibility knobs of one chain search."""
+    """Budget and reproducibility knobs of one chain search, Python ints (the seed >= 0, the rest >= 1)."""
 
     restarts: int = 64
     iterations: int = 500
@@ -128,22 +128,17 @@ class SearchParams:
     v_size: Optional[int] = None
 
     def __post_init__(self):
-        for name in ("restarts", "iterations"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"SearchParams: {name} must be positive")
-        if self.seed < 0:
-            raise ValidationError("SearchParams: seed must be nonnegative")
-        for name in ("u_size", "v_size"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ValidationError(f"SearchParams: {name} must be positive")
+        for name in ("restarts", "iterations", "seed", "u_size", "v_size"):
+            value, low = getattr(self, name), 0 if name == "seed" else 1
+            if not (value is None and name.endswith("_size")):
+                object.__setattr__(self, name, _as_count(f"SearchParams: {name}", value, low))
 
     def sizes_for(self, x_size: int) -> tuple:
         nu = self.u_size if self.u_size is not None else min(x_size + 3, 6)
         nv = self.v_size if self.v_size is not None else min(max_v_size(x_size), 8)
-        if not 1 <= nu <= max_u_size(x_size):
-            raise ValidationError(f"u_size={nu} outside [1, {max_u_size(x_size)}]")
-        if not 1 <= nv <= max_v_size(x_size):
-            raise ValidationError(f"v_size={nv} outside [1, {max_v_size(x_size)}]")
+        for name, size, top in (("u_size", nu, max_u_size(x_size)), ("v_size", nv, max_v_size(x_size))):
+            if size > top:  # every size is at least 1, by __post_init__ or by default
+                raise ValidationError(f"{name}={size} outside [1, {top}]")
         return nu, nv
 
 
@@ -468,10 +463,10 @@ def support_function(ch: BroadcastChannel, w, p: SearchParams = SearchParams()) 
 
 
 def octant_directions(count: int, dims: int) -> list:
-    """Deterministic nonnegative weight directions: the integer lattice on
-    the simplex, densified until at least `count` directions exist."""
-    if count < 1:
-        raise ValidationError(f"octant_directions: count must be positive, got {count}")
+    """Deterministic nonnegative weight directions in `dims` >= 2 dimensions:
+    the integer lattice on the simplex, densified until at least `count` exist."""
+    count = _as_count("octant_directions: count", count)
+    dims = _as_count("octant_directions: dims", dims, 2)
     m = 1
     while math.comb(m + dims - 1, dims - 1) < count:
         m += 1
@@ -561,7 +556,7 @@ def _blahut_arimoto(ch: BroadcastChannel, wr1: float, wr2: float) -> np.ndarray:
 
 
 def bbc_frontier(ch: BroadcastChannel, count: int) -> list:
-    """Upper-right frontier of the plain bidirectional region over `count`
+    """Upper-right frontier of the plain bidirectional region over `count` >= 1
     weight directions (w1, w2) = (cos t, sin t), t evenly spaced in [0, pi/2].
 
     The region is the rc = re = 0 slice of the full region, so each point is
@@ -570,8 +565,7 @@ def bbc_frontier(ch: BroadcastChannel, count: int) -> list:
     achieves it. A Pareto/hull closure follows, and time sharing makes the
     point list represent the hull.
     """
-    if count < 1:
-        raise ValidationError(f"bbc_frontier: count must be positive, got {count}")
+    count = _as_count("bbc_frontier: count", count)
     thetas = [(math.pi / 2) * k / max(1, count - 1) for k in range(count)]
     return _pareto(_dedupe(full_frontier(ch, [(0.0, 0.0, math.cos(t), math.sin(t)) for t in thetas])))
 

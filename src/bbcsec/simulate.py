@@ -18,7 +18,7 @@ from .channel import BroadcastChannel, marginal
 from .codebook import Codebook, CodebookParams, _check_code, _sample_rows, _uniform_index, generate
 from .coding import MessageSets, Node1Decoder, Node2Decoder, _node1_candidates, encode, transmit
 from .exceptions import ValidationError, _guard
-from .probability import _entropy, chain_joint
+from .probability import _as_count, _entropy, chain_joint
 from .region import AuxChain, evaluate_chain
 
 MAX_EXACT_SEQUENCES = 1 << 20
@@ -38,7 +38,8 @@ class ErrorEstimate:
 
 
 def _binomial_ci(errors: int, trials: int) -> ErrorEstimate:
-    """Normal-approximation CI, Wilson when either count is below 10."""
+    """Normal-approximation CI, Wilson when either count is below 10; its
+    ends are clipped to [0, 1] and to either side of the rate."""
     z = 1.959963984540054
     p = errors / trials
     if min(errors, trials - errors) < 10:
@@ -49,7 +50,7 @@ def _binomial_ci(errors: int, trials: int) -> ErrorEstimate:
     else:
         half = z * math.sqrt(p * (1 - p) / trials)
         low, high = p - half, p + half
-    return ErrorEstimate(p, max(0.0, low), min(1.0, high), errors, trials)
+    return ErrorEstimate(p, max(0.0, min(low, p)), min(1.0, max(high, p)), errors, trials)
 
 
 @dataclass(frozen=True)
@@ -219,8 +220,8 @@ def equivocation_mc(cb: Codebook, ms: MessageSets, samples: int, rng) -> tuple:
 
     Each episode samples a transmission and evaluates the exact posterior
     of the confidential message for the received word; the estimator is the
-    average of -log2(posterior at the true message). Returns (estimate,
-    standard error) in bits.
+    average of -log2(posterior at the true message) over `samples` >= 2
+    episodes, an integer. Returns (estimate, standard error) in bits.
 
     Episode e reads row e of a matrix of uniforms of width 4 + n, drawn from
     `rng` block by block: mc, m1, m2, the codeword cell (`_read_messages`)
@@ -231,8 +232,7 @@ def equivocation_mc(cb: Codebook, ms: MessageSets, samples: int, rng) -> tuple:
     so no value depends on the block size. Its resource guards (`_check_mc`)
     are raised before any draw.
     """
-    if samples < 2:
-        raise ValidationError("equivocation_mc: need at least 2 samples")
+    samples = _as_count("equivocation_mc: samples", samples, 2)
     p = cb.params
     _check_mc(p, cb.channel.y2_size, samples)
     wv2 = _effective_w2(cb)
@@ -272,7 +272,8 @@ def equivocation_mc(cb: Codebook, ms: MessageSets, samples: int, rng) -> tuple:
 @dataclass(frozen=True)
 class SimConfig:
     """A full simulation request; the blocklength lives in the codebook
-    parameters, the decoders' typicality slack `epsilon` here."""
+    parameters, the decoders' typicality slack `epsilon` here. Its counts
+    and seed are stored as Python ints."""
 
     trials: int
     params: CodebookParams
@@ -285,16 +286,13 @@ class SimConfig:
     k_size: Optional[int] = None  # column classes; None gives one column per class (case A)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError("SimConfig: trials must be >= 1")
+        object.__setattr__(self, "trials", _as_count("SimConfig: trials", self.trials))
         if self.equiv_mode not in ("exact", "mc", "none"):
             raise ValidationError(f"SimConfig: unknown equivocation mode {self.equiv_mode!r}")
-        if self.mc_samples < 2:
-            raise ValidationError("SimConfig: mc_samples must be >= 2")
+        object.__setattr__(self, "mc_samples", _as_count("SimConfig: mc_samples", self.mc_samples, 2))
         if not 0 < self.epsilon < math.inf:
             raise ValidationError("SimConfig: epsilon must be positive and finite")
-        if self.seed < 0:
-            raise ValidationError("SimConfig: seed must be nonnegative")
+        object.__setattr__(self, "seed", _as_count("SimConfig: seed", self.seed, 0))
 
     def to_dict(self) -> dict:
         return {

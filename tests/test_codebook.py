@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -29,6 +30,17 @@ class TestParams:
             CodebookParams(n=0)
         with pytest.raises(ValidationError):
             CodebookParams(n=4, j_size=0)
+
+    @pytest.mark.parametrize("name", ["n", "m0_size", "m1_size", "m2_size", "j_size", "l_size", "seed"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_non_integer_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            CodebookParams(**{"n": 4, name: value})
+
+    def test_numpy_integers_stored_as_int(self):
+        values = (5, 1, 2, 1, 4, 2, 7)
+        p = CodebookParams(*(np.int64(v) for v in values))
+        assert [type(v) for v in astuple(p)] == [int] * 7 and astuple(p) == values
 
 
 class TestGenerate:
@@ -171,6 +183,8 @@ class TestIsTypical:
             scorer.mask(np.zeros((3, 4), dtype=int), np.zeros((2, 4), dtype=int))
         with pytest.raises(ValidationError):
             scorer.mask(np.array([0, 2]), np.array([0, 0]))
+        with pytest.raises(ValidationError, match="integer"):  # not truncated to [0, 1]
+            scorer.mask(np.array([0.0, 1.9]), np.array([0, 0]))
         with pytest.raises(ValidationError):
             TypicalityScorer(np.full((2, 2), 0.25), math.nan)
         # one sequence per axis of the joint, no more and no fewer

@@ -85,7 +85,7 @@ class TestPartition:
             assert max(sizes) <= 2 * min(sizes)
 
     def test_invalid(self):
-        for j, k in [(2, 3), (4, 0)]:
+        for j, k in [(2, 3), (4, 0), (4, 2.5), (4, True)]:
             with pytest.raises(ValidationError):
                 make_partition(j, k)
 
@@ -177,7 +177,7 @@ class TestMessageCells:
 
     def test_out_of_range(self):
         ms = MessageSets.case_b(CodebookParams(n=2, j_size=4, l_size=2), 2)
-        for mc in (-1, ms.mc_size):
+        for mc in (-1, ms.mc_size, 1.9, [0.0, 1.0]):  # a float is not truncated
             with pytest.raises(ValidationError):
                 ms.cell(mc, 0.5)
 
@@ -224,6 +224,10 @@ class TestEncode:
             _encode(99, 0, 0, cb, ms, np.random.default_rng(0))
         with pytest.raises(ValidationError):
             _encode(0, 5, 0, cb, ms, np.random.default_rng(0))
+        # a float cell or message is not truncated to an index
+        for cell, m1 in (((1.9, 0, 0), 0), ((1, 0, 0), 0.5)):
+            with pytest.raises(ValidationError, match="integer"):
+                encode(cell, m1, 0, cb, np.full(4, 0.5))
 
     def test_case_a_injective_in_messages(self, noiseless4, carrier_chain):
         params = CodebookParams(n=4, m1_size=2, m2_size=2, seed=5)
@@ -290,7 +294,7 @@ class TestTransmit:
 
     def test_out_of_range_input_symbol(self, bsc12):
         # a negative symbol would otherwise index the last channel row
-        for x in ([0, -1, 1], [0, 2, 1]):
+        for x in ([0, -1, 1], [0, 2, 1], [0, 1.9, 1]):
             with pytest.raises(ValidationError, match="input symbol"):
                 transmit(np.array(x), bsc12, np.full(3, 0.5))
 
@@ -309,6 +313,16 @@ class TestDecoders:
             _, x = _encode(mc, 0, 0, cb, ms, rng)
             y1, _ = _transmit(x, ch, rng)
             assert _decode1(y1, 0, cb, ms, epsilon) == (mc, 0)
+
+    def test_float_messages_and_symbols_rejected(self, bsc12, degraded_chain):
+        # a float own message or received symbol is not truncated to an index
+        params = CodebookParams(n=4, m1_size=2, m2_size=2, j_size=2, seed=0)
+        cb = generate(params, degraded_chain, bsc12)
+        words, own = np.zeros((2, 4), dtype=int), np.zeros(2, dtype=int)
+        for decode in (Node1Decoder(cb, MessageSets(params), 0.2), Node2Decoder(cb, 0.2)):
+            for y, m in ((words, own + 0.9), (words + 0.9, own)):
+                with pytest.raises(ValidationError, match="integer"):
+                    decode(y, m)
 
     def test_noiseless_round_trip_node2(self, noiseless4, carrier_chain):
         epsilon = 1.0

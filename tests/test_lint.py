@@ -5,8 +5,9 @@ their imports are the package's exports), every private module-level name
 of the package is used somewhere in the package, every public function or
 class is exported or used by the package or the benchmark, the test
 oracles and the package never import each other, a resource-guard
-error is constructed only by the one helper in `exceptions.py`, and the
-simulator builds no random generator inside a loop.
+error is constructed only by the one helper in `exceptions.py`, the
+simulator builds no random generator inside a loop, and no array is cast
+to an integer type without the check of `probability._as_indices`.
 """
 
 import ast
@@ -141,3 +142,20 @@ def test_no_generator_built_in_a_loop():
                              if isinstance(node, ast.Call)
                              and builders & {getattr(node.func, "id", None), getattr(node.func, "attr", None)})
     assert sorted(sites) == []
+
+
+def test_no_silent_integer_casts():
+    # np.asarray(x, dtype=np.int64) truncates 1.9 to 1; every index array
+    # goes through probability._as_indices, which rejects non-integers
+    def integer_dtype(node):
+        name = getattr(node, "attr", getattr(node, "id", ""))
+        return name == "int" or name.startswith(("int", "uint"))
+
+    sites = []
+    for p in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("asarray", "array"):
+                dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"] + node.args[1:2]
+                if any(integer_dtype(d) for d in dtypes):
+                    sites.append(f"{p.relative_to(ROOT)}:{node.lineno}")
+    assert sites == []

@@ -343,6 +343,18 @@ class TestSupportFunction:
         assert np.array_equal(first.chain.pxv.rows, again.chain.pxv.rows)
 
 
+class TestSearchParams:
+    @pytest.mark.parametrize("name", ["restarts", "iterations", "seed", "u_size", "v_size"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_non_integer_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            SearchParams(**{name: value})
+
+    def test_numpy_integers_stored_as_int(self):
+        p = SearchParams(*(np.int64(v) for v in (4, 30, 0, 2, 3)))
+        assert [type(v) for v in astuple(p)] == [int] * 5 and astuple(p) == (4, 30, 0, 2, 3)
+
+
 class TestOctantDirections:
     @pytest.mark.parametrize("count,dims,size", [(1, 3, 3), (3, 3, 3), (4, 3, 6), (10, 4, 10), (11, 4, 20)])
     def test_least_lattice_with_count_directions(self, count, dims, size):
@@ -350,10 +362,13 @@ class TestOctantDirections:
         assert len(dirs) == size
         assert all(len(d) == dims and sum(d) == pytest.approx(1.0) and min(d) >= 0.0 for d in dirs)
 
-    @pytest.mark.parametrize("count", [0, -2])
-    def test_nonpositive_count_rejected(self, count):
+    # a count that is not a positive integer, and one dimension, where the
+    # lattice has one direction at every size, so no size reaches count 2
+    @pytest.mark.parametrize("count,dims", [(0, 3), (-2, 3), (2.5, 3), (True, 3), (2, 1)],
+                             ids=["0", "-2", "2.5", "True", "dims-1"])
+    def test_nonpositive_count_rejected(self, count, dims):
         with pytest.raises(ValidationError):
-            octant_directions(count, 3)
+            octant_directions(count, dims)
 
 
 class TestSecrecyFrontier:
@@ -458,7 +473,7 @@ class TestBbcFrontierCertified:
             law = res.chain.pu.probs @ res.chain.pvu.rows @ res.chain.pxv.rows
             assert res.value == pytest.approx(oracles.duality_bound(law, (self.W1, self.W2), wr), abs=1e-9)
 
-    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
     def test_nonpositive_count_rejected(self, asym4, count):
         with pytest.raises(ValidationError):
             bbc_frontier(asym4, count)
@@ -661,6 +676,30 @@ class TestDataProcessing:
         for joint, k in self._channels():
             degraded = np.einsum("xab,bc->xac", joint, k)
             assert self._value(degraded, (0, 1, 0, 0)) >= self._value(joint, (0, 1, 0, 0)) - 1e-9
+
+
+class TestDegradedSecrecyOracle:
+    # ROADMAP item 5: on a degraded pair W2 = W1 K the secrecy capacity is
+    # max_P I(X;Y1) - I(X;Y2), certified by a concavity gap at any |X|
+    def test_matches_the_binary_oracle_on_the_bsc_pair(self):
+        # BSC(0.2) is BSC(0.1) followed by BSC(0.125)
+        value, gap = oracles.degraded_secrecy_capacity(oracles.bsc(0.1), oracles.bsc(0.125), 1e-12)
+        joint = np.einsum("xa,xb->xab", oracles.bsc(0.1), oracles.bsc(0.2))
+        assert gap <= 1e-12
+        assert value == pytest.approx(oracles.binary_secrecy_capacity(joint, 20_001), abs=1e-9)
+
+    def test_support_never_exceeds_the_oracle(self):
+        # the upper side only: the search is known to fall short at small
+        # budgets (ROADMAP measured up to 4.2e-5 at 20 x 60; here, at 8 x 30,
+        # up to 1.1e-3 on a 4-input pair); about 0.8 s
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            nx, ny1, ny2 = (int(s) for s in rng.integers(2, 5, size=3))
+            w1 = rng.dirichlet(0.6 * np.ones(ny1), size=nx)
+            k = rng.dirichlet(0.8 * np.ones(ny2), size=ny1)
+            value, gap = oracles.degraded_secrecy_capacity(w1, k, 1e-10)
+            res = support_function(from_marginals(w1, w1 @ k), (0, 1, 0, 0), SearchParams(restarts=8, iterations=30))
+            assert res.value <= value + gap + 1e-12
 
 
 class TestDegradedCollapse:

@@ -198,6 +198,13 @@ class TestEquivocationMc:
         est, se = equivocation_mc(cb, ms, 500, np.random.default_rng(3))
         assert est == pytest.approx(math.log2(ms.mc_size), abs=max(3 * se, 1e-9))
 
+    @pytest.mark.parametrize("samples", [1, 2.5, True])
+    def test_samples_must_be_an_integer_of_at_least_two(self, bsc12, degraded_chain, samples):
+        params = CodebookParams(n=4, seed=1)
+        cb = generate(params, degraded_chain, bsc12)
+        with pytest.raises(ValidationError, match="samples"):
+            equivocation_mc(cb, MessageSets(params), samples, np.random.default_rng(0))
+
     def test_single_message_exact_zero(self, bsc12, degraded_chain):
         params = CodebookParams(n=4, seed=1)
         cb = generate(params, degraded_chain, bsc12)
@@ -443,6 +450,13 @@ class TestBinomialCi:
         assert est.ci_high == pytest.approx(high, abs=1e-12)
         assert 0.0 <= est.ci_low <= est.ci_high <= 1.0
 
+    def test_every_interval_holds_its_rate(self):
+        # the Wilson ends carry round-off (center - half is about 1.7e-18 at
+        # 0 errors of 200), which must not push them past the rate
+        bad = [(e, t) for t in range(1, 301) for e in range(t + 1)
+               if not 0.0 <= (est := _binomial_ci(e, t)).ci_low <= est.rate <= est.ci_high <= 1.0]
+        assert bad == []
+
 
 class TestAsymptoticTerms:
     def test_trivial_chain_all_zero(self):
@@ -551,6 +565,19 @@ class TestRun:
         with pytest.raises(ValidationError):
             run(cfg)
         assert calls == []
+
+    @pytest.mark.parametrize("name", ["trials", "mc_samples", "seed"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_non_integer_count_rejected(self, bsc12, degraded_chain, name, value):
+        with pytest.raises(ValidationError, match=name):
+            SimConfig(**{"trials": 1, "params": CodebookParams(n=4), "chain": degraded_chain,
+                         "channel": bsc12, name: value})
+
+    def test_numpy_integers_stored_as_int(self, bsc12, degraded_chain):
+        cfg = SimConfig(trials=np.int64(3), params=CodebookParams(n=4), chain=degraded_chain, channel=bsc12,
+                        mc_samples=np.int64(5), seed=np.int64(2))
+        counts = (cfg.trials, cfg.mc_samples, cfg.seed)
+        assert [type(v) for v in counts] == [int] * 3 and counts == (3, 5, 2)
 
     @pytest.mark.parametrize("mode", ["exact", "mc", "none"])
     @pytest.mark.parametrize("samples", [-7, 1])
