@@ -58,7 +58,7 @@ class MarginalChannel:
 def marginal(ch: BroadcastChannel, node: int) -> MarginalChannel:
     """Per-node transition matrix, the other node's outputs summed out; built
     and validated once, with the channel."""
-    if node not in (1, 2):
+    if _as_count("marginal: node", node) > 2:
         raise ValidationError(f"marginal: node must be 1 or 2, got {node}")
     return ch.marginals[node - 1]
 

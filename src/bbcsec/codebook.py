@@ -175,6 +175,14 @@ class TypicalityScorer:
     non-empty subset of its axes, the per-symbol sample log-probability is
     within epsilon of the corresponding marginal entropy; any
     zero-probability symbol combination fails regardless of epsilon.
+
+    A sample log-probability depends on the tuple only through its joint
+    type (the method of types), so `mask` scores from symbol counts: the
+    last axis is the received side, the others combine into one codeword
+    symbol of A = their alphabets' product values, and each pair of a
+    codeword and a received word is scored from its |Y| x A counts. A call
+    on c codewords and t received words of length n holds n (c A + t |Y|)
+    one-hot entries, t c |Y| A counts and two score arrays of t c entries.
     """
 
     def __init__(self, joint: np.ndarray, epsilon: float):
@@ -182,14 +190,37 @@ class TypicalityScorer:
         if not self.epsilon >= 0.0:
             raise ValidationError(f"TypicalityScorer: epsilon={epsilon} must be nonnegative")
         self._sizes = joint.shape
-        axes = range(joint.ndim)
+        last = joint.ndim - 1
+        self._zero_cells = np.argwhere(joint.reshape(-1, joint.shape[-1]) <= 0.0).tolist()
+        # per subset: whether it reads the codeword and the received side,
+        # its log-probabilities over the (codeword, received) cells it reads
+        # (zero-probability cells left out: the zero cells of the joint
+        # reject them), and its entropy
         self._subsets = []
         for r in range(1, joint.ndim + 1):
-            for sub in combinations(axes, r):
-                marg = joint.sum(axis=tuple(a for a in axes if a not in sub))
+            for sub in combinations(range(joint.ndim), r):
+                marg = joint.sum(axis=tuple(a for a in range(joint.ndim) if a not in sub), keepdims=True)
                 with np.errstate(divide="ignore"):
                     logp = np.log2(marg)
-                self._subsets.append((sub, marg.shape, logp.reshape(-1), _entropy(marg)))
+                sides = (sub[0] < last, sub[-1] == last)  # reads the codeword side, the received side
+                cells = (joint.shape[:-1] if sides[0] else marg.shape[:-1]) + marg.shape[-1:]
+                lifted = np.broadcast_to(logp, cells).reshape(-1, marg.shape[-1])
+                terms = [(a, y, lp) for (a, y), lp in np.ndenumerate(lifted) if lp > -math.inf]
+                self._subsets.append((sides, terms, _entropy(marg)))
+
+    def block_shape(self, codewords: int, n: int, entries: int) -> tuple:
+        """(received words, codewords) of the largest call against `codewords`
+        codewords of length n whose arrays hold at most `entries` entries:
+        every codeword and as many received words as fit or, when one
+        received word against every codeword needs more, one received word
+        and as many codewords as fit (at least one of each)."""
+        *word_sizes, ny = self._sizes
+        na = math.prod(word_sizes)
+        per_pair = ny * na + 2  # the counts and score entries of one (codeword, received word) pair
+        per_codeword = na * n + per_pair  # with its one-hot word, against one received word
+        if codewords * per_codeword + ny * n <= entries:
+            return (entries - codewords * na * n) // (ny * n + codewords * per_pair), codewords
+        return 1, max(1, (entries - ny * n) // per_codeword)
 
     def mask(self, *seqs) -> np.ndarray:
         """Typicality of a batch of tuples, one sequence per axis of the joint.
@@ -198,10 +229,13 @@ class TypicalityScorer:
         axis's alphabet. The leading axes of all sequences broadcast against
         each other, and the result is a bool array of that broadcast shape
         (0-d for one tuple of 1-D sequences).
-        Each subset's terms are computed over the leading axes of its own
-        sequences only, so a term that does not depend on an axis is
-        evaluated once for all of that axis; each entry is exactly the
-        one-tuple test of its tuple.
+        The counts of every (codeword, received word) pair come from one
+        matrix product of one-hot words; each subset's sample
+        log-probability is its counts times its log-probabilities, summed
+        over its cells in one fixed order, and a subset of codeword axes
+        only (received axis only) is scored once per codeword (received
+        word). Counts are exact, so each entry is exactly the one-tuple test
+        of its tuple.
         """
         if len(seqs) != len(self._sizes):
             raise ValidationError(f"TypicalityScorer: {len(seqs)} sequences for a joint of {len(self._sizes)} axes")
@@ -218,23 +252,56 @@ class TypicalityScorer:
         except ValueError as exc:
             raise ValidationError(f"TypicalityScorer: batch shapes do not broadcast: {exc}") from None
 
-        ok = np.ones(batch, dtype=bool)
-        for sub, shape, logp_flat, h in self._subsets:
-            idx = arrays[sub[0]]
-            for a, size in zip(sub[1:], shape[1:]):
-                idx = idx * size + arrays[a]
-            sample = -logp_flat[idx].sum(axis=-1) / n
-            # log-probabilities are finite except -inf at zero-probability
-            # symbols, so `sample` is finite exactly when none occurs
-            ok &= np.isfinite(sample) & (np.abs(sample - h) <= self.epsilon)
-        return ok
+        *word_sizes, ny = self._sizes
+        na = math.prod(word_sizes)
+        word = np.zeros(n, dtype=np.int64)  # the combined codeword symbol
+        for arr, size in zip(arrays, word_sizes):
+            word = word * size + arr
+        s, ry, rw, order, word, received = _split_batch(batch, word, arrays[-1])
+        # one-hot words, (s, |Y|, ry, n) and (s, n, A, rw): the counts come
+        # out (s, |Y|, ry, A, rw), each cell's counts a block of rows
+        one_y = (received[:, None] == np.arange(ny)[:, None, None]).astype(np.float64)
+        one_w = (word.transpose(0, 2, 1)[:, :, None] == np.arange(na)[:, None]).astype(np.float64)
+        counts = (one_y.reshape(s, ny * ry, n) @ one_w.reshape(s, n, na * rw)).reshape(s, ny, ry, na, rw)
+        tables = {(True, True): counts,
+                  (True, False): one_w.sum(axis=1).reshape(s, 1, 1, na, rw),
+                  (False, True): one_y.sum(axis=3).reshape(s, ny, ry, 1, 1)}
+        ok = np.ones((s, ry, rw), dtype=bool)
+        for a, y in self._zero_cells:
+            ok &= counts[:, y, :, a] == 0.0
+        for sides, terms, h in self._subsets:
+            table = tables[sides]
+            total = np.zeros((s, table.shape[2], table.shape[4]))  # n times the sample log-probability
+            term = np.empty_like(total)
+            for a, y, lp in terms:
+                total += np.multiply(table[:, y, :, a], lp, out=term)
+            total /= -n
+            total -= h
+            ok &= np.abs(total, out=total) <= self.epsilon
+        return ok.reshape([batch[i] for i in order]).transpose(np.argsort(order))
+
+
+def _split_batch(batch: tuple, word: np.ndarray, received: np.ndarray) -> tuple:
+    """Lay the batch axes out for one matrix product: axes where both the
+    codewords and the received words vary (s of them in all), then the
+    received words' own (ry), the codewords' own (rw), and the rest.
+    Returns (s, ry, rw, order, word (s, rw, n), received (s, ry, n)), where
+    `order` lists the batch axes in that layout."""
+    b = len(batch)
+    word, received = (arr.reshape((1,) * (b + 1 - arr.ndim) + arr.shape) for arr in (word, received))
+    kinds = [2 * (wd != 1) + (yd != 1) for wd, yd in zip(word.shape[:-1], received.shape[:-1])]
+    order = sorted(range(b), key=lambda i: (3, 1, 2, 0).index(kinds[i]))
+    s, ry, rw = (math.prod(batch[i] for i in range(b) if kinds[i] == kind) for kind in (3, 1, 2))
+    n = word.shape[-1]
+    return (s, ry, rw, order, word.transpose(order + [b]).reshape(s, rw, n),
+            received.transpose(order + [b]).reshape(s, ry, n))
 
 
 def decoding_joint(cb: Codebook, node: int) -> np.ndarray:
     """Joint law over (first layer, second layer, output of node 1 or 2)
     with the physical input and the other output summed out; the law the
     decoders test typicality against."""
-    if node not in (1, 2):
+    if _as_count("decoding_joint: node", node) > 2:
         raise ValidationError(f"decoding_joint: node must be 1 or 2, got {node}")
     full = chain_joint(cb.chain, cb.channel)
     return full.sum(axis=(2, 5 - node))

@@ -26,11 +26,14 @@ from .exceptions import ValidationError, _guard
 from .probability import _as_count, _as_indices
 
 MAX_CANDIDATES = 1 << 20
+_CHUNK_ROWS = 1 << 13  # a decoder block holds at most _CHUNK_ROWS x n entries; simulate reads it too
 
 
 def make_partition(j_size: int, k_size: int) -> np.ndarray:
-    """The column classes h(j) = j mod k_size, an array (j_size,), for an integer
-    k_size in [1, j_size]; class sizes differ by at most one, so max <= 2 * min."""
+    """The column classes h(j) = j mod k_size, an array (j_size,), for integers
+    j_size >= 1 and k_size in [1, j_size]; class sizes differ by at most one,
+    so max <= 2 * min."""
+    j_size = _as_count("make_partition: j_size", j_size)
     if _as_count("make_partition: k_size", k_size) > j_size:
         raise ValidationError(f"make_partition: need 1 <= k_size <= j_size, got {k_size}, {j_size}")
     return np.arange(j_size) % k_size
@@ -132,19 +135,25 @@ def _decode(scorer: TypicalityScorer, y, own, keys, words_for) -> np.ndarray:
     candidate, in the candidates' array shape) that every candidate typical
     with its word shares, or -1 (see _unique_hit).
 
-    Trials that share their own message m share one typicality call against
-    words_for(m), the candidates' codewords in the scorer's axis order
-    before the received word, each a view of the codebook broadcasting to
-    (keys' shape, n); a term that does not depend on an index axis is
-    computed once for all of it.
+    Trials that share their own message m are scored against words_for(m),
+    the candidates' codewords in the scorer's axis order before the received
+    word, each a view of the codebook broadcasting to (keys' shape, n), in
+    blocks of trials and of candidates in their flat order whose typicality
+    calls hold at most _CHUNK_ROWS * n entries (`TypicalityScorer.block_shape`).
     """
     out = np.empty(own.shape, dtype=np.int64)
     flat_keys = keys.reshape(-1)
+    t_block, c_block = scorer.block_shape(flat_keys.size, y.shape[-1], _CHUNK_ROWS * y.shape[-1])
     for m in sorted(set(own.tolist())):
-        rows = np.flatnonzero(own == m)
-        y_rows = y[rows].reshape((rows.size,) + (1,) * keys.ndim + y.shape[-1:])
-        hits = scorer.mask(*words_for(m), y_rows)
-        out[rows] = _unique_hit(hits.reshape(rows.size, -1), flat_keys)
+        words = [np.broadcast_to(w, keys.shape + y.shape[-1:]) for w in words_for(m)]
+        trials = np.flatnonzero(own == m)
+        for t0 in range(0, trials.size, t_block):
+            rows = trials[t0:t0 + t_block]
+            hits = np.empty((rows.size, flat_keys.size), dtype=bool)
+            for c0 in range(0, flat_keys.size, c_block):
+                cand = np.unravel_index(np.arange(c0, min(c0 + c_block, flat_keys.size)), keys.shape)
+                hits[:, c0:c0 + c_block] = scorer.mask(*(w[cand] for w in words), y[rows, None])
+            out[rows] = _unique_hit(hits, flat_keys)
     return out
 
 

@@ -16,14 +16,13 @@ import numpy as np
 
 from .channel import BroadcastChannel, marginal
 from .codebook import Codebook, CodebookParams, _check_code, _sample_rows, _uniform_index, generate
-from .coding import MessageSets, Node1Decoder, Node2Decoder, _node1_candidates, encode, transmit
+from .coding import _CHUNK_ROWS, MessageSets, Node1Decoder, Node2Decoder, _node1_candidates, encode, transmit
 from .exceptions import ValidationError, _guard
 from .probability import _as_count, _entropy, chain_joint
 from .region import AuxChain, evaluate_chain
 
 MAX_EXACT_SEQUENCES = 1 << 20
 MAX_TABLE_ENTRIES = 1 << 28  # entries of one dense equivocation array (2 GiB of float64)
-_CHUNK_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -156,11 +155,19 @@ def _step_tables(v_seqs: np.ndarray, wv2: np.ndarray) -> list:
 
 def _suffix_products(steps: list, n_words: int) -> np.ndarray:
     """Likelihood of every output sequence over the positions of `steps`
-    (lexicographic rows) per word; one row of ones for no positions."""
-    out = np.ones((1, n_words))
-    for step in steps:
-        out = (out[:, None, :] * step[None, :, :]).reshape(-1, n_words)
-    return out
+    (lexicographic rows) per word; one row of ones for no positions. One
+    table, filled in place: before position k, the products over the earlier
+    positions sit on the rows whose later digits are all 0, and each is
+    multiplied out to its ny rows of digit k, in the order of a table built
+    position by position."""
+    ny = steps[0].shape[0] if steps else 1
+    table = np.empty((ny ** len(steps), n_words))
+    table[0] = 1.0  # every other row is written from the rows before it
+    for k, step in enumerate(steps):
+        rows = table.reshape(ny ** k, ny, -1, n_words)[:, :, 0]  # (products so far, digit k, word)
+        for y in range(ny - 1, -1, -1):  # digit 0, on the products' own rows, last
+            np.multiply(rows[:, 0], step[y], out=rows[:, y])
+    return table
 
 
 def _law_entropy(prefix: np.ndarray, suffix: np.ndarray) -> float:
@@ -345,15 +352,16 @@ def _run_trials(cfg: SimConfig, cb: Codebook, ms: MessageSets) -> tuple:
     Trial t reads row t of a matrix of uniforms of width 4 + 2n from one
     generator, default_rng((seed, 0)): mc, m1, m2, the codeword cell
     (`_read_messages`), the n encoder and the n channel uniforms. Encoding,
-    transmission and both decoders run on arrays of trials, in blocks whose
-    candidate rows (trials x the larger decoder's candidates) stay within
-    _CHUNK_ROWS, each drawing its own rows of the matrix, so the counts do
-    not depend on the block size. An erasure counts as an error.
+    transmission and both decoders run on arrays of trials, in blocks of as
+    many trials as both decoders score in one typicality call
+    (`TypicalityScorer.block_shape`), each drawing its own rows of the
+    matrix, so the counts do not depend on the block size. An erasure counts
+    as an error.
     """
     dec1 = Node1Decoder(cb, ms, cfg.epsilon)
     dec2 = Node2Decoder(cb, cfg.epsilon)
     p = cfg.params
-    block = max(1, _CHUNK_ROWS // max(dec1.candidates, dec2.candidates))
+    block = min(dec.scorer.block_shape(dec.candidates, p.n, _CHUNK_ROWS * p.n)[0] for dec in (dec1, dec2))
 
     rng = np.random.default_rng((cfg.seed, 0))
     n1 = n2 = 0

@@ -46,9 +46,12 @@ class TestMarginal:
         assert np.allclose(marginal(ch, 2).matrix, [[0.8, 0.2], [0.2, 0.8]])
 
     def test_bad_node(self):
+        # the integer 1 or 2 only: not a bool (True is not node 1) or a float
         ch = from_marginals(np.eye(2), np.eye(2))
-        with pytest.raises(ValidationError):
-            marginal(ch, 3)
+        for node in (3, 0, -1, True, False, 1.0, 2.5, "1", None):
+            with pytest.raises(ValidationError, match="marginal: node"):
+                marginal(ch, node)
+        assert marginal(ch, np.int64(2)) is marginal(ch, 2)
 
     def test_built_once_and_read_only(self):
         ch = from_marginals(binary_symmetric(0.1), binary_symmetric(0.2))

@@ -3,6 +3,8 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbcsec import (
     AuxChain,
@@ -10,6 +12,7 @@ from bbcsec import (
     CondDist,
     Dist,
     GuardError,
+    MessageSets,
     SimConfig,
     ValidationError,
     evaluate_chain,
@@ -18,7 +21,8 @@ from bbcsec import (
     rate_check,
     run,
 )
-from bbcsec.codebook import TypicalityScorer
+from bbcsec.codebook import TypicalityScorer, decoding_joint
+from bbcsec.coding import Node1Decoder
 from bbcsec.probability import chain_joint
 
 from . import oracles
@@ -192,6 +196,65 @@ class TestIsTypical:
             with pytest.raises(ValidationError, match="2 axes"):
                 scorer.mask(*seqs)
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(*(st.integers(1, 3) for _ in range(3))),
+           zeros=st.integers(0, 26), n=st.integers(1, 12), epsilon=st.sampled_from([0.0, 0.1, 1.0, math.inf]))
+    def test_zero_cell_batches_match_one_tuple_calls_and_the_oracle(self, seed, shape, zeros, n, epsilon):
+        # a (U, V, Y) joint with zero cells (at least one cell kept); words
+        # drawn from the joint, so both outcomes occur, and uniform words,
+        # which hit the zero cells
+        rng = np.random.default_rng(seed)
+        flat = rng.dirichlet(np.ones(math.prod(shape)))
+        flat[rng.permutation(flat.size)[:min(zeros, flat.size - 1)]] = 0.0
+        joint = (flat / flat.sum()).reshape(shape)
+        words = [np.unravel_index(rng.choice(flat.size, p=joint.reshape(-1), size=(3, n)), shape),
+                 tuple(rng.integers(size, size=(2, n)) for size in shape)]
+        u, v, y = (np.concatenate(axis) for axis in zip(*words))  # 5 tuples' sequences
+        scorer = TypicalityScorer(joint, epsilon)
+        batch = scorer.mask(u, v, y[:, None])  # (T, C) = (5, 5): every received word against every codeword pair
+        singles = np.array([[scorer.mask(u[c], v[c], y[t]) for c in range(5)] for t in range(5)])
+        assert batch.shape == (5, 5) and np.array_equal(batch, singles)
+        expected = [[oracles.sample_entropy_check({"U": u[c], "V": v[c], "Y": y[t]}, joint, "UVY", epsilon)
+                     for c in range(5)] for t in range(5)]
+        assert np.array_equal(batch, expected)
+
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             TypicalityScorer(np.full((2, 2), 0.25), 0.1).mask(np.zeros(4, dtype=int), np.zeros(5, dtype=int))
+
+
+class TestDecodingJoint:
+    def test_bad_node(self, bsc12, degraded_chain):
+        cb = generate(CodebookParams(n=4), degraded_chain, bsc12)
+        for node in (3, 0, True, 1.0, "2"):
+            with pytest.raises(ValidationError, match="decoding_joint: node"):
+                decoding_joint(cb, node)
+        assert np.array_equal(decoding_joint(cb, np.int64(1)), decoding_joint(cb, 1))
+
+    def test_peak_memory_of_one_node1_block(self):
+        # |U| |V| |Y1| = 24 > n = 8, so a tuple's counts outnumber its
+        # symbols. One block of trials (`block_shape`) stays within 1.5
+        # arrays of _CHUNK_ROWS x n float64 entries, the block budget; a block
+        # of gathered symbols and log-probabilities held more than two
+        import tracemalloc
+
+        import bbcsec.coding as coding
+
+        rng = np.random.default_rng(3)
+        tensor = rng.dirichlet(np.ones(9), size=3).reshape(3, 3, 3)
+        ch = from_marginals(tensor.sum(axis=2), tensor.sum(axis=1))
+        chain = AuxChain(Dist([0.4, 0.6]), CondDist(rng.dirichlet(np.ones(4), size=2)),
+                         CondDist(rng.dirichlet(np.ones(3), size=4)))
+        params = CodebookParams(n=8, m2_size=2, j_size=8, l_size=8, seed=1)
+        decoder = Node1Decoder(generate(params, chain, ch), MessageSets(params), 0.3)
+        trials, candidates = decoder.scorer.block_shape(decoder.candidates, params.n, coding._CHUNK_ROWS * params.n)
+        assert candidates == decoder.candidates == 128 and trials > 1
+        y1, m1 = rng.integers(3, size=(trials, params.n)), np.zeros(trials, dtype=np.int64)
+        decoder(y1, m1)
+        tracemalloc.start()
+        try:
+            decoder(y1, m1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * coding._CHUNK_ROWS * params.n * 8

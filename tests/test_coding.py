@@ -85,9 +85,10 @@ class TestPartition:
             assert max(sizes) <= 2 * min(sizes)
 
     def test_invalid(self):
-        for j, k in [(2, 3), (4, 0), (4, 2.5), (4, True)]:
+        for j, k in [(2, 3), (4, 0), (4, 2.5), (4, True), (2.5, 1), (True, 1), (0, 1), (np.float64(4.0), 2)]:
             with pytest.raises(ValidationError):
                 make_partition(j, k)
+        assert make_partition(np.int64(3), 2).tolist() == [0, 1, 0]
 
 
 @st.composite

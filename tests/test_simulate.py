@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bbcsec import (
     AuxChain,
+    BroadcastChannel,
     CodebookParams,
     CondDist,
     Dist,
@@ -154,10 +155,10 @@ class TestEquivocationExact:
 
     def test_peak_memory_of_the_benchmark_instance(self, bsc12, degraded_chain):
         # 2^18 output words over 64 one-word messages: the suffix likelihood
-        # table (8192 output words x 64 sub-words) is 4 MiB, and it is built
-        # from the 2 MiB table of one position fewer; the output law is
-        # formed one prefix row of 8192 entries (64 KiB) at a time, so the
-        # peak stays below two 8192 x 64 arrays
+        # table (8192 output words x 64 sub-words) is 4 MiB, multiplied in
+        # place position by position; the output law is formed one prefix
+        # row of 8192 entries (64 KiB) at a time, so the peak stays below
+        # 1.25 tables of 8192 x 64
         import tracemalloc
 
         params = CodebookParams(n=18, j_size=8, l_size=8, seed=0)
@@ -169,7 +170,7 @@ class TestEquivocationExact:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 8192 * 64 * 8
+        assert peak < 1.25 * 8192 * 64 * 8
 
     def test_guard(self, bsc12, degraded_chain):
         params = CodebookParams(n=21, j_size=2, seed=0)
@@ -345,12 +346,16 @@ class TestSecrecyLaws:
 
 class TestBatchedTrials:
     def test_block_size_invariance(self, monkeypatch):
+        import bbcsec.coding as coding
         import bbcsec.simulate as sim
 
         for cfg, cb, ms in _two_case_configs():
             results = []
-            for rows in (1, 180, 1 << 20):  # one trial per block, a few with a partial last one, all
+            # trial blocks of one trial (and one candidate per typicality
+            # call), of a few trials with a partial last block, of all trials
+            for rows in (1, 400, 1 << 20):
                 monkeypatch.setattr(sim, "_CHUNK_ROWS", rows)
+                monkeypatch.setattr(coding, "_CHUNK_ROWS", rows)
                 results.append((sim._run_trials(cfg, cb, ms),
                                 equivocation_mc(cb, ms, 400, np.random.default_rng(2))))
             assert results[0] == results[1] == results[2]
@@ -433,6 +438,47 @@ class TestDecodersMatchTheDefinition:
             assert list(zip(mc_hat.tolist(), m2_hat.tolist())) == expected1
             m1_hat = Node2Decoder(cb, cfg.epsilon)(y2, m2)
             assert m1_hat.tolist() == [self._node2(cfg, cb, y, m) for y, m in zip(y2, m2.tolist())]
+            for decoded in (mc_hat, m1_hat):
+                assert 0 < np.count_nonzero(decoded >= 0) < decoded.size
+
+    @staticmethod
+    def _varied_configs():
+        """|X| = 2 and 3, both constructions, channels with zero cells, and
+        chains with |U| |V| |Y1| = 18 > n = 6 on the ternary channel."""
+        rng = np.random.default_rng(23)
+        bsc = from_marginals(binary_symmetric(0.05), binary_symmetric(0.1))
+        zero2, det_chain = _zero_cell_pair(random_chain(rng, 2, 3, 2))
+        tensor = rng.dirichlet(np.ones(9), size=3).reshape(3, 3, 3)
+        tensor[0, 2, :] = tensor[1, :, 0] = tensor[2, 0, 1] = 0.0
+        ternary = BroadcastChannel(tensor / tensor.sum(axis=(1, 2), keepdims=True))
+        sparse = AuxChain(Dist([0.5, 0.5]), CondDist([[0.8, 0.2, 0.0], [0.0, 0.3, 0.7]]), CondDist(np.eye(3)))
+        cases = ((bsc, AuxChain(Dist([0.5, 0.5]), CondDist([[0.9, 0.1], [0.1, 0.9]]), CondDist(np.eye(2))), 8,
+                  None, dict(m0_size=2, m1_size=2, m2_size=2, j_size=2, l_size=2)),
+                 (zero2, det_chain, 8, 2, dict(m1_size=2, m2_size=2, j_size=4, l_size=2)),
+                 (ternary, sparse, 6, None, dict(m1_size=2, m2_size=2, j_size=3, l_size=2)),
+                 (ternary, random_chain(rng, 2, 3, 3), 6, 2, dict(m1_size=2, m2_size=2, j_size=4, l_size=2)))
+        for seed, (ch, chain, n, k_size, sizes) in enumerate(cases):
+            params = CodebookParams(n=n, seed=seed, **sizes)
+            cfg = SimConfig(trials=200, params=params, chain=chain, channel=ch, epsilon=0.3, k_size=k_size)
+            yield cfg, generate(params, chain, ch), MessageSets(params, k_size)
+
+    def test_varied_codebooks_in_any_block_shape(self, monkeypatch):
+        # every decision, also with one candidate per typicality call (the
+        # candidate axis split, as when one trial's candidates exceed the
+        # block budget)
+        import bbcsec.coding as coding
+
+        rng = np.random.default_rng(29)
+        for cfg, cb, ms in self._varied_configs():
+            y1, m1, y2, m2 = self._words(cfg, cb, ms, rng)
+            expected1 = [self._node1(cfg, cb, y, m) for y, m in zip(y1, m1.tolist())]
+            expected2 = [self._node2(cfg, cb, y, m) for y, m in zip(y2, m2.tolist())]
+            for rows in (coding._CHUNK_ROWS, 1):
+                monkeypatch.setattr(coding, "_CHUNK_ROWS", rows)
+                mc_hat, m2_hat = Node1Decoder(cb, ms, cfg.epsilon)(y1, m1)
+                assert list(zip(mc_hat.tolist(), m2_hat.tolist())) == expected1
+                m1_hat = Node2Decoder(cb, cfg.epsilon)(y2, m2)
+                assert m1_hat.tolist() == expected2
             for decoded in (mc_hat, m1_hat):
                 assert 0 < np.count_nonzero(decoded >= 0) < decoded.size
 
