@@ -6,7 +6,7 @@ The regions are closed and convex, so support functions characterize them
 exactly. A support direction (wc, we, w1, w2) with wc + we <= w1, which
 includes the whole bidirectional slice and so every point of the
 bidirectional frontier, is solved by Blahut-Arimoto and certified to within
-SLACK * max(w1, w2).
+SLACK * max(w1, w2), and so is the rc face (wc, 0, w1, 0).
 Every other direction is searched over auxiliary chains (random-restart
 coordinate ascent, its budget a SearchParams), which can under-estimate a
 support value but never over-estimates it: "outside" is evidence, not a
@@ -216,13 +216,9 @@ def _secrecy_term(iv1, iv2):
 def _margin(iu1, iu2, iv1, iv2, t: RateTuple):
     """Smallest slack of the constraints at t, per chain. The arguments are
     clamped information terms, arrays of one shape (one entry per chain)."""
-    return np.minimum.reduce([
-        _secrecy_term(iv1, iv2) - t.re,
-        iv1 + iu1 - t.rc - t.r1,
-        iv1 + iu2 - t.rc - t.r2,
-        iu1 - t.r1,
-        iu2 - t.r2,
-    ])
+    margin = np.minimum(_secrecy_term(iv1, iv2) - t.re, iv1 + iu1 - t.rc - t.r1)
+    margin = np.minimum(margin, iv1 + iu2 - t.rc - t.r2)
+    return np.minimum(np.minimum(margin, iu1 - t.r1), iu2 - t.r2)
 
 
 def rc_re_star(iq: InfoQuantities, r1: float, r2: float) -> tuple:
@@ -339,13 +335,17 @@ def _search_chain(
     its best reaches stop_at.
 
     The live restarts take each row step together: each block is held as a
-    (restarts, rows, cols) array and scored with one kernel call. Each
-    restart keeps the terms of its best next to its value, so the winner is
-    never scored again. Restart i's trajectory depends only on the seed and
-    i. Ties across restarts resolve to the lowest restart index; with
-    stop_at, the lowest restart that reaches it wins and the restarts above
-    it are dropped as soon as it does. Restart 0 is scored alone first, so a
-    search its start already ends builds no other restart; it still retires
+    (restarts, rows, cols) array and scored with one kernel call. A row
+    changes only at its own step, so a sweep's candidates are drawn and
+    projected when the sweep starts, all rows of a block in one projection
+    call, and then scored row by row; a step no restart accepts restores
+    the row and touches nothing else. Each restart keeps the terms of its
+    best next to its value, so the winner is never scored again. Restart
+    i's trajectory depends only on the seed and i. Ties across restarts
+    resolve to the lowest restart index; with stop_at, the lowest restart
+    that reaches it wins and the restarts above it are dropped as soon as it
+    does. Restart 0 is scored alone first, so a search its start already
+    ends builds no other restart and no random generator; it still retires
     through the loop, and every search builds its winner in one place.
     """
     nx = ch.x_size
@@ -353,12 +353,13 @@ def _search_chain(
     w1 = marginal(ch, 1).matrix
     w2 = marginal(ch, 2).matrix
     stop = math.inf if stop_at is None else stop_at
-    rngs = [np.random.Generator(np.random.PCG64((p.seed, 0)))]  # default_rng's stream, built faster
     blocks = [blk[None] for blk in _structured_init(0, nu, nv, nx)]
     terms = _core.chain_info(blocks[0][:, 0], blocks[1], blocks[2], w1, w2)
     best = score_fn(terms)
-    if best[0] < stop and p.restarts > 1:
-        rngs += [np.random.Generator(np.random.PCG64((p.seed, i))) for i in range(1, p.restarts)]
+    rngs = []  # a search that restart 0's start ends draws nothing
+    if best[0] < stop:
+        rngs = [np.random.Generator(np.random.PCG64((p.seed, i))) for i in range(p.restarts)]  # default_rng's streams, built faster
+    if len(rngs) > 1:
         more = [np.stack(b) for b in zip(*(
             _structured_init(i, nu, nv, nx) if i < STRUCTURED_STARTS else _random_init(nu, nv, nx, rngs[i])
             for i in range(1, p.restarts)
@@ -367,18 +368,19 @@ def _search_chain(
         best, terms = np.concatenate([best, score_fn(more_terms)]), np.concatenate([terms, more_terms])
         blocks = [np.concatenate(b) for b in zip(blocks, more)]
 
-    rows, width = [], 0  # (block, row, noise columns) of each row step in a sweep
-    for bi, blk in enumerate(blocks):
-        for ri in range(blk.shape[1]):
-            rows.append((bi, ri, slice(width, width + blk.shape[2])))
-            width += blk.shape[2]
+    spans, width = [], 0  # each block's noise columns in a sweep, its rows in order
+    for blk in blocks:
+        spans.append(slice(width, width + blk[0].size))
+        width += blk[0].size
+    row_steps = [(bi, ri) for bi, blk in enumerate(blocks) for ri in range(blk.shape[1])]
     phase_iters = np.array([p.iterations, max(1, p.iterations // 5)])
-    ids = np.arange(len(rngs))
-    step = np.full(len(ids), STEP0)
-    phase = np.zeros(len(ids), dtype=int)
-    sweeps = np.zeros(len(ids), dtype=int)
+    restarts = len(best)
+    ids = np.arange(restarts)
+    step = np.full(restarts, STEP0)
+    phase = np.zeros(restarts, dtype=int)
+    sweeps = np.zeros(restarts, dtype=int)
     final = {}  # restart -> (best value, blocks, terms)
-    first_reached = len(rngs)  # the lowest restart whose best reached stop_at
+    first_reached = restarts  # the lowest restart whose best reached stop_at
     while True:
         reached = best >= stop
         retired = reached | (phase == 2)
@@ -396,14 +398,21 @@ def _search_chain(
 
         # one draw per sweep yields the same normals as one draw per row step
         noise = np.stack([rngs[i].standard_normal(width) for i in ids])
+        cands = []  # each block's candidate rows, every row projected on its own
+        for blk, span in zip(blocks, spans):
+            moved = blk + step[:, None, None] * noise[:, span].reshape(blk.shape)
+            cands.append(_project_simplex(moved.reshape(-1, blk.shape[2])).reshape(blk.shape))
         improved = np.zeros(len(ids), dtype=bool)
-        for bi, ri, cols in rows:
+        for bi, ri in row_steps:
             blk = blocks[bi]
             row = blk[:, ri].copy()
-            blk[:, ri] = _project_simplex(row + step[:, None] * noise[:, cols])
+            blk[:, ri] = cands[bi][:, ri]
             cand_terms = _core.chain_info(blocks[0][:, 0], blocks[1], blocks[2], w1, w2)
             cand = score_fn(cand_terms)
             better = cand > best + 1e-15
+            if not better.any():
+                blk[:, ri] = row
+                continue
             blk[:, ri] = np.where(better[:, None], blk[:, ri], row)
             best = np.where(better, cand, best)
             terms = np.where(better[:, None], cand_terms, terms)
@@ -415,7 +424,7 @@ def _search_chain(
         sweeps[ended] = 0
         step[ended] = 1e-3
 
-    if first_reached < len(rngs):
+    if first_reached < restarts:
         value, blocks, terms = final[first_reached]
     else:
         value, blocks, terms = final[max(final, key=lambda i: (final[i][0], -i))]  # the lowest-index strict best
@@ -438,7 +447,10 @@ def support_function(ch: BroadcastChannel, w, p: SearchParams = SearchParams()) 
     r2 <= I(X;Y2), re <= rc). In the cone a <= w1 the carrier chain U = V = X
     at the Blahut-Arimoto law attains that bound, so there the value is
     exact to within SLACK * max(w1, w2), at any scale of the weights, and
-    `p` is only validated. Outside the cone the chain is searched within the
+    `p` is only validated. On the rc face we = w2 = 0 with wc > w1 the bound
+    is wc C1, C1 = max_P I(X;Y1), and the chain that sends the capacity law
+    straight through (U constant, V = X) attains it, so there the value is
+    exact to within SLACK * wc. Elsewhere the chain is searched within the
     budget `p` (restarts, sweeps, seed and the alphabet sizes), which can
     under-estimate the value; it scores each chain by `_corner_value`.
     """
@@ -455,6 +467,9 @@ def support_function(ch: BroadcastChannel, w, p: SearchParams = SearchParams()) 
     if wc + we <= w1:
         ident = CondDist(np.eye(ch.x_size))
         chain = AuxChain(Dist(_blahut_arimoto(ch, w1, w2)), ident, ident)
+        iq = evaluate_chain(chain, ch)
+    elif we == 0.0 and w2 == 0.0:
+        chain = input_chain(_blahut_arimoto(ch, 1.0, 0.0))
         iq = evaluate_chain(chain, ch)
     else:
         _, chain, iq = _search_chain(ch, score, p)

@@ -30,11 +30,18 @@ from bbcsec import (
 )
 from bbcsec import _core
 from bbcsec.region import (
+    SLACK,
+    STEP0,
+    STRUCTURED_STARTS,
+    TOL,
     SearchParams,
     _best_corner,
     _corner_value,
     _margin,
     _project_simplex,
+    _random_init,
+    _search_chain,
+    _structured_init,
     frontier_csv,
 )
 
@@ -250,6 +257,13 @@ class TestProjectSimplex:
         out = _project_simplex(v)
         for row, got in zip(v, out):
             assert np.array_equal(got, _project_simplex(row[None])[0])
+        # a sweep projects a whole (restarts, rows, cols) block as one batch
+        # of rows; each equals its row step's (restarts, cols) batch
+        block = rng.normal(size=(5, 8, 3)) * 0.3 + rng.dirichlet(np.ones(3), size=(5, 8))
+        block[:, ::2, 2] = block[:, ::2, 1]  # ties
+        out = _project_simplex(block.reshape(-1, 3)).reshape(block.shape)
+        for ri in range(block.shape[1]):
+            assert np.array_equal(out[:, ri], _project_simplex(block[:, ri]))
 
 
 class TestSupportFunction:
@@ -305,10 +319,10 @@ class TestSupportFunction:
         res = support_function(bsc12, (0.3, 0.1, 0.2, 0.4), p)
         assert (res.chain.pu.size, res.chain.pvu.dims[1]) == (1, 2)
 
-    @pytest.mark.parametrize("w", [(0, 0, 1, 0), (1, 0, 0, 0)])
+    @pytest.mark.parametrize("w", [(0, 0, 1, 0), (1, 0, 0, 0), (1, 1, 0, 0)])
     def test_bad_alphabet_size_rejected_in_and_outside_the_cone(self, bsc12, w):
-        # the cone wc + we <= w1 is solved without a search, yet a malformed
-        # budget still fails there
+        # the cone wc + we <= w1 and the rc face (wc, 0, w1, 0) are solved
+        # without a search, yet a malformed budget still fails there
         with pytest.raises(ValidationError):
             support_function(bsc12, w, SearchParams(u_size=50))
 
@@ -609,6 +623,146 @@ class TestSearchReturnsScoredTerms:
             iq = evaluate_chain(e.chain, bsc12)
             assert (e.point.r1, e.point.r2) == (iq.iu1, iq.iu2)
             assert tuple_satisfied(iq, e.point)
+
+
+def _row_by_row_climb(ch, score_fn, p, stop_at=None):
+    """The search as a plain row-by-row climb, one projection per row step:
+    the loop `_search_chain` batches, kept as its bit-for-bit reference.
+    Returns the best value, the winner's blocks and its terms."""
+    nx = ch.x_size
+    nu, nv = p.sizes_for(nx)
+    w1 = marginal(ch, 1).matrix
+    w2 = marginal(ch, 2).matrix
+    stop = math.inf if stop_at is None else stop_at
+    rngs = [np.random.Generator(np.random.PCG64((p.seed, 0)))]
+    blocks = [blk[None] for blk in _structured_init(0, nu, nv, nx)]
+    terms = _core.chain_info(blocks[0][:, 0], blocks[1], blocks[2], w1, w2)
+    best = score_fn(terms)
+    if best[0] < stop and p.restarts > 1:
+        rngs += [np.random.Generator(np.random.PCG64((p.seed, i))) for i in range(1, p.restarts)]
+        more = [np.stack(b) for b in zip(*(
+            _structured_init(i, nu, nv, nx) if i < STRUCTURED_STARTS else _random_init(nu, nv, nx, rngs[i])
+            for i in range(1, p.restarts)
+        ))]
+        more_terms = _core.chain_info(more[0][:, 0], more[1], more[2], w1, w2)
+        best, terms = np.concatenate([best, score_fn(more_terms)]), np.concatenate([terms, more_terms])
+        blocks = [np.concatenate(b) for b in zip(blocks, more)]
+
+    rows, width = [], 0
+    for bi, blk in enumerate(blocks):
+        for ri in range(blk.shape[1]):
+            rows.append((bi, ri, slice(width, width + blk.shape[2])))
+            width += blk.shape[2]
+    phase_iters = np.array([p.iterations, max(1, p.iterations // 5)])
+    ids = np.arange(len(rngs))
+    step = np.full(len(ids), STEP0)
+    phase = np.zeros(len(ids), dtype=int)
+    sweeps = np.zeros(len(ids), dtype=int)
+    final = {}
+    first_reached = len(rngs)
+    while True:
+        reached = best >= stop
+        retired = reached | (phase == 2)
+        for j in np.flatnonzero(retired):
+            final[int(ids[j])] = (float(best[j]), [blk[j].copy() for blk in blocks], terms[j])
+        if reached.any():
+            first_reached = min(first_reached, int(ids[reached][0]))
+        live = ~retired & (ids < first_reached)
+        if not live.any():
+            break
+        if not live.all():
+            ids, best, terms = ids[live], best[live], terms[live]
+            step, phase, sweeps = step[live], phase[live], sweeps[live]
+            blocks = [blk[live] for blk in blocks]
+        noise = np.stack([rngs[i].standard_normal(width) for i in ids])
+        improved = np.zeros(len(ids), dtype=bool)
+        for bi, ri, cols in rows:
+            blk = blocks[bi]
+            row = blk[:, ri].copy()
+            blk[:, ri] = _project_simplex(row + step[:, None] * noise[:, cols])
+            cand_terms = _core.chain_info(blocks[0][:, 0], blocks[1], blocks[2], w1, w2)
+            cand = score_fn(cand_terms)
+            better = cand > best + 1e-15
+            blk[:, ri] = np.where(better[:, None], blk[:, ri], row)
+            best = np.where(better, cand, best)
+            terms = np.where(better[:, None], cand_terms, terms)
+            improved |= better
+        sweeps += 1
+        step = np.where(improved, step, step * 0.5)
+        ended = (sweeps == phase_iters[phase]) | (~improved & (step < TOL))
+        phase += ended
+        sweeps[ended] = 0
+        step[ended] = 1e-3
+
+    if first_reached < len(rngs):
+        return final[first_reached]
+    return final[max(final, key=lambda i: (final[i][0], -i))]
+
+
+class TestSearchMatchesRowByRowClimb:
+    # the search projects a sweep's candidates when the sweep starts and
+    # skips the bookkeeping of a step no restart accepts; its value, chain
+    # and terms equal a plain row-by-row climb's bit for bit
+
+    def _assert_same(self, ch, score_fn, p, stop_at):
+        value, chain, iq = _search_chain(ch, score_fn, p, stop_at)
+        ref_value, ref_blocks, ref_terms = _row_by_row_climb(ch, score_fn, p, stop_at)
+        assert value == ref_value
+        for got, want in zip((chain.pu.probs[None], chain.pvu.rows, chain.pxv.rows), ref_blocks):
+            assert np.array_equal(got, want)
+        assert np.array_equal(np.array(astuple(iq)), ref_terms)
+
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("nx", [2, 3])
+    def test_both_scores_with_and_without_a_stop(self, restarts, nx):
+        ch = random_channel(np.random.default_rng(52), nx, 3, 2)
+        p = SearchParams(restarts=restarts, iterations=12, seed=restarts)
+        w = [0.3, 0.2, 0.1, 0.4]
+        t = RateTuple(0.08, 0.07, 0.0, 0.005)
+
+        def corner(iq):
+            return _corner_value(*iq.T, w)
+
+        def margin(iq):
+            return _margin(*iq.T, t)
+
+        for score_fn in (corner, margin):
+            top = _row_by_row_climb(ch, score_fn, p)[0]
+            # no stop; one a climb reaches on its way to the top; membership's
+            for stop_at in (None, top - 1e-3, 0.0):
+                self._assert_same(ch, score_fn, p, stop_at)
+
+    @pytest.mark.parametrize("restarts", [1, 4])
+    def test_restart_zero_retiring_at_its_start(self, bsc12, restarts):
+        # the first structured start meets this tuple, so no row step runs
+        t = RateTuple(0.1, 0.0, 0.2, 0.1)
+        p = SearchParams(restarts=restarts, iterations=12, seed=2)
+        self._assert_same(bsc12, lambda iq: _margin(*iq.T, t), p, 0.0)
+
+
+class TestRcFace:
+    # in directions (wc, 0, w1, 0) with wc > w1 the value is wc C1, since
+    # rc + r1 <= I(V;Y1) <= I(X;Y1); V = X at the capacity law attains it,
+    # certified by the duality bound at that law
+
+    @pytest.mark.parametrize("nx", [2, 3, 4])
+    @pytest.mark.parametrize("w", [(1.0, 0.0, 0.0, 0.0), (0.75, 0.0, 0.25, 0.0), (3.0, 0.0, 1.0, 0.0)])
+    def test_value_is_certified_and_never_below_the_search(self, nx, w):
+        wc = w[0]
+        p = SearchParams(restarts=6, iterations=20, seed=1)
+        for seed in range(3):
+            ch = random_channel(np.random.default_rng(100 * nx + seed), nx, 3, 3)
+            ws = (marginal(ch, 1).matrix, marginal(ch, 2).matrix)
+            res = support_function(ch, w, p)
+            law = res.chain.pu.probs @ res.chain.pvu.rows @ res.chain.pxv.rows
+            c1_upper = oracles.duality_bound(law, ws, (1.0, 0.0))
+            assert res.value <= wc * c1_upper + 1e-12
+            assert res.value >= wc * c1_upper - SLACK * wc
+            assert (res.corner.r1, res.corner.r2) == (0.0, 0.0)
+            # the search can only under-estimate wc C1, and the face value is
+            # within SLACK * wc of it
+            searched, _, _ = _search_chain(ch, lambda iq: _corner_value(*iq.T, list(w)), p)
+            assert res.value >= searched - SLACK * wc
 
 
 class TestBinarySecrecyOracle:
